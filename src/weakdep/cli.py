@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,14 +23,15 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .blocks import block_scheme, decompose
-from .bounds import BoundParams, tail_bound
-from .coefficients import cox_grimmett, gamma_sequence, long_run_variance
+from .bounds import BoundParams, slln_schedule, tail_bound
+from .coefficients import gamma_sequence, long_run_variance
 from .models import IID, ModelSpec, UniformOnInterval, almost_sure_bound, model_from_json, sample_path
 from .verify import (
     DOMINATED,
     VIOLATED,
     MCConfig,
     PiecewiseLinear,
+    VerificationReport,
     check_lipschitz_cov,
     check_newman,
     check_quasi_association_counterexample,
@@ -38,14 +40,14 @@ from .verify import (
     empirical_process_path,
     estimate_gamma_operator,
     fclt_increment_check,
-    marginal_transform,
+    make_report,
     slln_rate_fit,
 )
 from .verify import _path_matrix
 
-CHECKS = ("cov", "tail", "newman", "quasi", "slln", "clt", "fclt", "emp")
+REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationReport))
 
-REPORT_COLUMNS = ("check", "param", "estimate", "se", "bound", "valid", "verdict", "seed", "replicates")
+MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -73,32 +75,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit_report(records: Sequence[dict], fmt: str, path: Optional[str]) -> None:
-    """Write verification records as CSV or JSON.
+def emit_report(reports: Sequence[VerificationReport], fmt: str, path: Optional[str]) -> None:
+    """Write verification reports as CSV or JSON.
 
     CSV columns are exactly check,param,estimate,se,bound,valid,verdict,
     seed,replicates; JSON is the same records as an array.  path None
     writes to stdout.
     """
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(rec[col]) for col in REPORT_COLUMNS])
-        text = buf.getvalue()
+        text = _csv_text(REPORT_COLUMNS, [dataclasses.astuple(rep) for rep in reports])
     elif fmt == "json":
-        text = json.dumps([{col: rec[col] for col in REPORT_COLUMNS} for rec in records], indent=2) + "\n"
+        text = json.dumps([dataclasses.asdict(rep) for rep in reports], indent=2) + "\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
+    _write_or_print(text, path)
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse start:stop:step, endpoints inclusive within 1e-12."""
+    """Parse start:stop:step, endpoints inclusive within 1e-12, at most
+    MAX_GRID_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:step, got {spec!r}")
@@ -106,17 +101,17 @@ def parse_grid(spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"grid has non-numeric parts: {spec!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"grid needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid needs step > 0 and stop >= start, got {spec!r}")
     out = []
-    k = 0
-    while True:
+    for k in range(MAX_GRID_POINTS + 1):
         x = start + k * step
         if x > stop + 1e-12:
-            break
+            return out
         out.append(min(x, stop))
-        k += 1
-    return out
+    raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
 
 
 def _load_model(path: str) -> ModelSpec:
@@ -141,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("--model", required=True)
     p_coeffs.add_argument("--n-max", type=int, default=10)
     p_coeffs.add_argument("--out")
+    p_coeffs.set_defaults(func=_cmd_coeffs)
 
     p_dec = sub.add_parser("decompose", help="block decomposition of one sample path")
     p_dec.add_argument("--model", required=True)
@@ -148,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--p", type=int, required=True)
     p_dec.add_argument("--seed", type=int, default=0)
     p_dec.add_argument("--out")
+    p_dec.set_defaults(func=_cmd_decompose)
 
     p_bound = sub.add_parser("bound", help="tail bound over an x grid")
     p_bound.add_argument("--model", required=True)
@@ -156,10 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--alpha", type=float, default=2.0)
     p_bound.add_argument("--x-grid", default="0:4000:250")
     p_bound.add_argument("--out")
+    p_bound.set_defaults(func=_cmd_bound)
 
     p_ver = sub.add_parser("verify", help="Monte Carlo verification checks")
     p_ver.add_argument("--check", required=True, choices=CHECKS)
-    p_ver.add_argument("--model", help="model JSON file (required by all checks except quasi uses its law)")
+    p_ver.add_argument("--model", required=True, help="model JSON file (quasi uses only its law)")
     p_ver.add_argument("--replicates", type=int, default=10_000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out")
@@ -176,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--s", type=float, default=0.3)
     p_ver.add_argument("--t", type=float, default=0.7)
     p_ver.add_argument("--n-grid", default="256,512,1024,2048,4096,8192,16384")
+    p_ver.set_defaults(func=_cmd_verify)
     return parser
 
 
@@ -203,7 +202,7 @@ def _cmd_coeffs(args) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     gamma = gamma_sequence(model)
-    rows = [(k, gamma.gamma(k), cox_grimmett(gamma, k)) for k in range(1, args.n_max + 1)]
+    rows = [(k, gamma.gamma(k), gamma.tail_sum(k)) for k in range(1, args.n_max + 1)]
     _write_or_print(_csv_text(("k", "gamma", "v"), rows), args.out)
     return 0
 
@@ -223,18 +222,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_bound(args) -> int:
     model = _load_model(args.model)
-    if not 0.5 < args.theta < 1.0:
-        raise ConfigError(f"theta must lie in (1/2, 1), got {args.theta}")
-    if not args.alpha > 1.0:
-        raise ConfigError(f"alpha must exceed 1, got {args.alpha}")
     c = almost_sure_bound(model)
     if c is None:
         raise ConfigError("bound evaluation needs a bounded model")
     sigma2 = long_run_variance(model).sigma2
-    p_n = max(1, math.floor(args.n ** args.theta))
-    d_n = (4.0 * args.alpha * c * c / sigma2) * args.n ** (2.0 * args.theta - 1.0) * math.log(args.n)
-    params = BoundParams(c=c, sigma2=sigma2, p_n=p_n, d_n=d_n, n=args.n)
-    v_pn = cox_grimmett(gamma_sequence(model), p_n)
+    sched = slln_schedule(args.n, args.theta, args.alpha, sigma2, c)
+    params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=args.n)
+    v_pn = gamma_sequence(model).tail_sum(sched.p_n)
     rows = []
     for x in parse_grid(args.x_grid):
         ev = tail_bound(x, params, v_pn)
@@ -267,107 +261,102 @@ def random_cov_cases(model: ModelSpec, n: int, cases: int, seed: int):
     return out
 
 
+def _n(args, default: int) -> int:
+    """--n, or the check's default when the flag is absent."""
+    return default if args.n is None else args.n
+
+
+def _floats(spec: str) -> list[float]:
+    return [float(v) for v in spec.split(",") if v]
+
+
+def _check_cov(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    n = _n(args, 24)
+    paths = _path_matrix(model, n, cfg)
+    return [
+        check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
+        for f_spec, g_spec, I, J in random_cov_cases(model, n, args.cases, args.seed)
+    ]
+
+
+def _check_tail(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    n = _n(args, 4096)
+    if not 0.5 < args.theta < 1.0:
+        raise ConfigError(f"theta must lie in (1/2, 1), got {args.theta}")
+    scheme = block_scheme(n, max(1, math.floor(n ** args.theta)))
+    grid = parse_grid(args.x_grid or "0:4000:250")
+    return check_tail_domination(model, scheme, grid, cfg, alpha=args.alpha)
+
+
+def _check_newman(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    return check_newman(model, _n(args, 8), _floats(args.t_grid), cfg)
+
+
+def _check_quasi(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    law = model.law
+    if not isinstance(law, UniformOnInterval):
+        raise ConfigError("quasi check needs a model with a uniform innovation law")
+    scan = check_quasi_association_counterexample(parse_grid(args.alpha1_grid), args.alpha2, law, cfg)
+    found = scan.alpha1_found
+    ok = found is not None and all(row.lweak_holds for row in scan.rows)
+    estimate = float("nan") if found is None else found
+    return [make_report("quasi", f"alpha2={scan.alpha2:g}", estimate, 0.0, scan.rows[-1].alpha1, ok, cfg)]
+
+
+def _check_slln(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    fit = slln_rate_fit(model, [int(v) for v in args.n_grid.split(",") if v], cfg)
+    lo, hi = -0.55, -0.45  # the strong-law rate n^(-1/2) up to a 0.05 window
+    ok = lo <= fit.slope <= hi
+    return [make_report("slln", f"q={fit.quantile_level:g}", fit.slope, fit.slope_se, hi, ok, cfg)]
+
+
+def _check_clt(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    ks = clt_ks_distance(model, _n(args, 4096), cfg)
+    ok = ks.verdict == DOMINATED
+    return [make_report("clt", f"n={ks.n}", ks.ks_statistic, 0.0, ks.threshold, ok, cfg)]
+
+
+def _check_fclt(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    return fclt_increment_check(model, _floats(args.times), _n(args, 4096), cfg)
+
+
+def _check_emp(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+    s, t = args.s, args.t
+    path = empirical_process_path(model, _n(args, 4096), [0.0, s, t, 1.0], cfg.seed)
+    reports = [
+        make_report("emp", label, value, 0.0, 0.0, value == 0.0, cfg)
+        for label, value in (("zeta(0)", path.values[0]), ("zeta(1)", path.values[-1]))
+    ]
+    est, se = estimate_gamma_operator(model, s, t, cfg)
+    # the limit covariance min(s, t) - s t is known only for the i.i.d. baseline
+    iid = isinstance(model, IID)
+    target = min(s, t) - s * t if iid else float("nan")
+    ok = abs(est - target) <= cfg.error_multiplier * se
+    reports.append(make_report("emp", f"gamma({s:g},{t:g})", est, se, target, ok, cfg, valid=iid))
+    return reports
+
+
+# verify checks by name, in --list-checks order
+CHECKS = {
+    "cov": _check_cov,
+    "tail": _check_tail,
+    "newman": _check_newman,
+    "quasi": _check_quasi,
+    "slln": _check_slln,
+    "clt": _check_clt,
+    "fclt": _check_fclt,
+    "emp": _check_emp,
+}
+
+
 def _cmd_verify(args) -> int:
     cfg = MCConfig(replicates=args.replicates, seed=args.seed, error_multiplier=3.0)
-    records: list[dict] = []
-    check = args.check
-
-    def need_model() -> ModelSpec:
-        if not args.model:
-            raise ConfigError(f"--check {check} requires --model")
-        return _load_model(args.model)
-
-    if check == "cov":
-        model = need_model()
-        n = args.n or 24
-        paths = _path_matrix(model, n, cfg)
-        for f_spec, g_spec, I, J in random_cov_cases(model, n, args.cases, args.seed):
-            rep = check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
-            records.append(rep.to_record())
-    elif check == "tail":
-        model = need_model()
-        n = args.n or 4096
-        if not 0.5 < args.theta < 1.0:
-            raise ConfigError(f"theta must lie in (1/2, 1), got {args.theta}")
-        scheme = block_scheme(n, max(1, math.floor(n ** args.theta)))
-        grid = parse_grid(args.x_grid or "0:4000:250")
-        for rep in check_tail_domination(model, scheme, grid, cfg, alpha=args.alpha):
-            records.append(rep.to_record())
-    elif check == "newman":
-        model = need_model()
-        n = args.n or 8
-        t_grid = [float(v) for v in args.t_grid.split(",") if v]
-        for rep in check_newman(model, n, t_grid, cfg):
-            records.append(rep.to_record())
-    elif check == "quasi":
-        model = need_model()
-        law = model.law
-        if not isinstance(law, UniformOnInterval):
-            raise ConfigError("quasi check needs a model with a uniform innovation law")
-        grid = parse_grid(args.alpha1_grid)
-        report = check_quasi_association_counterexample(grid, args.alpha2, law, cfg)
-        records.append(report.to_report(cfg).to_record())
-    elif check == "slln":
-        model = need_model()
-        grid = [int(v) for v in args.n_grid.split(",") if v]
-        fit = slln_rate_fit(model, grid, cfg)
-        records.append(fit.to_report(cfg).to_record())
-    elif check == "clt":
-        model = need_model()
-        n = args.n or 4096
-        records.append(clt_ks_distance(model, n, cfg).to_report(cfg).to_record())
-    elif check == "fclt":
-        model = need_model()
-        n = args.n or 4096
-        times = [float(v) for v in args.times.split(",") if v]
-        for rep in fclt_increment_check(model, times, n, cfg):
-            records.append(rep.to_record())
-    elif check == "emp":
-        model = need_model()
-        n = args.n or 4096
-        path = empirical_process_path(model, n, [0.0, args.s, args.t, 1.0], cfg.seed)
-        for label, value in (("zeta(0)", path.values[0]), ("zeta(1)", path.values[-1])):
-            records.append(
-                {
-                    "check": "emp",
-                    "param": label,
-                    "estimate": float(value),
-                    "se": 0.0,
-                    "bound": 0.0,
-                    "valid": True,
-                    "verdict": DOMINATED if value == 0.0 else VIOLATED,
-                    "seed": cfg.seed,
-                    "replicates": cfg.replicates,
-                }
-            )
-        est, se = estimate_gamma_operator(model, args.s, args.t, cfg)
-        if isinstance(model, IID):
-            target = min(args.s, args.t) - args.s * args.t
-            ok = abs(est - target) <= cfg.error_multiplier * se
-        else:
-            target = float("nan")
-            ok = True
-        records.append(
-            {
-                "check": "emp",
-                "param": f"gamma({args.s:g},{args.t:g})",
-                "estimate": est,
-                "se": se,
-                "bound": target,
-                "valid": True,
-                "verdict": DOMINATED if ok else VIOLATED,
-                "seed": cfg.seed,
-                "replicates": cfg.replicates,
-            }
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown check {check!r}")
-
+    reports = CHECKS[args.check](args, _load_model(args.model), cfg)
     fmt = args.format
     if fmt is None:
         fmt = "json" if (args.out or "").endswith(".json") else "csv"
-    emit_report(records, fmt, args.out)
-    return 1 if any(rec["verdict"] == VIOLATED for rec in records) else 0
+    emit_report(reports, fmt, args.out)
+    return 1 if any(rep.verdict == VIOLATED for rep in reports) else 0
 
 
 def run(argv: Sequence[str]) -> int:
@@ -385,21 +374,10 @@ def run(argv: Sequence[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        if args.command == "coeffs":
-            return _cmd_coeffs(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-    except (ConfigError, ValueError) as exc:
+        return args.func(args)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 def main() -> None:

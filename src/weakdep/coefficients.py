@@ -9,10 +9,9 @@ signed covariances can understate the supremum, the envelope cannot.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -37,64 +36,14 @@ class FiniteGamma:
         return self.values[k - 1] if k <= len(self.values) else 0.0
 
     def tail_sum(self, n: int) -> float:
+        """Cox-Grimmett tail sum v(n) = sum_{k >= n} gamma_k."""
         if n < 1:
             raise ValueError(f"tail index must be >= 1, got {n}")
         return float(sum(self.values[n - 1 :]))
 
     def total(self) -> float:
+        """Total dependence D = sum_{k >= 1} gamma_k = v(1)."""
         return float(sum(self.values))
-
-
-@dataclass(frozen=True)
-class GeometricGamma:
-    """gamma_k = amplitude * rate^k; closed-form tails amplitude*rate^n/(1-rate)."""
-
-    amplitude: float
-    rate: float
-    note: str = ""
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not 0.0 < self.rate < 1.0:
-            raise ValueError(f"rate must lie in (0, 1), got {self.rate}")
-
-    def gamma(self, k: int) -> float:
-        if k < 1:
-            raise ValueError(f"coefficient index must be >= 1, got {k}")
-        return self.amplitude * self.rate ** k
-
-    def tail_sum(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"tail index must be >= 1, got {n}")
-        return self.amplitude * self.rate ** n / (1.0 - self.rate)
-
-    def total(self) -> float:
-        return self.tail_sum(1)
-
-
-GammaSequence = Union[FiniteGamma, GeometricGamma]
-
-
-def gamma_to_json(gamma: GammaSequence) -> str:
-    if isinstance(gamma, FiniteGamma):
-        return json.dumps({"variant": "finite", "values": list(gamma.values), "note": gamma.note})
-    return json.dumps(
-        {"variant": "geometric", "amplitude": gamma.amplitude, "rate": gamma.rate, "note": gamma.note}
-    )
-
-
-def gamma_from_json(text: str) -> GammaSequence:
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed coefficient JSON: {exc}") from exc
-    variant = d.get("variant")
-    if variant == "finite":
-        return FiniteGamma(values=tuple(d["values"]), note=d.get("note", ""))
-    if variant == "geometric":
-        return GeometricGamma(amplitude=d["amplitude"], rate=d["rate"], note=d.get("note", ""))
-    raise ValueError(f"unknown coefficient variant {variant!r}")
 
 
 def gamma_sequence(model: ModelSpec) -> FiniteGamma:
@@ -117,17 +66,7 @@ def gamma_sequence(model: ModelSpec) -> FiniteGamma:
     raise ValueError("cumulative-sum models have no stationary coefficient sequence")
 
 
-def cox_grimmett(gamma: GammaSequence, n: int) -> float:
-    """Tail sum v(n) = sum_{k >= n} gamma_k."""
-    return gamma.tail_sum(n)
-
-
-def total_dependence(gamma: GammaSequence) -> float:
-    """D = sum_{k >= 1} gamma_k = v(1)."""
-    return gamma.total()
-
-
-def newman_discrepancy_bound(gamma: GammaSequence, n: int, t: float) -> float:
+def newman_discrepancy_bound(gamma: FiniteGamma, n: int, t: float) -> float:
     """Bound 4 t^2 sum_{j=1}^{n-1} (n - j) gamma_j on the gap between the
     joint characteristic function of (X_1..X_n) and the product of marginals."""
     if n < 2:

@@ -280,6 +280,8 @@ class MovingAverage:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("moving average needs a nonempty coefficient list")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError("moving-average coefficients must be finite")
 
     @property
     def order(self) -> int:
@@ -303,8 +305,8 @@ class CumSumTransform:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("cumulative-sum model needs a nonempty coefficient list")
-        if any(c <= 0 for c in self.coeffs):
-            raise ValueError("cumulative-sum coefficients must be strictly positive")
+        if not all(0 < c < math.inf for c in self.coeffs):
+            raise ValueError("cumulative-sum coefficients must be strictly positive and finite")
 
 
 ModelSpec = Union[IID, MovingAverage, CumSumTransform]
@@ -485,20 +487,27 @@ def model_to_dict(model: ModelSpec) -> dict:
 
 
 def model_from_dict(d: dict) -> ModelSpec:
+    """Build a model from its JSON document; any malformed document raises
+    ValueError (a missing field, an unknown or mistyped parameter)."""
     version = d.get("schema_version", 1)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {version}")
     variant = d.get("variant")
-    if variant == "iid":
-        return IID(law=law_from_dict(d["law"]))
-    if variant == "moving_average":
-        return MovingAverage(coeffs=tuple(d["coeffs"]), law=law_from_dict(d["law"]))
-    if variant == "cumsum_transform":
-        return CumSumTransform(
-            coeffs=tuple(d["coeffs"]),
-            transform=transform_from_dict(d["transform"]),
-            law=law_from_dict(d["law"]),
-        )
+    try:
+        if variant == "iid":
+            return IID(law=law_from_dict(d["law"]))
+        if variant == "moving_average":
+            return MovingAverage(coeffs=tuple(d["coeffs"]), law=law_from_dict(d["law"]))
+        if variant == "cumsum_transform":
+            return CumSumTransform(
+                coeffs=tuple(d["coeffs"]),
+                transform=transform_from_dict(d["transform"]),
+                law=law_from_dict(d["law"]),
+            )
+    except KeyError as exc:
+        raise ValueError(f"model is missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed model: {exc}") from None
     raise ValueError(f"unknown model variant {variant!r}")
 
 

@@ -20,7 +20,7 @@ from scipy.stats import kstest
 
 from . import bounds as bnd
 from .blocks import BlockScheme, decompose
-from .coefficients import cox_grimmett, gamma_sequence, long_run_variance, newman_discrepancy_bound
+from .coefficients import gamma_sequence, long_run_variance, newman_discrepancy_bound
 from .models import (
     IID,
     ModelSpec,
@@ -56,28 +56,17 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One report row; the CSV and JSON columns are these fields, in order."""
+
     check: str
     param: str
     estimate: float
     se: float
     bound: float
-    bound_valid: bool
+    valid: bool
     verdict: str
     seed: int
     replicates: int
-
-    def to_record(self) -> dict:
-        return {
-            "check": self.check,
-            "param": self.param,
-            "estimate": self.estimate,
-            "se": self.se,
-            "bound": self.bound,
-            "valid": self.bound_valid,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "replicates": self.replicates,
-        }
 
 
 def _iter_paths(model: ModelSpec, n: int, cfg: MCConfig):
@@ -92,30 +81,37 @@ def _path_matrix(model: ModelSpec, n: int, cfg: MCConfig) -> np.ndarray:
     return out
 
 
-def _domination_report(
+def make_report(
     check: str,
     param: str,
     estimate: float,
     se: float,
-    bound_eval,
+    bound: float,
+    ok: bool,
     cfg: MCConfig,
-    lower: Optional[float] = None,
+    valid: bool = True,
 ) -> VerificationReport:
-    """VIOLATED iff the lower confidence limit exceeds a valid bound."""
-    bound = bound_eval.value if hasattr(bound_eval, "value") else float(bound_eval)
-    valid = bound_eval.valid if hasattr(bound_eval, "valid") else True
+    """The one constructor of report rows.
+
+    BOUND_INVALID when a hypothesis of the bound fails (valid False);
+    otherwise DOMINATED only when the check's comparison holds and the
+    estimate, its SE and the bound are all finite, else VIOLATED, so a
+    NaN or infinite number never passes.
+    """
+    estimate, se, bound = float(estimate), float(se), float(bound)
     if not valid:
         verdict = BOUND_INVALID
+    elif ok and math.isfinite(estimate) and math.isfinite(se) and math.isfinite(bound):
+        verdict = DOMINATED
     else:
-        low = lower if lower is not None else estimate - cfg.error_multiplier * se
-        verdict = VIOLATED if low > bound else DOMINATED
+        verdict = VIOLATED
     return VerificationReport(
         check=check,
         param=param,
-        estimate=float(estimate),
-        se=float(se),
-        bound=float(bound),
-        bound_valid=valid,
+        estimate=estimate,
+        se=se,
+        bound=bound,
+        valid=bool(valid),
         verdict=verdict,
         seed=cfg.seed,
         replicates=cfg.replicates,
@@ -237,8 +233,8 @@ def check_lipschitz_cov(
     cov = float(np.mean(a * b) - am * bm)
     infl = (a - am) * (b - bm) - cov
     se = float(infl.std(ddof=1) / math.sqrt(len(a)))
-    param = f"I={I},J={J}"
-    return _domination_report("cov", param, abs(cov), se, bnd.BoundEvaluation(bound), cfg)
+    low = abs(cov) - cfg.error_multiplier * se
+    return make_report("cov", f"I={I},J={J}", abs(cov), se, bound, low <= bound, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def check_tail_domination(
     if c is None:
         raise ValueError("tail domination needs a bounded model")
     sigma2 = long_run_variance(model).sigma2
-    v_pn = cox_grimmett(gamma_sequence(model), scheme.p_n)
+    v_pn = gamma_sequence(model).tail_sum(scheme.p_n)
     if d_n is None:
         theta_eff = math.log(scheme.p_n) / math.log(scheme.n)
         d_n = (4.0 * alpha * c * c / sigma2) * scheme.n ** (2.0 * theta_eff - 1.0) * math.log(scheme.n)
@@ -278,10 +274,9 @@ def check_tail_domination(
         p_hat = count / cfg.replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / cfg.replicates)
         lower = _binomial_lower(count, cfg.replicates, cfg.error_multiplier)
-        evaluation = bnd.tail_bound(float(x), params, v_pn)
-        reports.append(
-            _domination_report("tail", f"x={float(x):g}", p_hat, se, evaluation, cfg, lower=lower)
-        )
+        ev = bnd.tail_bound(float(x), params, v_pn)
+        ok = lower <= ev.value
+        reports.append(make_report("tail", f"x={float(x):g}", p_hat, se, ev.value, ok, cfg, valid=ev.valid))
     return reports
 
 
@@ -329,11 +324,8 @@ def check_newman(
         else:
             se = float(np.sqrt(np.mean(np.abs(infl) ** 2) / cfg.replicates))
         bound = newman_discrepancy_bound(gamma, n, t)
-        reports.append(
-            _domination_report(
-                "newman", f"n={n},t={t:g}", abs(delta), se, bnd.BoundEvaluation(bound), cfg
-            )
-        )
+        low = abs(delta) - cfg.error_multiplier * se
+        reports.append(make_report("newman", f"n={n},t={t:g}", abs(delta), se, bound, low <= bound, cfg))
     return reports
 
 
@@ -359,20 +351,6 @@ class QuasiAssociationReport:
     rows: tuple[QuasiRow, ...]
     alpha1_found: Optional[float]
     seed: int
-
-    def to_report(self, cfg: MCConfig) -> VerificationReport:
-        found = self.alpha1_found
-        return VerificationReport(
-            check="quasi",
-            param=f"alpha2={self.alpha2:g}",
-            estimate=float("nan") if found is None else float(found),
-            se=0.0,
-            bound=float(self.rows[-1].alpha1) if self.rows else float("nan"),
-            bound_valid=True,
-            verdict=DOMINATED if (found is not None and all(r.lweak_holds for r in self.rows)) else VIOLATED,
-            seed=self.seed,
-            replicates=cfg.replicates,
-        )
 
 
 def check_quasi_association_counterexample(
@@ -451,21 +429,6 @@ class SllnRateFit:
     seed: int
     replicates: int
 
-    def to_report(self, cfg: MCConfig, window: tuple[float, float] = (-0.55, -0.45)) -> VerificationReport:
-        lo, hi = window
-        ok = lo <= self.slope <= hi
-        return VerificationReport(
-            check="slln",
-            param=f"q={self.quantile_level:g}",
-            estimate=self.slope,
-            se=self.slope_se,
-            bound=hi,
-            bound_valid=True,
-            verdict=DOMINATED if ok else VIOLATED,
-            seed=self.seed,
-            replicates=self.replicates,
-        )
-
 
 def slln_rate_fit(
     model: ModelSpec,
@@ -483,8 +446,8 @@ def slln_rate_fit(
         raise ValueError("rate fit requires a stationary model")
     sigma2 = long_run_variance(model).sigma2  # raises on degenerate models
     grid = sorted(int(n) for n in n_grid)
-    if len(grid) < 3:
-        raise ValueError("need at least 3 grid points to fit a slope")
+    if len(set(grid)) < 3 or grid[0] < 1:
+        raise ValueError("need at least 3 distinct positive grid points to fit a slope")
     n_max = grid[-1]
     idx = np.asarray(grid) - 1
     vals = np.empty((cfg.replicates, len(grid)))
@@ -537,19 +500,6 @@ class CltKsReport:
     n: int
     seed: int
     replicates: int
-
-    def to_report(self, cfg: MCConfig) -> VerificationReport:
-        return VerificationReport(
-            check="clt",
-            param=f"n={self.n}",
-            estimate=self.ks_statistic,
-            se=0.0,
-            bound=self.threshold,
-            bound_valid=True,
-            verdict=self.verdict,
-            seed=self.seed,
-            replicates=self.replicates,
-        )
 
 
 def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> CltKsReport:
@@ -644,19 +594,7 @@ def fclt_increment_check(
         lo = u[s - 1] if s else 0.0
         target = (u[s] - lo) * sigma2
         ok = abs(var_hat - target) <= mult * se + allowance
-        reports.append(
-            VerificationReport(
-                check="fclt",
-                param=f"var({lo:g},{u[s]:g}]",
-                estimate=var_hat,
-                se=se,
-                bound=target,
-                bound_valid=True,
-                verdict=DOMINATED if ok else VIOLATED,
-                seed=cfg.seed,
-                replicates=cfg.replicates,
-            )
-        )
+        reports.append(make_report("fclt", f"var({lo:g},{u[s]:g}]", var_hat, se, target, ok, cfg))
     for s1 in range(len(u)):
         for s2 in range(s1 + 1, len(u)):
             a, b = incs[:, s1], incs[:, s2]
@@ -665,19 +603,7 @@ def fclt_increment_check(
             infl = (a - am) * (b - bm) - cov
             se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
             ok = abs(cov) <= mult * se + allowance
-            reports.append(
-                VerificationReport(
-                    check="fclt",
-                    param=f"cov({u[s1]:g},{u[s2]:g})",
-                    estimate=cov,
-                    se=se,
-                    bound=0.0,
-                    bound_valid=True,
-                    verdict=DOMINATED if ok else VIOLATED,
-                    seed=cfg.seed,
-                    replicates=cfg.replicates,
-                )
-            )
+            reports.append(make_report("fclt", f"cov({u[s1]:g},{u[s2]:g})", cov, se, 0.0, ok, cfg))
     return reports
 
 

@@ -26,7 +26,6 @@ from weakdep import (
     check_quasi_association_counterexample,
     check_tail_domination,
     clt_ks_distance,
-    cox_grimmett,
     decompose,
     empirical_process_path,
     estimate_gamma_operator,
@@ -36,7 +35,6 @@ from weakdep import (
     sample_path,
     slln_rate_fit,
     slln_schedule,
-    total_dependence,
     unbounded_schedule,
 )
 from weakdep.cli import random_cov_cases
@@ -104,7 +102,7 @@ def test_criterion_2_coefficient_oracles():
             gam_list = [gamma.gamma(k) for k in range(1, len(coeffs) + 4)]
             for n in range(1, len(coeffs) + 4):
                 oracle = sum(gam_list[n - 1 :])
-                if abs(cox_grimmett(gamma, n) - oracle) > rel * max(1.0, oracle):
+                if abs(gamma.tail_sum(n) - oracle) > rel * max(1.0, oracle):
                     crit.finish(False, f"v({n}) mismatch for {coeffs}")
             # oracle: long-run variance (sum alpha)^2 sigma_xi^2
             oracle_s2 = s2_xi * sum(coeffs) ** 2
@@ -112,7 +110,7 @@ def test_criterion_2_coefficient_oracles():
                 crit.finish(False, f"sigma2 mismatch for {coeffs}")
             # oracle: total dependence as plain sum
             oracle_d = sum(gam_list)
-            if abs(total_dependence(gamma) - oracle_d) > rel * max(1.0, oracle_d):
+            if abs(gamma.total() - oracle_d) > rel * max(1.0, oracle_d):
                 crit.finish(False, f"D mismatch for {coeffs}")
     crit.finish(True)
 

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, model_to_json
-from weakdep.cli import ConfigError, emit_report, parse_grid, run
+from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, VerificationReport, model_to_json
+from weakdep.cli import MAX_GRID_POINTS, ConfigError, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
 MA11_JSON = model_to_json(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
@@ -44,6 +44,11 @@ def test_grid_parsing():
         parse_grid("0:10:-1")
     with pytest.raises(ConfigError):
         parse_grid("a:b:c")
+    # non-finite endpoints and oversized grids are rejected, not looped over
+    for spec in ("0:inf:1", "nan:1:1", "0:1:nan", f"0:{MAX_GRID_POINTS}:1", "1:1.5:1e-300"):
+        with pytest.raises(ConfigError):
+            parse_grid(spec)
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
 
 
 def test_coeffs_table(ma_model, tmp_path):
@@ -97,17 +102,31 @@ def test_bound_rejects_bad_theta(ma_model):
     assert run(["bound", "--model", ma_model, "--theta", "1.2"]) == 2
 
 
-def test_usage_errors():
+def test_usage_errors(iid_model):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
     assert run(["verify", "--check", "clt"]) == 2  # missing --model
     assert run(["coeffs", "--model", "/nonexistent/model.json"]) == 2
+    assert run(["verify", "--check", "clt", "--model", iid_model, "--replicates", "100", "--n", "0"]) == 2
 
 
-def test_malformed_model_json(tmp_path):
+def test_malformed_model_json(tmp_path, capsys):
+    law = {"variant": "uniform_on_interval", "a": -1.0, "b": 1.0}
+    bad_docs = [
+        "{this is not json",
+        json.dumps({"variant": "iid", "law": {**law, "c": 2.0}}),  # unknown law key
+        json.dumps({"variant": "iid"}),  # missing law
+        json.dumps({"variant": "moving_average", "coeffs": 5, "law": law}),
+        '{"variant": "moving_average", "coeffs": [NaN, 1.0], "law": %s}' % json.dumps(law),
+        '{"variant": "moving_average", "coeffs": [Infinity], "law": %s}' % json.dumps(law),
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text("{this is not json")
-    assert run(["coeffs", "--model", str(bad)]) == 2
+    for doc in bad_docs:
+        bad.write_text(doc)
+        capsys.readouterr()
+        assert run(["coeffs", "--model", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_version_and_list_checks(capsys):
@@ -194,34 +213,62 @@ def test_verify_cov_tail_fclt_slln(tmp_path):
         ["verify", "--check", "slln", "--model", str(model), "--replicates", "500",
          "--n-grid", "64,128,256,512"]
     ) == 0
+    # a slope needs three distinct grid points
+    assert run(
+        ["verify", "--check", "slln", "--model", str(model), "--replicates", "100",
+         "--n-grid", "64,64,64"]
+    ) == 2
+    assert run(["bound", "--model", str(model), "--x-grid", "0:inf:1"]) == 2
+
+
+def test_verify_fails_closed(tmp_path, iid_model):
+    # a NaN estimate and bound never pass
+    out = tmp_path / "nan.csv"
+    code = run(
+        ["verify", "--check", "newman", "--model", iid_model, "--replicates", "100",
+         "--t-grid", "nan", "--out", str(out)]
+    )
+    assert code == 1
+    assert [r[6] for r in read_csv(out)[1:]] == ["VIOLATED"]
+    # emp has no gamma(s,t) target for a moving average: no pass, no failure
+    model = tmp_path / "ma11.json"
+    model.write_text(MA11_JSON)
+    out = tmp_path / "emp.csv"
+    code = run(
+        ["verify", "--check", "emp", "--model", str(model), "--replicates", "100",
+         "--n", "64", "--out", str(out)]
+    )
+    assert code == 0
+    row = read_csv(out)[-1]
+    assert row[1] == "gamma(0.3,0.7)" and row[5] == "false" and row[6] == "BOUND_INVALID"
 
 
 def test_report_round_trip_exact(tmp_path):
     records = [
-        {
-            "check": "demo",
-            "param": "x=1",
-            "estimate": 0.1 + 0.2,  # not representable exactly; still round-trips
-            "se": 1.2345678901234567e-05,
-            "bound": math.pi,
-            "valid": True,
-            "verdict": "DOMINATED",
-            "seed": 7,
-            "replicates": 100,
-        }
+        VerificationReport(
+            check="demo",
+            param="x=1",
+            estimate=0.1 + 0.2,  # not representable exactly; still round-trips
+            se=1.2345678901234567e-05,
+            bound=math.pi,
+            valid=True,
+            verdict="DOMINATED",
+            seed=7,
+            replicates=100,
+        )
     ]
     csv_path = tmp_path / "r.csv"
     emit_report(records, "csv", str(csv_path))
     rows = read_csv(csv_path)
-    assert float(rows[1][2]) == records[0]["estimate"]
-    assert float(rows[1][3]) == records[0]["se"]
-    assert float(rows[1][4]) == records[0]["bound"]
+    assert float(rows[1][2]) == records[0].estimate
+    assert float(rows[1][3]) == records[0].se
+    assert float(rows[1][4]) == records[0].bound
 
     json_path = tmp_path / "r.json"
     emit_report(records, "json", str(json_path))
     parsed = json.loads(json_path.read_text())
-    assert parsed[0]["estimate"] == records[0]["estimate"]
-    assert parsed[0]["bound"] == records[0]["bound"]
+    assert parsed[0]["estimate"] == records[0].estimate
+    assert parsed[0]["bound"] == records[0].bound
 
 
 def test_emit_report_empty_and_atomic(tmp_path):

@@ -9,18 +9,15 @@ from weakdep import (
     IID,
     CumSumTransform,
     FiniteGamma,
-    GeometricGamma,
     Identity,
     MovingAverage,
     Rademacher,
     UniformOnInterval,
     analytic_covariance,
-    cox_grimmett,
     empirical_covariance,
     gamma_sequence,
     long_run_variance,
     newman_discrepancy_bound,
-    total_dependence,
 )
 
 U11 = UniformOnInterval(-1.0, 1.0)
@@ -78,30 +75,19 @@ def test_gamma_dominates_signed_covariance():
 
 
 def test_cox_grimmett_zero_and_finite():
-    assert cox_grimmett(gamma_sequence(IID(U11)), 1) == 0.0
-    assert cox_grimmett(FiniteGamma(values=(1.0, 1.0)), 2) == pytest.approx(1.0)
+    assert gamma_sequence(IID(U11)).tail_sum(1) == 0.0
+    assert FiniteGamma(values=(1.0, 1.0)).tail_sum(2) == pytest.approx(1.0)
     # tail sum oracle by direct partial summation
     g = FiniteGamma(values=(0.4, 0.3, 0.2, 0.1))
     for n in range(1, 7):
-        assert cox_grimmett(g, n) == pytest.approx(sum((0.4, 0.3, 0.2, 0.1)[n - 1 :]))
-
-
-def test_cox_grimmett_geometric_closed_form():
-    g = GeometricGamma(amplitude=1.0, rate=0.5)
-    assert cox_grimmett(g, 1) == pytest.approx(1.0)  # sum_{k>=1} 0.5^k
-    # oracle: partial sums of the series
-    for n in (1, 2, 5):
-        oracle = sum(0.5**k for k in range(n, 200))
-        assert cox_grimmett(g, n) == pytest.approx(oracle, rel=1e-12)
+        assert g.tail_sum(n) == pytest.approx(sum((0.4, 0.3, 0.2, 0.1)[n - 1 :]))
 
 
 def test_cox_grimmett_monotone_and_total():
     g = FiniteGamma(values=(0.5, 0.25, 0.125))
-    vals = [cox_grimmett(g, n) for n in range(1, 6)]
+    vals = [g.tail_sum(n) for n in range(1, 6)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert vals[0] == pytest.approx(total_dependence(g))
-    geo = GeometricGamma(amplitude=2.0, rate=0.3)
-    assert cox_grimmett(geo, 1) == pytest.approx(total_dependence(geo))
+    assert vals[0] == pytest.approx(g.total())
 
 
 def test_gamma_vanishes_beyond_ma_order():
@@ -109,13 +95,12 @@ def test_gamma_vanishes_beyond_ma_order():
     model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
     g = gamma_sequence(model)
     for n in (3, 4, 10):
-        assert cox_grimmett(g, n) == 0.0
+        assert g.tail_sum(n) == 0.0
 
 
 def test_total_dependence():
-    assert total_dependence(FiniteGamma(values=())) == 0.0
-    assert total_dependence(GeometricGamma(amplitude=1.0, rate=0.5)) == pytest.approx(1.0)
-    assert total_dependence(FiniteGamma(values=(1.0, 1.0))) == pytest.approx(2.0)
+    assert FiniteGamma(values=()).total() == 0.0
+    assert FiniteGamma(values=(1.0, 1.0)).total() == pytest.approx(2.0)
 
 
 def test_newman_discrepancy_bound():
@@ -171,28 +156,9 @@ def test_empirical_covariance_preconditions():
         )
 
 
-def test_gamma_json_round_trip():
-    from weakdep import gamma_from_json, gamma_to_json
-
-    for gamma in (
-        FiniteGamma(values=(0.5, 0.25), note="demo"),
-        FiniteGamma(values=()),
-        GeometricGamma(amplitude=2.0, rate=0.3, note="supplied"),
-    ):
-        assert gamma_from_json(gamma_to_json(gamma)) == gamma
-    with pytest.raises(ValueError):
-        gamma_from_json('{"variant": "mystery"}')
-    with pytest.raises(ValueError):
-        gamma_from_json("nope{")
-
-
 def test_gamma_validation():
     with pytest.raises(ValueError):
         FiniteGamma(values=(-0.1,))
-    with pytest.raises(ValueError):
-        GeometricGamma(amplitude=1.0, rate=1.0)
-    with pytest.raises(ValueError):
-        GeometricGamma(amplitude=-1.0, rate=0.5)
     with pytest.raises(ValueError):
         FiniteGamma(values=(1.0,)).gamma(0)
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from weakdep import (
@@ -23,12 +25,13 @@ from weakdep import (
     empirical_process_path,
     estimate_gamma_operator,
     fclt_increment_check,
+    make_report,
     marginal_transform,
     partial_sum_path,
     sample_path,
     slln_rate_fit,
 )
-from weakdep.verify import DOMINATED
+from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -41,6 +44,34 @@ def test_mcconfig_validation():
         MCConfig(replicates=50)
     with pytest.raises(ValueError):
         MCConfig(seed=-1)
+
+
+# --- report rows -------------------------------------------------------------
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    bad=NON_FINITE,
+    slot=st.integers(0, 2),
+    ok=st.booleans(),
+    valid=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_make_report_non_finite_never_dominated(values, bad, slot, ok, valid):
+    values[slot] = bad
+    estimate, se, bound = values
+    rep = make_report("demo", "p", estimate, se, bound, ok, MCConfig(replicates=100, seed=3), valid=valid)
+    assert rep.verdict == (VIOLATED if valid else BOUND_INVALID)
+    assert (rep.seed, rep.replicates, rep.valid) == (3, 100, valid)
+
+
+def test_make_report_verdicts():
+    cfg = MCConfig(replicates=100, seed=0)
+    assert make_report("demo", "p", 1.0, 0.1, 2.0, True, cfg).verdict == DOMINATED
+    assert make_report("demo", "p", 1.0, 0.1, 2.0, False, cfg).verdict == VIOLATED
+    assert make_report("demo", "p", 1.0, 0.1, 2.0, True, cfg, valid=False).verdict == BOUND_INVALID
 
 
 # --- piecewise-linear functions --------------------------------------------
@@ -126,12 +157,12 @@ def test_tail_domination_small_scale():
     reports = check_tail_domination(MA11_U, scheme, [0.0, 50.0, 100.0, 400.0], cfg)
     assert len(reports) == 4
     assert all(r.verdict == DOMINATED for r in reports)
-    assert all(r.bound_valid for r in reports)
+    assert all(r.valid for r in reports)
     # x beyond the largest possible odd-block sum: empirical mass is zero
     assert reports[-1].estimate == 0.0
     # deviations at the scale x/n >= c invalidate the series-control condition
     beyond = check_tail_domination(MA11_U, scheme, [600.0], cfg)[0]
-    assert beyond.verdict == "BOUND_INVALID" and not beyond.bound_valid
+    assert beyond.verdict == "BOUND_INVALID" and not beyond.valid
 
 
 def test_tail_domination_rejects_unbounded():
@@ -197,7 +228,6 @@ def test_quasi_counterexample_finds_violation_at_ten():
     report = check_quasi_association_counterexample(range(1, 51), 1.0, U11, cfg)
     assert report.alpha1_found == 10.0
     assert all(row.lweak_holds for row in report.rows)
-    assert report.to_report(cfg).verdict == DOMINATED
 
 
 def test_quasi_rows_match_quadrature_oracle():
