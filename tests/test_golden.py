@@ -1,7 +1,9 @@
 """Golden outputs: the SHA-256 of every CLI report at small scale.
 
 Each case runs one subcommand or verify check end to end and compares the
-bytes it writes, and its exit code, with pinned values.  A refactor that
+bytes it writes, and its exit code, with pinned values.  The library
+estimators that no report uses (the Monte Carlo long-run variance and the
+pooled lag covariance) are pinned to their exact floats.  A refactor that
 must not change any number keeps every digest; a change that alters the
 replicate streams or the report format re-pins them on purpose.
 """
@@ -10,7 +12,7 @@ import hashlib
 
 import pytest
 
-from weakdep import IID, MovingAverage, UniformOnInterval, model_to_json
+from weakdep import IID, MovingAverage, UniformOnInterval, empirical_covariance, long_run_variance, model_to_json
 from weakdep.cli import run
 
 U11 = UniformOnInterval(-1.0, 1.0)
@@ -71,6 +73,11 @@ CASES = {
         "iid", "verify --check emp --n 512 --replicates 2000", 0,
         "0ac073a3ae111bdbf0a34814c3e651e2f6c6fb25ec62dc853cbc7c3942a5d032",
     ),
+    # a moving average: estimated marginal transform, gamma(s,t) row BOUND_INVALID
+    "emp-ma11": (
+        "ma11", "verify --check emp --n 512 --replicates 2000", 0,
+        "7a0979e4014a534f934192041eda6e0de6e7b7a37cea41aee1133fab413a3d15",
+    ),
     "emp-json": (
         "iid", "verify --check emp --n 512 --replicates 2000 --format json", 0,
         "ee04e99cc6cf44ee40c6a6dd71334de7996aca24ef73ee1e94835bc80e1372ee",
@@ -86,3 +93,20 @@ def test_golden_output(case, tmp_path):
     out = tmp_path / "report.csv"
     assert run([*argv.split(), "--model", str(model_path), "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def test_golden_monte_carlo_long_run_variance():
+    est = long_run_variance(MODELS["ma11"], method="monte_carlo", n=256, replicates=500)
+    assert (est.sigma2, est.standard_error) == (1.3867487309781295, 0.0933533363132316)
+
+
+@pytest.mark.parametrize(
+    "lag, expected",
+    [
+        (0, (0.7191940832625798, 0.012663018720042473)),
+        (1, (-0.3046946264524923, 0.013369607785593592)),
+        (2, (0.31226507402057896, 0.011157233041824853)),
+    ],
+)
+def test_golden_empirical_covariance(lag, expected):
+    assert empirical_covariance(MODELS["ma3"], lag, n=16, replicates=500, seed=3) == expected
