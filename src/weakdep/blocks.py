@@ -48,7 +48,7 @@ class BlockDecomposition:
 
 def decompose(path, scheme: BlockScheme) -> BlockDecomposition:
     """Cut a path into alternating block sums; z_odd + z_even + remainder = S_n."""
-    values = np.asarray(getattr(path, "values", path), dtype=float)
+    values = np.asarray(path, dtype=float)
     if len(values) != scheme.n:
         raise ValueError(f"path length {len(values)} does not match scheme n={scheme.n}")
     p, r = scheme.p_n, scheme.r_n
@@ -87,7 +87,7 @@ def truncate_path(path, c: float, mean_of_clipped: float) -> TruncationSplit:
     residual mean is -mean_of_clipped, so bounded + unbounded reconstructs
     the path elementwise.
     """
-    values = np.asarray(getattr(path, "values", path), dtype=float)
+    values = np.asarray(path, dtype=float)
     clipped = clip(values, c)
     return TruncationSplit(
         level=c,

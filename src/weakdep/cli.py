@@ -25,7 +25,7 @@ from . import __version__
 from .blocks import block_scheme, decompose
 from .bounds import BoundParams, slln_schedule, tail_bound
 from .coefficients import gamma_sequence, long_run_variance
-from .models import IID, ModelSpec, UniformOnInterval, almost_sure_bound, model_from_json, sample_path
+from .models import IID, ModelSpec, UniformOnInterval, almost_sure_bound, model_from_json, replicate_paths, sample_path
 from .verify import (
     DOMINATED,
     VIOLATED,
@@ -43,7 +43,6 @@ from .verify import (
     make_report,
     slln_rate_fit,
 )
-from .verify import _path_matrix
 
 REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationReport))
 
@@ -272,7 +271,7 @@ def _floats(spec: str) -> list[float]:
 
 def _check_cov(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
     n = _n(args, 24)
-    paths = _path_matrix(model, n, cfg)
+    paths = replicate_paths(model, n, cfg.replicates, cfg.seed)
     return [
         check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
         for f_spec, g_spec, I, J in random_cov_cases(model, n, args.cases, args.seed)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import IID, CumSumTransform, ModelSpec, MovingAverage, is_stationary, sample_path
+from .models import IID, CumSumTransform, ModelSpec, MovingAverage, is_stationary, replicate_paths
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,8 @@ def long_run_variance(
         return VarianceEstimate(sigma2=sigma2, method="analytic")
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        s = sample_path(model, n, [seed, r]).values.sum()
-        vals[r] = s * s / n
+    sums = replicate_paths(model, n, replicates, seed, lambda x: x.sum(axis=1))
+    vals = sums * sums / n
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(replicates))
     if est <= 0:
@@ -149,11 +147,5 @@ def empirical_covariance(
         raise ValueError(f"need n > lag, got n={n}, lag={lag}")
     if not is_stationary(model):
         raise ValueError("empirical covariance requires a stationary model")
-    per_rep = np.empty(replicates)
-    for r in range(replicates):
-        x = sample_path(model, n, [seed, r]).values
-        if lag == 0:
-            per_rep[r] = float(np.mean(x * x))
-        else:
-            per_rep[r] = float(np.mean(x[:-lag] * x[lag:]))
+    per_rep = replicate_paths(model, n, replicates, seed, lambda x: np.mean(x[:, : n - lag] * x[:, lag:], axis=1))
     return float(per_rep.mean()), _jackknife_se(per_rep)

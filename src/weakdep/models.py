@@ -4,8 +4,10 @@ Three compact-support innovation laws (uniform, Rademacher, truncated
 Gaussian), three model families built on them (i.i.d. baseline, finite
 moving average, cumulative sums pushed through a pointwise transform),
 and exact moment helpers where closed forms exist.  Every generated
-variable is centered; paths are deterministic functions of
-(model, n, seed) and prefix-consistent in n.
+variable is centered; paths are arrays, deterministic functions of
+(model, n, seed) and prefix-consistent in n.  replicate_paths is the one
+producer of replicate paths: replicate r of a seeded run is the path at
+seed [seed, r].
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from scipy.special import ndtr, ndtri
 SCHEMA_VERSION = 1
 
 QUAD_REL_TOL = 1e-10
+
+# largest number of path values replicate_paths builds at once
+REPLICATE_BLOCK_VALUES = 2**16
 
 
 class QuadratureError(RuntimeError):
@@ -327,22 +332,6 @@ def almost_sure_bound(model: ModelSpec) -> Optional[float]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class SamplePath:
-    """A centered realization; identical (model, n, seed) reproduce it bit for bit."""
-
-    values: np.ndarray
-    model: ModelSpec
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.values)
-
-
 @lru_cache(maxsize=64)
 def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
     """E g(sum_{i<=m} coeffs[i] xi_i) for m = 1..n."""
@@ -374,8 +363,9 @@ def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
     return tuple(means)
 
 
-def sample_path(model: ModelSpec, n: int, seed) -> SamplePath:
-    """Generate a length-n centered realization of the model.
+def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
+    """Generate a length-n centered realization of the model as an array;
+    identical (model, n, seed) reproduce it bit for bit.
 
     The generator streams innovations in a fixed order, so the path for n
     is a prefix of the path for any larger n at the same seed.  Moving
@@ -401,7 +391,40 @@ def sample_path(model: ModelSpec, n: int, seed) -> SamplePath:
         values = model.transform(sums) - np.asarray(_cumsum_means(model, n))
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
-    return SamplePath(values=values, model=model, seed=seed)
+    return values
+
+
+def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce=None) -> np.ndarray:
+    """Replicate paths of the model, reduced row by row.
+
+    Row r of the result is reduce applied to sample_path(model, n, [seed, r]),
+    the replicate's own stream; reduce None returns the (replicates, n)
+    path matrix.  Consecutive replicates are built in blocks of at most
+    REPLICATE_BLOCK_VALUES values and reduce maps each (rows, n) block to
+    an array with one row per path, written into one preallocated output.
+    """
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    if replicates < 1:
+        raise ValueError(f"need at least 1 replicate, got {replicates}")
+    rows = max(1, REPLICATE_BLOCK_VALUES // n)
+    buf = np.empty((min(rows, replicates), n)) if rows > 1 else None
+    out = None
+    for start in range(0, replicates, rows):
+        stop = min(start + rows, replicates)
+        if buf is None:
+            block = sample_path(model, n, [seed, start])[np.newaxis]  # a long path is not copied
+        else:
+            block = buf[: stop - start]
+            for i in range(stop - start):
+                block[i] = sample_path(model, n, [seed, start + i])
+        part = block if reduce is None else np.asarray(reduce(block))
+        if part.shape[:1] != (stop - start,):
+            raise ValueError(f"reduce must return one row per path, got shape {part.shape}")
+        if out is None:
+            out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
+        out[start:stop] = part
+    return out
 
 
 def analytic_covariance(model: ModelSpec, lag: int) -> Optional[float]:

@@ -1,10 +1,10 @@
 """Seeded Monte Carlo harness confronting the closed-form bounds and limit
 theorems with simulation.
 
-Every check is a pure function of (model, config, seed): replicates are
-independent work units keyed by replicate index, each with a derived seed
-(seed, index), and results are aggregated in index order, so reports are
-identical however the work is scheduled.
+Every check is a pure function of (model, config, seed): it reads its
+replicates from models.replicate_paths, whose row r is the path at the
+derived seed [seed, r] reduced by the check's row-wise reduction, so
+reports are identical however the replicates are blocked.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from .models import (
     ModelSpec,
     MovingAverage,
     Rademacher,
-    SamplePath,
     UniformOnInterval,
     almost_sure_bound,
     is_stationary,
     nonneg_shift_mgf,
+    replicate_paths,
     sample_path,
 )
 
@@ -67,18 +67,6 @@ class VerificationReport:
     verdict: str
     seed: int
     replicates: int
-
-
-def _iter_paths(model: ModelSpec, n: int, cfg: MCConfig):
-    for r in range(cfg.replicates):
-        yield sample_path(model, n, [cfg.seed, r]).values
-
-
-def _path_matrix(model: ModelSpec, n: int, cfg: MCConfig) -> np.ndarray:
-    out = np.empty((cfg.replicates, n))
-    for r, values in enumerate(_iter_paths(model, n, cfg)):
-        out[r] = values
-    return out
 
 
 def make_report(
@@ -226,7 +214,7 @@ def check_lipschitz_cov(
     bound = f_spec.lipschitz_norm * g_spec.lipschitz_norm * sum(
         gamma.gamma(abs(i - j)) for i in I for j in J
     )
-    x = _path_matrix(model, n, cfg) if paths is None else paths
+    x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
     a = f_spec(x[:, np.asarray(I) - 1].sum(axis=1))
     b = g_spec(x[:, np.asarray(J) - 1].sum(axis=1))
     am, bm = a.mean(), b.mean()
@@ -265,9 +253,9 @@ def check_tail_domination(
         theta_eff = math.log(scheme.p_n) / math.log(scheme.n)
         d_n = (4.0 * alpha * c * c / sigma2) * scheme.n ** (2.0 * theta_eff - 1.0) * math.log(scheme.n)
     params = bnd.BoundParams(c=c, sigma2=sigma2, p_n=scheme.p_n, d_n=d_n, n=scheme.n)
-    z_odd = np.empty(cfg.replicates)
-    for r, values in enumerate(_iter_paths(model, scheme.n, cfg)):
-        z_odd[r] = decompose(values, scheme).z_odd
+    z_odd = replicate_paths(
+        model, scheme.n, cfg.replicates, cfg.seed, lambda x: [decompose(row, scheme).z_odd for row in x]
+    )
     reports = []
     for x in x_grid:
         count = int(np.sum(z_odd > x))
@@ -301,7 +289,7 @@ def check_newman(
     if n > 16:
         raise ValueError(f"characteristic-function check supports n <= 16, got {n}")
     gamma = gamma_sequence(model)
-    x = _path_matrix(model, n, cfg)
+    x = replicate_paths(model, n, cfg.replicates, cfg.seed)
     reports = []
     for t in t_grid:
         t = float(t)
@@ -450,10 +438,8 @@ def slln_rate_fit(
         raise ValueError("need at least 3 distinct positive grid points to fit a slope")
     n_max = grid[-1]
     idx = np.asarray(grid) - 1
-    vals = np.empty((cfg.replicates, len(grid)))
-    for r, values in enumerate(_iter_paths(model, n_max, cfg)):
-        sums = np.cumsum(values)
-        vals[r] = np.abs(sums[idx]) / np.asarray(grid)
+    sums = replicate_paths(model, n_max, cfg.replicates, cfg.seed, lambda x: np.cumsum(x, axis=1)[:, idx])
+    vals = np.abs(sums) / np.asarray(grid)
     quantiles = np.quantile(vals, quantile, axis=0)
     x = np.log(np.asarray(grid, dtype=float))
     y = np.log(quantiles)
@@ -510,9 +496,7 @@ def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> CltKsReport:
     """
     sigma2 = long_run_variance(model).sigma2
     sigma = math.sqrt(sigma2)
-    vals = np.empty(cfg.replicates)
-    for r, values in enumerate(_iter_paths(model, n, cfg)):
-        vals[r] = values.sum() / math.sqrt(n)
+    vals = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1)) / math.sqrt(n)
     ks = float(kstest(vals, "norm", args=(0.0, sigma)).statistic)
     threshold = 1.358 / math.sqrt(cfg.replicates) + clt_bias_allowance(n)
     p_zero = float(np.mean(vals <= 0.0))
@@ -552,9 +536,9 @@ class PartialSumPath:
         return float(self.values[int(math.floor(self.n * t))])
 
 
-def partial_sum_path(path: SamplePath) -> PartialSumPath:
-    n = path.n
-    values = np.concatenate(([0.0], path.partial_sums() / math.sqrt(n)))
+def partial_sum_path(path: np.ndarray) -> PartialSumPath:
+    n = len(path)
+    values = np.concatenate(([0.0], np.cumsum(path) / math.sqrt(n)))
     return PartialSumPath(times=np.arange(n + 1) / n, values=values)
 
 
@@ -568,7 +552,10 @@ def fclt_increment_check(
 
     For 0 < u_1 < ... < u_k <= 1 (k <= 5) the increment over (u_{s-1}, u_s]
     should have variance (u_s - u_{s-1}) sigma^2 and uncorrelated pairs;
-    each comparison allows error_multiplier * SE + b(n) * sigma^2.
+    each comparison allows error_multiplier * SE + b(n) * sigma^2.  Times
+    whose cut points floor(n u) coincide are an error; when b(n) reaches
+    the shortest increment length a zero process would pass, so every row
+    is BOUND_INVALID.
     """
     u = [float(t) for t in times]
     if len(u) > 5:
@@ -577,12 +564,13 @@ def fclt_increment_check(
         raise ValueError("times must be strictly increasing in (0, 1]")
     sigma2 = long_run_variance(model).sigma2
     cuts = [0] + [int(math.floor(n * t)) for t in u]
-    incs = np.empty((cfg.replicates, len(u)))
-    sqrt_n = math.sqrt(n)
-    for r, values in enumerate(_iter_paths(model, n, cfg)):
-        sums = np.concatenate(([0.0], np.cumsum(values)))
-        incs[r] = np.diff(sums[cuts]) / sqrt_n
+    if any(c2 == c1 for c1, c2 in zip(cuts, cuts[1:])):
+        raise ValueError(f"times {u} give an empty increment at n={n}")
+    ends = np.asarray(cuts[1:]) - 1  # S_cut is the running sum through index cut - 1
+    sums = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: np.cumsum(x, axis=1)[:, ends])
+    incs = np.diff(sums, axis=1, prepend=0.0) / math.sqrt(n)
     allowance = clt_bias_allowance(n) * sigma2
+    valid = clt_bias_allowance(n) < min(t2 - t1 for t1, t2 in zip([0.0] + u, u))
     reports = []
     mult = cfg.error_multiplier
     for s in range(len(u)):
@@ -594,7 +582,7 @@ def fclt_increment_check(
         lo = u[s - 1] if s else 0.0
         target = (u[s] - lo) * sigma2
         ok = abs(var_hat - target) <= mult * se + allowance
-        reports.append(make_report("fclt", f"var({lo:g},{u[s]:g}]", var_hat, se, target, ok, cfg))
+        reports.append(make_report("fclt", f"var({lo:g},{u[s]:g}]", var_hat, se, target, ok, cfg, valid))
     for s1 in range(len(u)):
         for s2 in range(s1 + 1, len(u)):
             a, b = incs[:, s1], incs[:, s2]
@@ -603,7 +591,7 @@ def fclt_increment_check(
             infl = (a - am) * (b - bm) - cov
             se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
             ok = abs(cov) <= mult * se + allowance
-            reports.append(make_report("fclt", f"cov({u[s1]:g},{u[s2]:g})", cov, se, 0.0, ok, cfg))
+            reports.append(make_report("fclt", f"cov({u[s1]:g},{u[s2]:g})", cov, se, 0.0, ok, cfg, valid))
     return reports
 
 
@@ -638,7 +626,7 @@ def marginal_transform(
         lip = float(np.max(law.pdf(np.linspace(law.support[0], law.support[1], 2001))))
         return MarginalTransform(kind="exact", cdf=law.cdf, lipschitz=lip)
     if isinstance(model, MovingAverage):
-        sample = np.sort(sample_path(model, prepass_draws, seed).values)
+        sample = np.sort(sample_path(model, prepass_draws, seed))
         n = len(sample)
 
         def cdf(x):
@@ -668,7 +656,7 @@ def empirical_process_path(
     if np.any(grid < 0.0) or np.any(grid > 1.0):
         raise ValueError("grid points must lie in [0, 1]")
     marginal = marginal_transform(model)
-    u = marginal.cdf(sample_path(model, n, seed).values)
+    u = marginal.cdf(sample_path(model, n, seed))
     counts = np.array([np.sum(u <= t) for t in grid], dtype=float)
     values = math.sqrt(n) * (counts / n - grid)
     return EmpiricalProcessPath(grid=grid, values=values, n=n, marginal=marginal)
@@ -693,13 +681,8 @@ def estimate_gamma_operator(
         support = len(gamma_sequence(model).values) if is_stationary(model) else 0
         truncation = support + 5
     marginal = marginal_transform(model)
-    K = int(truncation)
-    a = np.empty(cfg.replicates)
-    b = np.empty((cfg.replicates, K))
-    for r, values in enumerate(_iter_paths(model, K, cfg)):
-        u = marginal.cdf(values)
-        a[r] = u[0] <= s
-        b[r] = u <= t
+    u = replicate_paths(model, int(truncation), cfg.replicates, cfg.seed, marginal.cdf)
+    a, b = (u[:, 0] <= s).astype(float), (u <= t).astype(float)
     am = a.mean()
     bm = b.mean(axis=0)
     covs = (a[:, None] * b).mean(axis=0) - am * bm

@@ -32,13 +32,14 @@ from weakdep import (
     gamma_sequence,
     long_run_variance,
     named_inequalities,
+    replicate_paths,
     sample_path,
     slln_rate_fit,
     slln_schedule,
     unbounded_schedule,
 )
 from weakdep.cli import random_cov_cases
-from weakdep.verify import DOMINATED, _path_matrix
+from weakdep.verify import DOMINATED
 
 U11 = UniformOnInterval(-1.0, 1.0)
 LAWS = (U11, Rademacher(), TruncatedGaussian(1.5))
@@ -74,7 +75,7 @@ def test_criterion_1_decomposition_identity():
         p_n = int(rng.integers(1, n // 2 + 1))
         path = sample_path(model, n, int(rng.integers(0, 2**31)))
         dec = decompose(path, block_scheme(n, p_n))
-        err = abs(dec.z_odd + dec.z_even + dec.remainder - path.values.sum())
+        err = abs(dec.z_odd + dec.z_even + dec.remainder - path.sum())
         worst = max(worst, err / (1e-12 * n))
         if err > 1e-12 * n:
             crit.finish(False, f"trial {trial}: error {err} exceeds 1e-12*n")
@@ -159,7 +160,7 @@ def test_criterion_5_lipschitz_covariance_inequality():
     bad = []
     case_id = 0
     for m_idx, model in enumerate(models):
-        paths = _path_matrix(model, n, cfg)
+        paths = replicate_paths(model, n, cfg.replicates, cfg.seed)
         cases = random_cov_cases(model, n, 17 if m_idx < 2 else 16, seed=505 + m_idx)
         for f_spec, g_spec, I, J in cases:
             rep = check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)

@@ -137,4 +137,4 @@ def test_truncate_reconstruction_and_sum_identity():
 def test_truncate_accepts_sample_path():
     path = sample_path(IID(U11), 32, 0)
     split = truncate_path(path, 0.5, 0.0)
-    assert np.allclose(split.bounded_part + split.unbounded_part, path.values)
+    assert np.allclose(split.bounded_part + split.unbounded_part, path)

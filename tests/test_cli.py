@@ -209,6 +209,13 @@ def test_verify_cov_tail_fclt_slln(tmp_path):
         ["verify", "--check", "fclt", "--model", str(model), "--replicates", "1000",
          "--n", "256", "--times", "0.5,1"]
     ) == 0
+    # an empty increment is an error; an allowance that covers a target is no pass
+    fclt = ["verify", "--check", "fclt", "--model", str(model), "--replicates", "100"]
+    assert run([*fclt, "--n", "2"]) == 2
+    out = tmp_path / "fclt.csv"
+    assert run([*fclt, "--n", "4", "--out", str(out)]) == 0
+    rows = read_csv(out)[1:]
+    assert len(rows) == 6 and all(r[5] == "false" and r[6] == "BOUND_INVALID" for r in rows)
     assert run(
         ["verify", "--check", "slln", "--model", str(model), "--replicates", "500",
          "--n-grid", "64,128,256,512"]

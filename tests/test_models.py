@@ -21,10 +21,11 @@ from weakdep import (
     is_stationary,
     model_from_json,
     model_to_json,
+    replicate_paths,
     sample_path,
     transform_moments,
 )
-from weakdep.models import nonneg_shift_mgf
+from weakdep.models import REPLICATE_BLOCK_VALUES, nonneg_shift_mgf
 
 U11 = UniformOnInterval(-1.0, 1.0)
 
@@ -76,25 +77,25 @@ def test_law_validation():
 
 def test_iid_rademacher_support():
     path = sample_path(IID(Rademacher()), 3, 7)
-    assert set(path.values) <= {-1.0, 1.0}
+    assert set(path) <= {-1.0, 1.0}
 
 
 def test_ma_zero_coefficients_zero_path():
     model = MovingAverage(coeffs=(0.0, 0.0), law=U11)
-    assert np.all(sample_path(model, 50, 3).values == 0.0)
+    assert np.all(sample_path(model, 50, 3) == 0.0)
 
 
 def test_ma_centering_law_of_large_numbers():
     # centering oracle: sample mean within 3 sample sd / sqrt(n) at fixed seed
     model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
-    x = sample_path(model, 100_000, 11).values
+    x = sample_path(model, 100_000, 11)
     assert abs(x.mean()) <= 3.0 * x.std() / math.sqrt(len(x))
 
 
 def test_reproducibility():
     model = MovingAverage(coeffs=(1.0, 2.0), law=TruncatedGaussian(2.0))
-    a = sample_path(model, 1000, 5).values
-    b = sample_path(model, 1000, 5).values
+    a = sample_path(model, 1000, 5)
+    b = sample_path(model, 1000, 5)
     assert np.array_equal(a, b)
 
 
@@ -118,9 +119,40 @@ def models(draw):
 @given(models(), st.integers(1, 20), st.integers(21, 40), st.integers(0, 2**31))
 @settings(max_examples=40, deadline=None)
 def test_prefix_consistency(model, n, n_prime, seed):
-    short = sample_path(model, n, seed).values
-    long = sample_path(model, n_prime, seed).values
+    short = sample_path(model, n, seed)
+    long = sample_path(model, n_prime, seed)
     assert np.array_equal(short, long[:n])
+
+
+@pytest.mark.parametrize(
+    "model, n, replicates",
+    [
+        # 65, 13 and 1638 paths per block: each run ends in a partial block
+        (IID(U11), 1000, 150),
+        (MovingAverage(coeffs=(1.0, -0.5, 1.0), law=TruncatedGaussian(1.5)), 5000, 30),
+        (CumSumTransform(coeffs=(0.5,) * 40, transform=NegExp(), law=U11), 40, 1700),
+        # a block holds one path
+        (MovingAverage(coeffs=(1.0, 1.0), law=Rademacher()), REPLICATE_BLOCK_VALUES, 3),
+    ],
+)
+def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
+    reference = np.stack([sample_path(model, n, [31, r]) for r in range(replicates)])
+    assert np.array_equal(replicate_paths(model, n, replicates, 31), reference)
+
+    def reduce(x):
+        return np.stack((x.sum(axis=1), np.cumsum(x, axis=1)[:, n // 2]), axis=1)
+
+    expected = np.array([[row.sum(), np.cumsum(row)[n // 2]] for row in reference])
+    assert np.array_equal(replicate_paths(model, n, replicates, 31, reduce), expected)
+
+
+def test_replicate_paths_rejects_bad_arguments():
+    for n, replicates in ((0, 10), (-1, 10), (8, 0)):
+        with pytest.raises(ValueError):
+            replicate_paths(IID(U11), n, replicates, 0)
+    # a reduction over the whole block instead of one value per row
+    with pytest.raises(ValueError):
+        replicate_paths(IID(U11), 8, 10, 0, lambda x: x.sum())
 
 
 def test_ma_stationarity_pooled_covariance():
@@ -128,10 +160,7 @@ def test_ma_stationarity_pooled_covariance():
     model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
     n, reps = 16, 100_000
     for lag in (1, 2):
-        per_rep = np.empty(reps)
-        for r in range(reps):
-            x = sample_path(model, n, [909, r]).values
-            per_rep[r] = np.mean(x[:-lag] * x[lag:])
+        per_rep = replicate_paths(model, n, reps, 909, lambda x: np.mean(x[:, :-lag] * x[:, lag:], axis=1))
         se = per_rep.std(ddof=1) / math.sqrt(reps)
         assert abs(per_rep.mean() - analytic_covariance(model, lag)) <= 4 * se
 
@@ -140,7 +169,7 @@ def test_cumsum_identity_positive_association_of_covariances():
     coeffs = (0.5, 1.0, 0.7, 1.2, 0.9)
     model = CumSumTransform(coeffs=coeffs, transform=Identity(), law=U11)
     reps, n = 20_000, 5
-    paths = np.stack([sample_path(model, n, [4242, r]).values for r in range(reps)])
+    paths = replicate_paths(model, n, reps, 4242)
     for i in range(n):
         for j in range(i + 1, n):
             a, b = paths[:, i], paths[:, j]
@@ -154,7 +183,7 @@ def test_cumsum_transform_paths_are_centered():
     for transform in (NegExp(), GaussBumpPlusX(2.0)):
         model = CumSumTransform(coeffs=(0.5, 0.8, 1.1), transform=transform, law=U11)
         reps, n = 40_000, 3
-        paths = np.stack([sample_path(model, n, [77, r]).values for r in range(reps)])
+        paths = replicate_paths(model, n, reps, 77)
         means = paths.mean(axis=0)
         ses = paths.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(means) <= 4 * ses)

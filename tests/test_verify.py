@@ -290,10 +290,10 @@ def test_clt_rejects_nonstationary():
 def test_partial_sum_path_endpoint_identity():
     path = sample_path(MA11_U, 100, 13)
     psp = partial_sum_path(path)
-    assert psp.evaluate(1.0) == path.partial_sums()[-1] / math.sqrt(100)
+    assert psp.evaluate(1.0) == np.cumsum(path)[-1] / math.sqrt(100)
     assert psp.evaluate(0.0) == 0.0
     # right-continuous step function: evaluate(k/n) includes index k
-    assert psp.evaluate(0.5) == path.partial_sums()[49] / math.sqrt(100)
+    assert psp.evaluate(0.5) == np.cumsum(path)[49] / math.sqrt(100)
 
 
 def test_fclt_single_time_reduces_to_variance():
@@ -332,6 +332,13 @@ def test_fclt_validates_times():
         fclt_increment_check(IID(U11), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 64, cfg)
     with pytest.raises(ValueError):
         fclt_increment_check(IID(U11), [0.0, 0.5], 64, cfg)
+    # floor(2 * 0.25) = 0: the first increment is empty
+    with pytest.raises(ValueError):
+        fclt_increment_check(MA11_U, [0.25, 0.5, 1.0], 2, cfg)
+    # b(4) = 1 reaches the shortest increment 0.25: a zero process would pass
+    reports = fclt_increment_check(MA11_U, [0.25, 0.5, 1.0], 4, cfg)
+    assert len(reports) == 6
+    assert all(not r.valid and r.verdict == BOUND_INVALID for r in reports)
 
 
 # --- empirical process ----------------------------------------------------------
@@ -364,7 +371,7 @@ def test_marginal_transform_estimated_for_ma():
     mt = marginal_transform(MA11_U, prepass_draws=200_000, seed=19)
     assert mt.kind == "estimated"
     assert np.isfinite(mt.lipschitz)
-    u = mt.cdf(sample_path(MA11_U, 4096, 20).values)
+    u = mt.cdf(sample_path(MA11_U, 4096, 20))
     assert abs(u.mean() - 0.5) < 0.03
 
 
