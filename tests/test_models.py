@@ -25,7 +25,7 @@ from weakdep import (
     sample_path,
     transform_moments,
 )
-from weakdep.models import REPLICATE_BLOCK_VALUES, nonneg_shift_mgf
+from weakdep.models import REPLICATE_BLOCK_VALUES, _cumsum_means, nonneg_shift_mgf
 
 U11 = UniformOnInterval(-1.0, 1.0)
 
@@ -122,6 +122,32 @@ def test_prefix_consistency(model, n, n_prime, seed):
     short = sample_path(model, n, seed)
     long = sample_path(model, n_prime, seed)
     assert np.array_equal(short, long[:n])
+
+
+LAWS = (U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5))
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("coeffs", [(0.7,), (1.0, -0.5), (1.0, -0.5, 1.0), (0.3, -1.2, 2.0, 0.5, -0.9)])
+@pytest.mark.parametrize("n", [1, 7, 100_000])
+def test_sample_path_matches_convolve_reference(law, coeffs, n):
+    # the moving average is the full convolution of n + p - 1 innovations,
+    # cut to its n complete terms, bit for bit
+    p = len(coeffs)
+    eps = law.sample(np.random.default_rng(17), n + p - 1)
+    expected = np.convolve(eps, np.asarray(coeffs))[p - 1 : p - 1 + n]
+    assert np.array_equal(sample_path(MovingAverage(coeffs=coeffs, law=law), n, 17), expected)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("transform", [Identity(), NegExp()])
+def test_sample_path_matches_cumsum_reference(law, transform):
+    n = 50
+    coeffs = tuple(0.1 + 0.02 * i for i in range(n))
+    model = CumSumTransform(coeffs=coeffs, transform=transform, law=law)
+    eps = law.sample(np.random.default_rng(23), n)
+    expected = transform(np.cumsum(np.asarray(coeffs) * eps)) - np.asarray(_cumsum_means(model, n))
+    assert np.array_equal(sample_path(model, n, 23), expected)
 
 
 @pytest.mark.parametrize(
