@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -200,7 +201,8 @@ def check_lipschitz_cov(
     ||f|| ||g|| sum_{i in I} sum_{j in J} gamma_{|i-j|}.
 
     Index sets are 1-based and must be disjoint subsets of 1..n.  A
-    precomputed replicate path matrix may be shared across cases.
+    precomputed (cfg.replicates, n) replicate path matrix may be shared
+    across cases.
     """
     I = sorted(int(i) for i in index_set_i)
     J = sorted(int(j) for j in index_set_j)
@@ -214,7 +216,12 @@ def check_lipschitz_cov(
     bound = f_spec.lipschitz_norm * g_spec.lipschitz_norm * sum(
         gamma.gamma(abs(i - j)) for i in I for j in J
     )
-    x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
+    if paths is None:
+        x = replicate_paths(model, n, cfg.replicates, cfg.seed)
+    elif paths.shape == (cfg.replicates, n):
+        x = paths
+    else:
+        raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {paths.shape}")
     a = f_spec(x[:, np.asarray(I) - 1].sum(axis=1))
     b = g_spec(x[:, np.asarray(J) - 1].sum(axis=1))
     am, bm = a.mean(), b.mean()
@@ -616,9 +623,12 @@ class MarginalTransform:
     lipschitz: float
 
 
+@lru_cache(maxsize=4)
 def marginal_transform(
     model: ModelSpec, prepass_draws: int = 1_000_000, seed: int = 987_654_321
 ) -> MarginalTransform:
+    """The model's marginal transform; a pure function of its arguments,
+    cached so that the checks of one run share one pre-pass."""
     if isinstance(model, IID):
         law = model.law
         if isinstance(law, Rademacher):

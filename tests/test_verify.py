@@ -28,6 +28,7 @@ from weakdep import (
     make_report,
     marginal_transform,
     partial_sum_path,
+    replicate_paths,
     sample_path,
     slln_rate_fit,
 )
@@ -138,6 +139,18 @@ def test_lipschitz_cov_rejects_overlap_and_bad_indices():
         check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [0], [2], 8, cfg)
     with pytest.raises(ValueError):
         check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [9], 8, cfg)
+
+
+def test_lipschitz_cov_rejects_mismatched_shared_paths():
+    # a 100-row matrix must not be reported as 1000 replicates
+    cfg = MCConfig(replicates=1000, seed=0)
+    paths = replicate_paths(MA11_U, 8, 100, 0)
+    with pytest.raises(ValueError):
+        check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, cfg, paths=paths)
+    with pytest.raises(ValueError):
+        check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 6, MCConfig(replicates=100), paths=paths)
+    shared = check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, MCConfig(replicates=100), paths=paths)
+    assert shared == check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, MCConfig(replicates=100))
 
 
 def test_lipschitz_cov_deterministic():
@@ -373,6 +386,12 @@ def test_marginal_transform_estimated_for_ma():
     assert np.isfinite(mt.lipschitz)
     u = mt.cdf(sample_path(MA11_U, 4096, 20))
     assert abs(u.mean() - 0.5) < 0.03
+
+
+def test_marginal_transform_built_once():
+    # the pre-pass sorts a million draws; the checks of one run share it
+    assert marginal_transform(MA11_U) is marginal_transform(MA11_U)
+    assert marginal_transform(IID(U11)) is marginal_transform(IID(U11))
 
 
 def test_gamma_operator_iid():
