@@ -6,8 +6,9 @@ moving average, cumulative sums pushed through a pointwise transform),
 and exact moment helpers where closed forms exist.  Every generated
 variable is centered; paths are arrays, deterministic functions of
 (model, n, seed) and prefix-consistent in n.  replicate_paths is the one
-producer of replicate paths: replicate r of a seeded run is the path at
-seed [seed, r].
+producer of replicate paths: it draws them in chunks of
+max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major, from one generator
+per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class UniformOnInterval:
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) <= h, 1.0 / (2.0 * h), 0.0)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
         h = self.halfwidth
         return rng.uniform(-h, h, size)
 
@@ -119,7 +120,7 @@ class Rademacher:
     def chf(self, t):
         return np.cos(np.asarray(t, dtype=float))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
         return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
 
 
@@ -171,7 +172,7 @@ class TruncatedGaussian:
         dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / self._mass
         return np.where(np.abs(x) <= self.bound, dens, 0.0)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
         # inverse-cdf on one uniform per draw keeps paths prefix-consistent
         lo = ndtr(-self.bound)
         u = rng.random(size)
@@ -363,6 +364,37 @@ def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
     return tuple(means)
 
 
+def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """width paths of length n from one generator, as a (width, n) array.
+
+    The innovations are drawn time-major, an (n + p - 1, width) array for
+    a moving average of order p, so path w takes every width-th draw of
+    the stream from index w on and is a prefix of the same path for any
+    larger n.  The moving average is a sum of shifted slices accumulated
+    in the order of np.convolve, a[p-1] eps[0:n] first, so width 1 gives
+    the full convolution cut to its n complete terms bit for bit.
+    """
+    if isinstance(model, IID):
+        values = model.law.sample(rng, (n, width))
+    elif isinstance(model, MovingAverage):
+        a, p = model.coeffs, model.order
+        eps = model.law.sample(rng, (n + p - 1, width))
+        values = a[p - 1] * eps[:n]
+        for j in range(p - 2, -1, -1):
+            values += a[j] * eps[p - 1 - j : p - 1 - j + n]
+    elif isinstance(model, CumSumTransform):
+        if n > len(model.coeffs):
+            raise ValueError(
+                f"cumulative-sum model defines {len(model.coeffs)} coefficients, cannot generate {n} points"
+            )
+        eps = model.law.sample(rng, (n, width))
+        sums = np.cumsum(np.asarray(model.coeffs[:n])[:, np.newaxis] * eps, axis=0)
+        values = model.transform(sums) - np.asarray(_cumsum_means(model, n))[:, np.newaxis]
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    return np.ascontiguousarray(values.T)
+
+
 def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     """Generate a length-n centered realization of the model as an array;
     identical (model, n, seed) reproduce it bit for bit.
@@ -374,56 +406,40 @@ def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    if isinstance(model, IID):
-        values = model.law.sample(rng, n)
-    elif isinstance(model, MovingAverage):
-        p = model.order
-        eps = model.law.sample(rng, n + p - 1)
-        values = np.convolve(eps, np.asarray(model.coeffs))[p - 1 : p - 1 + n]
-    elif isinstance(model, CumSumTransform):
-        if n > len(model.coeffs):
-            raise ValueError(
-                f"cumulative-sum model defines {len(model.coeffs)} coefficients, cannot generate {n} points"
-            )
-        eps = model.law.sample(rng, n)
-        sums = np.cumsum(np.asarray(model.coeffs[:n]) * eps)
-        values = model.transform(sums) - np.asarray(_cumsum_means(model, n))
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return values
+    return _paths(model, n, 1, np.random.default_rng(seed))[0]
 
 
 def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce=None) -> np.ndarray:
     """Replicate paths of the model, reduced row by row.
 
-    Row r of the result is reduce applied to sample_path(model, n, [seed, r]),
-    the replicate's own stream; reduce None returns the (replicates, n)
-    path matrix.  Consecutive replicates are built in blocks of at most
-    REPLICATE_BLOCK_VALUES values and reduce maps each (rows, n) block to
-    an array with one row per path, written into one preallocated output.
+    Replicates come in chunks of B = max(1, REPLICATE_BLOCK_VALUES // n)
+    paths.  Chunk c draws its B paths time-major from one generator keyed
+    by SeedSequence(seed, spawn_key=(c,)), a key that no plain seed or
+    short seed list such as [seed, r] reaches.  The last chunk is drawn
+    at full width and cut, so row r depends on (model, n, seed, r) only,
+    never on the number of replicates.  reduce maps each (rows, n) block
+    to an array with one row per path, written into one preallocated
+    output; reduce None returns the (replicates, n) path matrix.
+
+    >>> m = IID(Rademacher())
+    >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
+    True
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
-    rows = max(1, REPLICATE_BLOCK_VALUES // n)
-    buf = np.empty((min(rows, replicates), n)) if rows > 1 else None
+    width = max(1, REPLICATE_BLOCK_VALUES // n)
     out = None
-    for start in range(0, replicates, rows):
-        stop = min(start + rows, replicates)
-        if buf is None:
-            block = sample_path(model, n, [seed, start])[np.newaxis]  # a long path is not copied
-        else:
-            block = buf[: stop - start]
-            for i in range(stop - start):
-                block[i] = sample_path(model, n, [seed, start + i])
+    for chunk, start in enumerate(range(0, replicates, width)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        block = _paths(model, n, width, rng)[: replicates - start]
         part = block if reduce is None else np.asarray(reduce(block))
-        if part.shape[:1] != (stop - start,):
+        if part.shape[:1] != block.shape[:1]:
             raise ValueError(f"reduce must return one row per path, got shape {part.shape}")
         if out is None:
             out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
-        out[start:stop] = part
+        out[start : start + len(block)] = part
     return out
 
 

@@ -150,19 +150,39 @@ def test_sample_path_matches_cumsum_reference(law, transform):
     assert np.array_equal(sample_path(model, n, 23), expected)
 
 
+def chunk_reference(model, n, replicates, seed):
+    """Replicate paths by a per-chunk loop: one generator per chunk of
+    max(1, REPLICATE_BLOCK_VALUES // n) paths, one time-major draw per
+    chunk, and each column filtered on its own by np.convolve or np.cumsum."""
+    width = max(1, REPLICATE_BLOCK_VALUES // n)
+    rows = []
+    for chunk in range(-(-replicates // width)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
+        if isinstance(model, CumSumTransform):
+            eps = model.law.sample(rng, (n, width))
+            coeffs, means = np.asarray(model.coeffs[:n]), np.asarray(_cumsum_means(model, n))
+            rows += [model.transform(np.cumsum(coeffs * col)) - means for col in eps.T]
+        else:
+            coeffs = model.coeffs if isinstance(model, MovingAverage) else (1.0,)
+            p = len(coeffs)
+            eps = model.law.sample(rng, (n + p - 1, width))
+            rows += [np.convolve(col, coeffs)[p - 1 : p - 1 + n] for col in eps.T]
+    return np.stack(rows[:replicates])
+
+
 @pytest.mark.parametrize(
     "model, n, replicates",
     [
-        # 65, 13 and 1638 paths per block: each run ends in a partial block
+        # 65, 13 and 1638 paths per chunk: each run ends in a partial chunk
         (IID(U11), 1000, 150),
         (MovingAverage(coeffs=(1.0, -0.5, 1.0), law=TruncatedGaussian(1.5)), 5000, 30),
         (CumSumTransform(coeffs=(0.5,) * 40, transform=NegExp(), law=U11), 40, 1700),
-        # a block holds one path
+        # a chunk holds one path
         (MovingAverage(coeffs=(1.0, 1.0), law=Rademacher()), REPLICATE_BLOCK_VALUES, 3),
     ],
 )
 def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
-    reference = np.stack([sample_path(model, n, [31, r]) for r in range(replicates)])
+    reference = chunk_reference(model, n, replicates, 31)
     assert np.array_equal(replicate_paths(model, n, replicates, 31), reference)
 
     def reduce(x):
@@ -170,6 +190,34 @@ def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
 
     expected = np.array([[row.sum(), np.cumsum(row)[n // 2]] for row in reference])
     assert np.array_equal(replicate_paths(model, n, replicates, 31, reduce), expected)
+
+
+@pytest.mark.parametrize("n", [24, 5000])
+def test_replicate_paths_row_independent_of_replicates(n):
+    # the last chunk is drawn at full width and cut, so a run with fewer
+    # replicates is a prefix of a run with more, partial last chunk or not
+    model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
+    width = REPLICATE_BLOCK_VALUES // n
+    full = replicate_paths(model, n, 3 * width, 8)
+    assert np.array_equal(full, chunk_reference(model, n, 3 * width, 8))
+    for replicates in (1, width - 1, width, width + 1, 2 * width + 7):
+        assert np.array_equal(replicate_paths(model, n, replicates, 8), full[:replicates])
+        sums = replicate_paths(model, n, replicates, 8, lambda x: x.sum(axis=1))
+        assert np.array_equal(sums, np.array([row.sum() for row in full[:replicates]]))
+
+
+def test_replicate_chunk_stream_does_not_alias_plain_seeds():
+    # numpy gives default_rng(s), default_rng([s, 0]) and default_rng([s, 0, 0])
+    # one stream; chunk 0 must reach none of the streams drawn elsewhere,
+    # such as the emp single path at seed s and the cov cases at [s, 202]
+    n, seed = 8, 5
+    width = REPLICATE_BLOCK_VALUES // n
+    chunk0 = replicate_paths(IID(U11), n, width, seed).T.ravel()  # the draws in stream order
+    keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    assert np.array_equal(chunk0, U11.sample(keyed, chunk0.size))
+    for other in (seed, [seed, 0], [seed, 202]):
+        plain = U11.sample(np.random.default_rng(other), chunk0.size)
+        assert np.intersect1d(chunk0, plain).size == 0
 
 
 def test_replicate_paths_rejects_bad_arguments():
