@@ -38,15 +38,15 @@ CASES = {
     ),
     "cov": (
         "ma3", "verify --check cov --n 24 --cases 5 --replicates 2000", 0,
-        "353bd12d1b834774e2a9933eb5cd6cb64ab30bc89b8fc8b813549b3704ab757e",
+        "757a5b75595f54107b9371ef15cfd1cd4b2a8c15cbfef7d6a84df8d35cebdc82",
     ),
     "tail": (
         "ma11", "verify --check tail --n 1024 --x-grid 0:1000:100 --replicates 500", 0,
-        "0b0e05ad419e74e0466929ddf0e881487a79f408bcfad6419b6c662b32baf7a2",
+        "a1ab326225d005ea1ba9dc25f57ddbb90af71dd6870c3e471ecb95b85abfb750",
     ),
     "newman": (
         "ma11", "verify --check newman --n 8 --replicates 2000", 0,
-        "bce9104c342c990c9554c9006902d23c6d20a78d0744e9bc86c092aedba33e07",
+        "02ba3223c73e2ce5e59234865471f0ba28fcb54ed3a2732e1aa2fe68b80dda82",
     ),
     "quasi": (
         "iid", "verify --check quasi --replicates 100", 0,
@@ -58,29 +58,29 @@ CASES = {
     ),
     "slln": (
         "ma11", "verify --check slln --n-grid 64,128,256,512,1024 --replicates 500", 0,
-        "274675d363349e84a53f63b1ade1d95b0bbeca0e4c1d12c0f5dbff5711eb0974",
+        "12a14fbc7c22a78304f679329205454a4fc692829daa9c380ae17c1ec99d4183",
     ),
     "clt": (
         "ma11", "verify --check clt --n 1024 --replicates 1000", 0,
-        "d4090d0725268f94950cf8fffed5e718c3289859669da43bac9f3ca89eb8241e",
+        "4462d8f9ce0a345e43d1e01aecd0bddf810e4c1a20e817f90362473356b803f0",
     ),
     "fclt": (
         "ma11", "verify --check fclt --n 1024 --times 0.25,0.5,1 --replicates 1000", 0,
-        "43938a3e7a30da255c7280c3de70913d1a3fbae0eea67806560fb5d640650450",
+        "bfc491445a402aa237f8157c48e249da428aeb018db74a047e65fdb6fbe2a354",
     ),
     # i.i.d. only: a moving average has no gamma(s,t) target
     "emp": (
         "iid", "verify --check emp --n 512 --replicates 2000", 0,
-        "0ac073a3ae111bdbf0a34814c3e651e2f6c6fb25ec62dc853cbc7c3942a5d032",
+        "461daae939d479ce1c6e696a754e9be4af39943ae810e458bc2f4cf8727f98f9",
     ),
     # a moving average: estimated marginal transform, gamma(s,t) row BOUND_INVALID
     "emp-ma11": (
         "ma11", "verify --check emp --n 512 --replicates 2000", 0,
-        "7a0979e4014a534f934192041eda6e0de6e7b7a37cea41aee1133fab413a3d15",
+        "233da769000f4f4b282f01cc830bf0ca82a557eadc47921f80dcf5be3a3ca70d",
     ),
     "emp-json": (
         "iid", "verify --check emp --n 512 --replicates 2000 --format json", 0,
-        "ee04e99cc6cf44ee40c6a6dd71334de7996aca24ef73ee1e94835bc80e1372ee",
+        "ee189e6e6ae75582fba0b06da4fa6baf530cfae2bf62fcc1afe3e1f4a8c4b583",
     ),
 }
 
@@ -97,15 +97,15 @@ def test_golden_output(case, tmp_path):
 
 def test_golden_monte_carlo_long_run_variance():
     est = long_run_variance(MODELS["ma11"], method="monte_carlo", n=256, replicates=500)
-    assert (est.sigma2, est.standard_error) == (1.3867487309781295, 0.0933533363132316)
+    assert (est.sigma2, est.standard_error) == (1.384159527847572, 0.08297723085047748)
 
 
 @pytest.mark.parametrize(
     "lag, expected",
     [
-        (0, (0.7191940832625798, 0.012663018720042473)),
-        (1, (-0.3046946264524923, 0.013369607785593592)),
-        (2, (0.31226507402057896, 0.011157233041824853)),
+        (0, (0.7510637363894578, 0.011956274314348576)),
+        (1, (-0.3316900166814125, 0.012659403372021259)),
+        (2, (0.33388989639104205, 0.011323533068068908)),
     ],
 )
 def test_golden_empirical_covariance(lag, expected):
