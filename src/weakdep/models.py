@@ -414,12 +414,13 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
 
     Replicates come in chunks of B = max(1, REPLICATE_BLOCK_VALUES // n)
     paths.  Chunk c draws its B paths time-major from one generator keyed
-    by SeedSequence(seed, spawn_key=(c,)), a key that no plain seed or
-    short seed list such as [seed, r] reaches.  The last chunk is drawn
-    at full width and cut, so row r depends on (model, n, seed, r) only,
-    never on the number of replicates.  reduce maps each (rows, n) block
-    to an array with one row per path, written into one preallocated
-    output; reduce None returns the (replicates, n) path matrix.
+    by SeedSequence(seed, spawn_key=(c,)), a stream that no plain seed
+    and no seed list of up to four words, such as [seed, 202], reaches.
+    The last chunk is drawn at full width and cut, so row r depends on
+    (model, n, seed, r) only, never on the number of replicates.  reduce
+    maps each (rows, n) block to an array with one row per path, written
+    into one preallocated output; reduce None returns the (replicates, n)
+    path matrix.
 
     >>> m = IID(Rademacher())
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())

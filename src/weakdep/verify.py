@@ -2,9 +2,9 @@
 theorems with simulation.
 
 Every check is a pure function of (model, config, seed): it reads its
-replicates from models.replicate_paths, whose row r is the path at the
-derived seed [seed, r] reduced by the check's row-wise reduction, so
-reports are identical however the replicates are blocked.
+replicates from models.replicate_paths, whose row r is replicate r of
+the keyed, chunked stream reduced by the check's row-wise reduction, so
+a row never depends on the number of replicates drawn.
 """
 
 from __future__ import annotations
