@@ -216,12 +216,9 @@ def check_lipschitz_cov(
     bound = f_spec.lipschitz_norm * g_spec.lipschitz_norm * sum(
         gamma.gamma(abs(i - j)) for i in I for j in J
     )
-    if paths is None:
-        x = replicate_paths(model, n, cfg.replicates, cfg.seed)
-    elif paths.shape == (cfg.replicates, n):
-        x = paths
-    else:
-        raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {paths.shape}")
+    x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
+    if x.shape != (cfg.replicates, n):
+        raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {x.shape}")
     a = f_spec(x[:, np.asarray(I) - 1].sum(axis=1))
     b = g_spec(x[:, np.asarray(J) - 1].sum(axis=1))
     am, bm = a.mean(), b.mean()

@@ -28,6 +28,7 @@ from weakdep import (
 from weakdep.models import REPLICATE_BLOCK_VALUES, _cumsum_means, nonneg_shift_mgf
 
 U11 = UniformOnInterval(-1.0, 1.0)
+LAWS = (U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5))
 
 
 # --- innovation laws -------------------------------------------------------
@@ -101,11 +102,7 @@ def test_reproducibility():
 
 @st.composite
 def models(draw):
-    law = draw(
-        st.sampled_from(
-            [U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5)]
-        )
-    )
+    law = draw(st.sampled_from(LAWS))
     kind = draw(st.sampled_from(["iid", "ma", "cumsum"]))
     if kind == "iid":
         return IID(law)
@@ -122,9 +119,6 @@ def test_prefix_consistency(model, n, n_prime, seed):
     short = sample_path(model, n, seed)
     long = sample_path(model, n_prime, seed)
     assert np.array_equal(short, long[:n])
-
-
-LAWS = (U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5))
 
 
 @pytest.mark.parametrize("law", LAWS)
