@@ -1,10 +1,11 @@
-"""Closed-form bound evaluators and rate schedules.
+"""The closed-form tail-bound evaluator and the strong-law rate schedules.
 
-Every evaluator returns the bound value together with an explicit list of
+tail_bound returns the bound value together with an explicit list of
 violated hypotheses instead of erroring, so the verification harness can
-plot behavior across the validity boundary.  No unspecified constants are
-materialized anywhere: all checks use the fully explicit pre-constant
-forms of the block-MGF and tail inequalities.
+report behavior across the validity boundary.  No unspecified constants
+are materialized anywhere: the bound is the fully explicit pre-constant
+form of the odd-block tail inequality, the Markov bound on the block-MGF
+of the odd-block sum at the optimized exponent.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Inputs shared by the block-MGF and tail bounds.
+    """Inputs of the tail bound.
 
     c is the almost-sure bound on the variables, sigma2 the long-run
     variance, p_n the block length, d_n > 1 the slack sequence, n the
@@ -77,45 +78,6 @@ def geometric_sum(log_ratio: float, terms: int) -> float:
             # remaining terms are smaller by at least exp(-350)
             return float(np.exp((terms - 1) * log_ratio))
         return float(np.expm1(terms * log_ratio) / np.expm1(log_ratio))
-
-
-def laplace_block_bound(t: float, params: BoundParams) -> BoundEvaluation:
-    """Single-block MGF bound  E exp(t Y_block) <= exp(2 t^2 sigma2 p_n d_n).
-
-    Valid for t <= ((d_n - 1)/d_n) / (c p_n); the value is reported either way.
-    """
-    violated = []
-    if t > params.mgf_threshold:
-        violated.append("t_exceeds_block_mgf_threshold")
-    with np.errstate(over="ignore"):
-        value = float(np.exp(2.0 * t * t * params.sigma2 * params.p_n * params.d_n))
-    return BoundEvaluation(value=value, violated_conditions=tuple(violated))
-
-
-def odd_sum_mgf_bound(t: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
-    """MGF bound for the odd-block sum,
-
-        t^2 e^{t c n / 2} p_n v(p_n) sum_{j=0}^{r_n-2} e^{j t p_n (2 t sigma2 d_n - c)}
-        + exp(t^2 sigma2 n d_n),
-
-    with the finite geometric sum evaluated exactly.  v_pn is the
-    coefficient tail sum at the block length; v_pn = 0 recovers the
-    independent-blocks product bound exp(t^2 sigma2 n d_n) exactly.
-    """
-    if v_pn < 0:
-        raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
-    violated = []
-    if t > params.mgf_threshold:
-        violated.append("t_exceeds_block_mgf_threshold")
-    log_ratio = t * params.p_n * (2.0 * t * params.sigma2 * params.d_n - params.c)
-    gsum = geometric_sum(log_ratio, params.r_n - 1)
-    with np.errstate(over="ignore"):
-        if v_pn == 0.0 or t == 0.0:
-            first = 0.0
-        else:
-            first = float(t * t * np.exp(t * params.c * params.n / 2.0) * params.p_n * v_pn * gsum)
-        second = float(np.exp(t * t * params.sigma2 * params.n * params.d_n))
-    return BoundEvaluation(value=first + second, violated_conditions=tuple(violated))
 
 
 def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
@@ -306,20 +268,3 @@ def named_inequalities(schedule: RateSchedule, cond: Optional[LaplaceCondition] 
             raise ValueError("unbounded schedule needs the exponential-moment condition for t < tau")
         out["t_below_tau"] = schedule.t_markov < cond.tau
     return out
-
-
-def slln_admissibility_onset(
-    theta: float, alpha: float, sigma2: float, c: float, n_grid
-) -> Optional[int]:
-    """Smallest grid n from which every later grid n satisfies the named
-    inequalities of the bounded schedule; None if the grid never settles."""
-    grid = sorted(int(n) for n in n_grid)
-    onset = None
-    for n in grid:
-        sched = slln_schedule(n, theta, alpha, sigma2, c)
-        if all(named_inequalities(sched).values()):
-            if onset is None:
-                onset = n
-        else:
-            onset = None
-    return onset

@@ -28,6 +28,7 @@ from .coefficients import gamma_sequence, long_run_variance
 from .models import IID, ModelSpec, UniformOnInterval, almost_sure_bound, model_from_json, replicate_paths, sample_path
 from .verify import (
     DOMINATED,
+    ERROR_MULTIPLIER,
     VIOLATED,
     MCConfig,
     PiecewiseLinear,
@@ -224,7 +225,7 @@ def _cmd_bound(args) -> int:
     c = almost_sure_bound(model)
     if c is None:
         raise ConfigError("bound evaluation needs a bounded model")
-    sigma2 = long_run_variance(model).sigma2
+    sigma2 = long_run_variance(model)
     sched = slln_schedule(args.n, args.theta, args.alpha, sigma2, c)
     params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=args.n)
     v_pn = gamma_sequence(model).tail_sum(sched.p_n)
@@ -330,7 +331,7 @@ def _check_emp(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport
     # the limit covariance min(s, t) - s t is known only for the i.i.d. baseline
     iid = isinstance(model, IID)
     target = min(s, t) - s * t if iid else float("nan")
-    ok = abs(est - target) <= cfg.error_multiplier * se
+    ok = abs(est - target) <= ERROR_MULTIPLIER * se
     reports.append(make_report("emp", f"gamma({s:g},{t:g})", est, se, target, ok, cfg, valid=iid))
     return reports
 
@@ -349,8 +350,10 @@ CHECKS = {
 
 
 def _cmd_verify(args) -> int:
-    cfg = MCConfig(replicates=args.replicates, seed=args.seed, error_multiplier=3.0)
+    cfg = MCConfig(replicates=args.replicates, seed=args.seed)
     reports = CHECKS[args.check](args, _load_model(args.model), cfg)
+    if not reports:
+        raise ConfigError(f"verify --check {args.check} has no rows to report with these arguments")
     fmt = args.format
     if fmt is None:
         fmt = "json" if (args.out or "").endswith(".json") else "csv"

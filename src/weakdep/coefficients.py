@@ -1,4 +1,5 @@
-"""Dependence coefficients and variance quantities for the model families.
+"""Exact dependence coefficients, the closed-form long-run variance and the
+characteristic-function discrepancy bound of the stationary model families.
 
 The coefficients gamma_k bound |Cov(f(X_I), g(X_J))| by
 ||f|| ||g|| sum_{i,j} gamma_{|i-j|} over all Lipschitz pairs (f, g) on
@@ -11,11 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from .models import IID, CumSumTransform, ModelSpec, MovingAverage, is_stationary, replicate_paths
+from .models import IID, CumSumTransform, ModelSpec, MovingAverage
 
 
 @dataclass(frozen=True)
@@ -23,7 +21,6 @@ class FiniteGamma:
     """Finitely supported coefficients gamma_1..gamma_K (empty means independence)."""
 
     values: tuple[float, ...]
-    note: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -54,7 +51,7 @@ def gamma_sequence(model: ModelSpec) -> FiniteGamma:
     zero beyond; the i.i.d. case is the empty sequence.
     """
     if isinstance(model, IID):
-        return FiniteGamma(values=(), note="iid")
+        return FiniteGamma(values=())
     if isinstance(model, MovingAverage):
         a = model.coeffs
         p = len(a)
@@ -62,7 +59,7 @@ def gamma_sequence(model: ModelSpec) -> FiniteGamma:
         values = tuple(
             s2 * sum(abs(a[j] * a[j + k]) for j in range(p - k)) for k in range(1, p)
         )
-        return FiniteGamma(values=values, note=f"moving_average(p={p}) envelope")
+        return FiniteGamma(values=values)
     raise ValueError("cumulative-sum models have no stationary coefficient sequence")
 
 
@@ -74,78 +71,19 @@ def newman_discrepancy_bound(gamma: FiniteGamma, n: int, t: float) -> float:
     return 4.0 * t * t * sum((n - j) * gamma.gamma(j) for j in range(1, n))
 
 
-@dataclass(frozen=True)
-class VarianceEstimate:
-    """Long-run variance sigma^2 = lim E S_n^2 / n with provenance."""
+def long_run_variance(model: ModelSpec) -> float:
+    """Long-run variance sigma^2 = lim E S_n^2 / n of a stationary model,
+    sigma_xi^2 (sum_j a_j)^2 for a moving average and sigma_xi^2 for i.i.d.
 
-    sigma2: float
-    method: str  # "analytic" | "monte_carlo"
-    standard_error: Optional[float] = None
-    n: Optional[int] = None
-    replicates: Optional[int] = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"long-run variance must be finite and positive, got {self.sigma2}")
-
-
-def long_run_variance(
-    model: ModelSpec,
-    method: str = "analytic",
-    n: int = 4096,
-    replicates: int = 10_000,
-    seed: int = 0,
-) -> VarianceEstimate:
-    """Long-run variance sigma^2 of a stationary model.
-
-    Analytic for i.i.d. / moving-average models: sigma^2 = sigma_xi^2 (sum_j a_j)^2.
-    The Monte Carlo route averages S_n^2 / n across replicates (defaults
-    n = 2^12, replicates = 10^4) and reports a standard error; a degenerate
-    or nonpositive estimate is an error, not a value.
+    A value that is not finite and positive is an error, not a value.
     """
     if isinstance(model, CumSumTransform):
         raise ValueError("cumulative-sum models are nonstationary; no long-run variance")
-    if method == "analytic":
-        if isinstance(model, IID):
-            sigma2 = model.law.variance
-        else:
-            total = sum(model.coeffs)
-            sigma2 = model.law.variance * total * total
-        if sigma2 <= 0:
-            raise ValueError(f"degenerate model: long-run variance {sigma2} is not in (0, inf)")
-        return VarianceEstimate(sigma2=sigma2, method="analytic")
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
-    sums = replicate_paths(model, n, replicates, seed, lambda x: x.sum(axis=1))
-    vals = sums * sums / n
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(replicates))
-    if est <= 0:
-        raise ValueError(f"monte carlo long-run variance estimate {est} is not positive")
-    return VarianceEstimate(sigma2=est, method="monte_carlo", standard_error=se, n=n, replicates=replicates)
-
-
-def _jackknife_se(values: np.ndarray) -> float:
-    """Delete-one jackknife standard error of the mean statistic."""
-    values = np.asarray(values, dtype=float)
-    r = len(values)
-    if r < 2:
-        return float("nan")
-    loo = (values.sum() - values) / (r - 1)
-    return float(math.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
-
-
-def empirical_covariance(
-    model: ModelSpec, lag: int, n: int, replicates: int, seed: int = 0
-) -> tuple[float, float]:
-    """Across-replicate estimate of Cov(X_1, X_{1+lag}) with jackknife SE.
-
-    Each replicate contributes the lag-product mean pooled over the path
-    (the variables are centered by construction, so no mean subtraction).
-    """
-    if n <= lag:
-        raise ValueError(f"need n > lag, got n={n}, lag={lag}")
-    if not is_stationary(model):
-        raise ValueError("empirical covariance requires a stationary model")
-    per_rep = replicate_paths(model, n, replicates, seed, lambda x: np.mean(x[:, : n - lag] * x[:, lag:], axis=1))
-    return float(per_rep.mean()), _jackknife_se(per_rep)
+    if isinstance(model, IID):
+        sigma2 = model.law.variance
+    else:
+        total = sum(model.coeffs)
+        sigma2 = model.law.variance * total * total
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"degenerate model: long-run variance {sigma2} is not in (0, inf)")
+    return sigma2

@@ -2,13 +2,12 @@
 
 Three compact-support innovation laws (uniform, Rademacher, truncated
 Gaussian), three model families built on them (i.i.d. baseline, finite
-moving average, cumulative sums pushed through a pointwise transform),
-and exact moment helpers where closed forms exist.  Every generated
-variable is centered; paths are arrays, deterministic functions of
-(model, n, seed) and prefix-consistent in n.  replicate_paths is the one
-producer of replicate paths: it draws them in chunks of
-max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major, from one generator
-per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)).
+moving average, cumulative sums pushed through a pointwise transform)
+and their JSON schema.  Every generated variable is centered; paths are
+arrays, deterministic functions of (model, n, seed) and prefix-consistent
+in n.  replicate_paths is the one producer of replicate paths: it draws
+them in chunks of max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major,
+from one generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)).
 """
 
 from __future__ import annotations
@@ -219,14 +218,6 @@ class GaussBumpPlusX:
 Transform = Union[Identity, NegExp, GaussBumpPlusX]
 
 
-def _law_expectation(law: InnovationLaw, fn) -> float:
-    """E fn(xi) under the centered law, exact for Rademacher, quadrature else."""
-    if isinstance(law, Rademacher):
-        return 0.5 * (fn(1.0) + fn(-1.0))
-    lo, hi = law.support
-    return _quad(lambda x: fn(x) * float(law.pdf(x)), lo, hi)
-
-
 def nonneg_shift_mgf(law: InnovationLaw, t: float) -> float:
     """MGF of the law's nonnegative representation xi - inf(support).
 
@@ -242,25 +233,6 @@ def nonneg_shift_mgf(law: InnovationLaw, t: float) -> float:
         return math.expm1(x) / x
     lo = law.support[0]
     return math.exp(-t * lo) * law.mgf(t)
-
-
-def transform_moments(transform: Transform, law: InnovationLaw, scale: float) -> tuple[float, float]:
-    """Mean and variance of g(scale * xi) for a single innovation.
-
-    Closed forms: Identity always; NegExp through the law's moment
-    generating function, E g = M(-scale), Var g = M(-2 scale) - M(-scale)^2.
-    Other transforms integrate numerically to relative tolerance 1e-10 and
-    raise QuadratureError rather than return an unconverged value.
-    """
-    if isinstance(transform, Identity):
-        return 0.0, scale * scale * law.variance
-    if isinstance(transform, NegExp):
-        m1 = law.mgf(-scale)
-        m2 = law.mgf(-2.0 * scale)
-        return m1, m2 - m1 * m1
-    mean = _law_expectation(law, lambda x: float(transform(scale * x)))
-    second = _law_expectation(law, lambda x: float(transform(scale * x)) ** 2)
-    return mean, second - mean * mean
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +414,6 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
             out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
         out[start : start + len(block)] = part
     return out
-
-
-def analytic_covariance(model: ModelSpec, lag: int) -> Optional[float]:
-    """Cov(X_1, X_{1+lag}) in closed form, or None when unavailable.
-
-    For a moving average with coefficients a_1..a_p this is
-    sigma_xi^2 * sum_j a_j a_{j+lag}; the i.i.d. case is p = 1, a_1 = 1.
-    Cumulative-sum models have no stationary covariance and return None.
-    """
-    if lag < 0:
-        raise ValueError(f"lag must be >= 0, got {lag}")
-    if isinstance(model, IID):
-        return model.law.variance if lag == 0 else 0.0
-    if isinstance(model, MovingAverage):
-        a = model.coeffs
-        p = len(a)
-        if lag >= p:
-            return 0.0
-        return model.law.variance * sum(a[j] * a[j + lag] for j in range(p - lag))
-    return None
 
 
 # ---------------------------------------------------------------------------

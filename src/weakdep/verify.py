@@ -39,20 +39,23 @@ DOMINATED = "DOMINATED"
 VIOLATED = "VIOLATED"
 BOUND_INVALID = "BOUND_INVALID"
 
+# Monte Carlo standard errors a check allows before it reports VIOLATED
+ERROR_MULTIPLIER = 3.0
+
+# quantile level of |S_n / n| whose decay slln_rate_fit fits
+SLLN_QUANTILE = 0.99
+
 
 @dataclass(frozen=True)
 class MCConfig:
     replicates: int = 10_000
     seed: int = 0
-    error_multiplier: float = 3.0
 
     def __post_init__(self):
         if self.replicates < 100:
             raise ValueError(f"need at least 100 replicates, got {self.replicates}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not self.error_multiplier > 0:
-            raise ValueError(f"error multiplier must be positive, got {self.error_multiplier}")
 
 
 @dataclass(frozen=True)
@@ -177,11 +180,6 @@ class PiecewiseLinear:
         return out if x.shape else float(out)
 
 
-def clip_function(c: float) -> PiecewiseLinear:
-    """The clamp at level c as a piecewise-linear description (norm 1)."""
-    return PiecewiseLinear(breakpoints=(-c, c), slopes=(0.0, 1.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # covariance inequality check
 # ---------------------------------------------------------------------------
@@ -225,7 +223,7 @@ def check_lipschitz_cov(
     cov = float(np.mean(a * b) - am * bm)
     infl = (a - am) * (b - bm) - cov
     se = float(infl.std(ddof=1) / math.sqrt(len(a)))
-    low = abs(cov) - cfg.error_multiplier * se
+    low = abs(cov) - ERROR_MULTIPLIER * se
     return make_report("cov", f"I={I},J={J}", abs(cov), se, bound, low <= bound, cfg)
 
 
@@ -240,22 +238,20 @@ def check_tail_domination(
     x_grid: Sequence[float],
     cfg: MCConfig,
     alpha: float = 2.0,
-    d_n: Optional[float] = None,
 ) -> list[VerificationReport]:
     """Empirical P(Z_odd > x) versus the explicit tail bound on an x grid.
 
     Requires a bounded model (compact-support law, i.i.d. or moving
-    average).  d_n defaults to the bounded-case schedule evaluated at the
-    scheme's effective theta = log p / log n.
+    average).  d_n is the bounded-case schedule evaluated at the scheme's
+    effective theta = log p / log n.
     """
     c = almost_sure_bound(model)
     if c is None:
         raise ValueError("tail domination needs a bounded model")
-    sigma2 = long_run_variance(model).sigma2
+    sigma2 = long_run_variance(model)
     v_pn = gamma_sequence(model).tail_sum(scheme.p_n)
-    if d_n is None:
-        theta_eff = math.log(scheme.p_n) / math.log(scheme.n)
-        d_n = (4.0 * alpha * c * c / sigma2) * scheme.n ** (2.0 * theta_eff - 1.0) * math.log(scheme.n)
+    theta_eff = math.log(scheme.p_n) / math.log(scheme.n)
+    d_n = (4.0 * alpha * c * c / sigma2) * scheme.n ** (2.0 * theta_eff - 1.0) * math.log(scheme.n)
     params = bnd.BoundParams(c=c, sigma2=sigma2, p_n=scheme.p_n, d_n=d_n, n=scheme.n)
     z_odd = replicate_paths(
         model, scheme.n, cfg.replicates, cfg.seed, lambda x: [decompose(row, scheme).z_odd for row in x]
@@ -265,7 +261,7 @@ def check_tail_domination(
         count = int(np.sum(z_odd > x))
         p_hat = count / cfg.replicates
         se = math.sqrt(p_hat * (1.0 - p_hat) / cfg.replicates)
-        lower = _binomial_lower(count, cfg.replicates, cfg.error_multiplier)
+        lower = _binomial_lower(count, cfg.replicates, ERROR_MULTIPLIER)
         ev = bnd.tail_bound(float(x), params, v_pn)
         ok = lower <= ev.value
         reports.append(make_report("tail", f"x={float(x):g}", p_hat, se, ev.value, ok, cfg, valid=ev.valid))
@@ -316,7 +312,7 @@ def check_newman(
         else:
             se = float(np.sqrt(np.mean(np.abs(infl) ** 2) / cfg.replicates))
         bound = newman_discrepancy_bound(gamma, n, t)
-        low = abs(delta) - cfg.error_multiplier * se
+        low = abs(delta) - ERROR_MULTIPLIER * se
         reports.append(make_report("newman", f"n={n},t={t:g}", abs(delta), se, bound, low <= bound, cfg))
     return reports
 
@@ -426,9 +422,9 @@ def slln_rate_fit(
     model: ModelSpec,
     n_grid: Sequence[int],
     cfg: MCConfig,
-    quantile: float = 0.99,
 ) -> SllnRateFit:
-    """Decay exponent of a high quantile of |S_n / n| over a geometric n grid.
+    """Decay exponent of the SLLN_QUANTILE quantile of |S_n / n| over a
+    geometric n grid.
 
     Each replicate draws one path at the largest n; the streaming generator
     makes every smaller n an exact prefix, so all grid points share
@@ -436,7 +432,7 @@ def slln_rate_fit(
     """
     if not is_stationary(model):
         raise ValueError("rate fit requires a stationary model")
-    sigma2 = long_run_variance(model).sigma2  # raises on degenerate models
+    long_run_variance(model)  # raises on degenerate models
     grid = sorted(int(n) for n in n_grid)
     if len(set(grid)) < 3 or grid[0] < 1:
         raise ValueError("need at least 3 distinct positive grid points to fit a slope")
@@ -444,7 +440,7 @@ def slln_rate_fit(
     idx = np.asarray(grid) - 1
     sums = replicate_paths(model, n_max, cfg.replicates, cfg.seed, lambda x: np.cumsum(x, axis=1)[:, idx])
     vals = np.abs(sums) / np.asarray(grid)
-    quantiles = np.quantile(vals, quantile, axis=0)
+    quantiles = np.quantile(vals, SLLN_QUANTILE, axis=0)
     x = np.log(np.asarray(grid, dtype=float))
     y = np.log(quantiles)
     xc = x - x.mean()
@@ -458,7 +454,7 @@ def slln_rate_fit(
         band=(slope - 2.0 * slope_se, slope + 2.0 * slope_se),
         n_grid=tuple(grid),
         quantiles=tuple(float(q) for q in quantiles),
-        quantile_level=quantile,
+        quantile_level=SLLN_QUANTILE,
         seed=cfg.seed,
         replicates=cfg.replicates,
     )
@@ -498,7 +494,7 @@ def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> CltKsReport:
     Threshold = 1.358 / sqrt(replicates) (the 5% KS critical value) plus
     the finite-n allowance b(n).
     """
-    sigma2 = long_run_variance(model).sigma2
+    sigma2 = long_run_variance(model)
     sigma = math.sqrt(sigma2)
     vals = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1)) / math.sqrt(n)
     ks = float(kstest(vals, "norm", args=(0.0, sigma)).statistic)
@@ -519,31 +515,8 @@ def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> CltKsReport:
 
 
 # ---------------------------------------------------------------------------
-# partial-sum process and increment check
+# partial-sum process increments
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class PartialSumPath:
-    """Rescaled running-sum step function on [0, 1], right-continuous."""
-
-    times: np.ndarray  # k/n for k = 0..n
-    values: np.ndarray  # S_k / sqrt(n), values[0] = 0
-
-    @property
-    def n(self) -> int:
-        return len(self.values) - 1
-
-    def evaluate(self, t: float) -> float:
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"time must lie in [0, 1], got {t}")
-        return float(self.values[int(math.floor(self.n * t))])
-
-
-def partial_sum_path(path: np.ndarray) -> PartialSumPath:
-    n = len(path)
-    values = np.concatenate(([0.0], np.cumsum(path) / math.sqrt(n)))
-    return PartialSumPath(times=np.arange(n + 1) / n, values=values)
 
 
 def fclt_increment_check(
@@ -556,7 +529,7 @@ def fclt_increment_check(
 
     For 0 < u_1 < ... < u_k <= 1 (k <= 5) the increment over (u_{s-1}, u_s]
     should have variance (u_s - u_{s-1}) sigma^2 and uncorrelated pairs;
-    each comparison allows error_multiplier * SE + b(n) * sigma^2.  Times
+    each comparison allows ERROR_MULTIPLIER * SE + b(n) * sigma^2.  Times
     whose cut points floor(n u) coincide are an error; when b(n) reaches
     the shortest increment length a zero process would pass, so every row
     is BOUND_INVALID.
@@ -566,7 +539,7 @@ def fclt_increment_check(
         raise ValueError("at most 5 increment times supported")
     if any(t2 <= t1 for t1, t2 in zip(u, u[1:])) or not u or u[0] <= 0 or u[-1] > 1:
         raise ValueError("times must be strictly increasing in (0, 1]")
-    sigma2 = long_run_variance(model).sigma2
+    sigma2 = long_run_variance(model)
     cuts = [0] + [int(math.floor(n * t)) for t in u]
     if any(c2 == c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError(f"times {u} give an empty increment at n={n}")
@@ -576,7 +549,6 @@ def fclt_increment_check(
     allowance = clt_bias_allowance(n) * sigma2
     valid = clt_bias_allowance(n) < min(t2 - t1 for t1, t2 in zip([0.0] + u, u))
     reports = []
-    mult = cfg.error_multiplier
     for s in range(len(u)):
         v = incs[:, s]
         m = v.mean()
@@ -585,7 +557,7 @@ def fclt_increment_check(
         se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
         lo = u[s - 1] if s else 0.0
         target = (u[s] - lo) * sigma2
-        ok = abs(var_hat - target) <= mult * se + allowance
+        ok = abs(var_hat - target) <= ERROR_MULTIPLIER * se + allowance
         reports.append(make_report("fclt", f"var({lo:g},{u[s]:g}]", var_hat, se, target, ok, cfg, valid))
     for s1 in range(len(u)):
         for s2 in range(s1 + 1, len(u)):
@@ -594,7 +566,7 @@ def fclt_increment_check(
             cov = float(np.mean(a * b) - am * bm)
             infl = (a - am) * (b - bm) - cov
             se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
-            ok = abs(cov) <= mult * se + allowance
+            ok = abs(cov) <= ERROR_MULTIPLIER * se + allowance
             reports.append(make_report("fclt", f"cov({u[s1]:g},{u[s2]:g})", cov, se, 0.0, ok, cfg, valid))
     return reports
 

@@ -107,7 +107,7 @@ def test_criterion_2_coefficient_oracles():
                     crit.finish(False, f"v({n}) mismatch for {coeffs}")
             # oracle: long-run variance (sum alpha)^2 sigma_xi^2
             oracle_s2 = s2_xi * sum(coeffs) ** 2
-            if abs(long_run_variance(model).sigma2 - oracle_s2) > rel * oracle_s2:
+            if abs(long_run_variance(model) - oracle_s2) > rel * oracle_s2:
                 crit.finish(False, f"sigma2 mismatch for {coeffs}")
             # oracle: total dependence as plain sum
             oracle_d = sum(gam_list)

@@ -3,16 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import (
-    IID,
-    MovingAverage,
-    UniformOnInterval,
-    block_scheme,
-    clip,
-    decompose,
-    sample_path,
-    truncate_path,
-)
+from weakdep import IID, MovingAverage, UniformOnInterval, block_scheme, decompose, sample_path
+from weakdep.blocks import clip, truncate_path
 
 U11 = UniformOnInterval(-1.0, 1.0)
 

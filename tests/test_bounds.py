@@ -5,19 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import (
-    BoundParams,
-    LaplaceCondition,
-    laplace_block_bound,
-    named_inequalities,
-    odd_sum_mgf_bound,
-    slln_admissibility_onset,
-    slln_schedule,
-    tail_bound,
-    truncated_second_moment_bound,
-    unbounded_schedule,
-)
-from weakdep.bounds import geometric_sum
+from weakdep import BoundParams, LaplaceCondition, named_inequalities, slln_schedule, tail_bound, unbounded_schedule
+from weakdep.bounds import geometric_sum, truncated_second_moment_bound
 
 PARAMS = BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
 
@@ -42,26 +31,7 @@ def test_geometric_sum_near_one_fallback():
     assert geometric_sum(400.0, 3) == float("inf")
 
 
-# --- single-block MGF bound ------------------------------------------------
-
-
-def test_laplace_block_bound_degenerate_t():
-    ev = laplace_block_bound(0.0, PARAMS)
-    assert ev.value == 1.0 and ev.valid
-
-
-def test_laplace_block_bound_hand_value():
-    # threshold (d-1)/d / (c p) = 0.5 / 4 = 0.125 >= t = 0.1
-    ev = laplace_block_bound(0.1, PARAMS)
-    assert ev.valid
-    assert ev.value == pytest.approx(math.exp(0.16), rel=1e-12)
-
-
-def test_laplace_block_bound_reports_invalid_but_computes():
-    ev = laplace_block_bound(0.2, PARAMS)
-    assert not ev.valid
-    assert ev.violated_conditions == ("t_exceeds_block_mgf_threshold",)
-    assert ev.value == pytest.approx(math.exp(2 * 0.04 * 1 * 4 * 2), rel=1e-12)
+# --- bound parameters ------------------------------------------------------
 
 
 def test_bound_params_validation():
@@ -71,45 +41,6 @@ def test_bound_params_validation():
         BoundParams(c=1.0, sigma2=1.0, p_n=40, d_n=2.0, n=64)  # p > n/2
     with pytest.raises(ValueError):
         BoundParams(c=-1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
-
-
-# --- odd-block-sum MGF bound -----------------------------------------------
-
-
-def test_odd_sum_mgf_independent_blocks_limit():
-    t = 0.05
-    ev = odd_sum_mgf_bound(t, PARAMS, 0.0)
-    assert ev.value == math.exp(t * t * PARAMS.sigma2 * PARAMS.n * PARAMS.d_n)
-
-
-def test_odd_sum_mgf_single_term_sum():
-    # r_n = 2 leaves exactly the j = 0 term, equal to 1
-    params = BoundParams(c=1.0, sigma2=1.0, p_n=16, d_n=2.0, n=64)
-    assert params.r_n == 2
-    t, v = 0.01, 0.5
-    ev = odd_sum_mgf_bound(t, params, v)
-    expected = t * t * math.exp(t * 1.0 * 64 / 2.0) * 16 * v * 1.0 + math.exp(
-        t * t * 64 * 2.0
-    )
-    assert ev.value == pytest.approx(expected, rel=1e-12)
-
-
-def test_odd_sum_mgf_spreadsheet_oracle():
-    # independent evaluation with plain Python arithmetic, term by term
-    t, c, s2, n, p, d, v = 0.01, 1.0, 1.0, 2**10, 32, 4.0, 0.1
-    params = BoundParams(c=c, sigma2=s2, p_n=p, d_n=d, n=n)
-    r = n // (2 * p)
-    total = 0.0
-    for j in range(r - 1):
-        total += math.exp(j * t * p * (2 * t * s2 * d - c))
-    oracle = t * t * math.exp(t * c * n / 2) * p * v * total + math.exp(t * t * s2 * n * d)
-    ev = odd_sum_mgf_bound(t, params, v)
-    assert ev.value == pytest.approx(oracle, rel=1e-10)
-
-
-def test_odd_sum_mgf_rejects_negative_tail_sum():
-    with pytest.raises(ValueError):
-        odd_sum_mgf_bound(0.01, PARAMS, -0.5)
 
 
 # --- tail bound ------------------------------------------------------------
@@ -133,6 +64,10 @@ def test_tail_bound_invalid_when_deviation_reaches_bound_scale():
     ev = tail_bound(PARAMS.n * PARAMS.c, PARAMS, 0.1)
     assert not ev.valid
     assert "series_ratio_not_contracting" in ev.violated_conditions
+    # t = 40/256 exceeds (d-1)/d / (c p) = 0.125, while 4t - 1 < 0 keeps the ratio contracting
+    ev = tail_bound(40.0, PARAMS, 0.1)
+    assert ev.violated_conditions == ("t_exceeds_block_mgf_threshold",)
+    assert 0.0 < ev.value < math.inf
 
 
 def test_tail_bound_full_hand_evaluation():
@@ -201,8 +136,6 @@ def test_slln_schedule_rate_ratio_bounded():
 
 def test_slln_schedule_admissibility_scan():
     grid = [2**k for k in range(8, 21)]
-    n0 = slln_admissibility_onset(0.55, 1.5, 4.0 / 3.0, 2.0, grid)
-    assert n0 == 256  # d_n is already large at the grid start
     for n in grid:
         sched = slln_schedule(n, 0.55, 1.5, 4.0 / 3.0, 2.0)
         checks = named_inequalities(sched)

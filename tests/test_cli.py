@@ -102,12 +102,19 @@ def test_bound_rejects_bad_theta(ma_model):
     assert run(["bound", "--model", ma_model, "--theta", "1.2"]) == 2
 
 
-def test_usage_errors(iid_model):
+def test_usage_errors(iid_model, capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
     assert run(["verify", "--check", "clt"]) == 2  # missing --model
     assert run(["coeffs", "--model", "/nonexistent/model.json"]) == 2
     assert run(["verify", "--check", "clt", "--model", iid_model, "--replicates", "100", "--n", "0"]) == 2
+    # a run that checks nothing writes no header-only report
+    for argv in (["--check", "cov", "--cases", "0"], ["--check", "cov", "--cases", "-3"],
+                 ["--check", "newman", "--t-grid", ","]):
+        capsys.readouterr()
+        assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_malformed_model_json(tmp_path, capsys):

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from weakdep import (
     IID,
     CumSumTransform,
-    FiniteGamma,
     Identity,
     MovingAverage,
     Rademacher,
     UniformOnInterval,
-    analytic_covariance,
-    empirical_covariance,
     gamma_sequence,
     long_run_variance,
-    newman_discrepancy_bound,
 )
+from weakdep.coefficients import FiniteGamma, newman_discrepancy_bound
+
+from oracles import analytic_covariance
 
 U11 = UniformOnInterval(-1.0, 1.0)
 
@@ -111,8 +110,8 @@ def test_newman_discrepancy_bound():
 
 
 def test_long_run_variance_analytic():
-    assert long_run_variance(MovingAverage(coeffs=(1.0, 1.0), law=Rademacher())).sigma2 == pytest.approx(4.0)
-    assert long_run_variance(IID(U11)).sigma2 == pytest.approx(1.0 / 3.0)
+    assert long_run_variance(MovingAverage(coeffs=(1.0, 1.0), law=Rademacher())) == pytest.approx(4.0)
+    assert long_run_variance(IID(U11)) == pytest.approx(1.0 / 3.0)
 
 
 def test_long_run_variance_degenerate_rejected():
@@ -120,40 +119,6 @@ def test_long_run_variance_degenerate_rejected():
         long_run_variance(MovingAverage(coeffs=(1.0, -1.0), law=U11))
     with pytest.raises(ValueError):
         long_run_variance(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
-
-
-def test_long_run_variance_monte_carlo_agrees():
-    model = MovingAverage(coeffs=(1.0, 1.0), law=U11)
-    est = long_run_variance(model, method="monte_carlo", n=512, replicates=2000, seed=3)
-    assert est.method == "monte_carlo"
-    assert est.standard_error is not None
-    # E S_n^2 / n = sigma^2 + O(1/n); generous window
-    assert est.sigma2 == pytest.approx(4.0 / 3.0, rel=0.15)
-
-
-def test_empirical_covariance_iid_lag1_near_zero():
-    est, se = empirical_covariance(IID(U11), lag=1, n=64, replicates=4000, seed=1)
-    assert abs(est) <= 3 * se
-
-
-def test_empirical_covariance_matches_sign_pattern():
-    model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=Rademacher())
-    est2, se2 = empirical_covariance(model, lag=2, n=64, replicates=6000, seed=2)
-    assert abs(est2 - 1.0) <= 3 * se2
-    est1, se1 = empirical_covariance(model, lag=1, n=64, replicates=6000, seed=2)
-    assert abs(est1 - (-1.0)) <= 3 * se1
-
-
-def test_empirical_covariance_preconditions():
-    with pytest.raises(ValueError):
-        empirical_covariance(IID(U11), lag=5, n=5, replicates=200)
-    with pytest.raises(ValueError):
-        empirical_covariance(
-            CumSumTransform(coeffs=(1.0,) * 8, transform=Identity(), law=U11),
-            lag=1,
-            n=8,
-            replicates=200,
-        )
 
 
 def test_gamma_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,15 +18,14 @@ from weakdep import (
     TruncatedGaussian,
     UniformOnInterval,
     almost_sure_bound,
-    analytic_covariance,
-    is_stationary,
     model_from_json,
     model_to_json,
     replicate_paths,
     sample_path,
-    transform_moments,
 )
-from weakdep.models import REPLICATE_BLOCK_VALUES, _cumsum_means, nonneg_shift_mgf
+from weakdep.models import REPLICATE_BLOCK_VALUES, _cumsum_means, is_stationary, nonneg_shift_mgf
+
+from oracles import analytic_covariance
 
 U11 = UniformOnInterval(-1.0, 1.0)
 LAWS = (U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5))
@@ -298,22 +298,7 @@ def test_almost_sure_bound_and_stationarity():
     assert not is_stationary(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
 
 
-# --- transform moments -----------------------------------------------------
-
-
-def test_transform_moments_identity():
-    mean, var = transform_moments(Identity(), U11, 1.0)
-    assert mean == 0.0 and var == pytest.approx(1.0 / 3.0)
-
-
-def test_transform_moments_negexp_uniform_closed_form():
-    mean, var = transform_moments(NegExp(), U11, 1.0)
-    assert mean == pytest.approx(math.sinh(1.0), rel=1e-12)
-    # oracle: direct integrals of e^{-x}/2 and e^{-2x}/2 over [-1, 1]
-    m_oracle, _ = integrate.quad(lambda x: math.exp(-x) / 2.0, -1, 1)
-    s_oracle, _ = integrate.quad(lambda x: math.exp(-2 * x) / 2.0, -1, 1)
-    assert mean == pytest.approx(m_oracle, rel=1e-10)
-    assert var == pytest.approx(s_oracle - m_oracle**2, rel=1e-10)
+# --- cumulative-sum means ---------------------------------------------------
 
 
 def test_negexp_variance_vanishes_for_nonnegative_shift():
@@ -329,25 +314,27 @@ def test_negexp_variance_vanishes_for_nonnegative_shift():
     assert last < 1e-3
 
 
-def test_transform_moments_gauss_bump_quadrature_vs_oracle():
-    beta = 3.0
-    transform = GaussBumpPlusX(beta)
-    mean, var = transform_moments(transform, U11, 1.3)
-    g = lambda x: math.exp(-((1.3 * x) ** 2) / beta) + 1.3 * x
-    m_oracle, _ = integrate.quad(lambda x: g(x) / 2.0, -1, 1)
-    s_oracle, _ = integrate.quad(lambda x: g(x) ** 2 / 2.0, -1, 1)
-    assert mean == pytest.approx(m_oracle, rel=1e-9)
-    assert var == pytest.approx(s_oracle - m_oracle**2, rel=1e-8)
-
-
-def test_transform_moments_gauss_bump_rademacher_exact():
-    beta = 2.0
-    mean, var = transform_moments(GaussBumpPlusX(beta), Rademacher(), 1.0)
-    g = lambda x: math.exp(-x * x / beta) + x
-    m = 0.5 * (g(1.0) + g(-1.0))
-    s = 0.5 * (g(1.0) ** 2 + g(-1.0) ** 2)
-    assert mean == pytest.approx(m, rel=1e-14)
-    assert var == pytest.approx(s - m * m, rel=1e-14)
+@pytest.mark.parametrize("law", [U11, UniformOnInterval(0.0, 3.0), Rademacher()])
+@pytest.mark.parametrize("coeffs, beta", [((1.3, 0.7), 3.0), ((1.0, 1.0), 2.0)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_cumsum_means_gauss_bump_exact(law, coeffs, beta, m):
+    # the Fourier quadrature through chf against E g(c . xi) taken directly:
+    # the exact 2^m-point sum for Rademacher, quad/dblquad of g(c . x) pdf else
+    model = CumSumTransform(coeffs=coeffs, transform=GaussBumpPlusX(beta), law=law)
+    c = coeffs[:m]
+    g = lambda s: math.exp(-s * s / beta) + s
+    if isinstance(law, Rademacher):
+        oracle = np.mean([g(np.dot(c, signs)) for signs in itertools.product((-1.0, 1.0), repeat=m)])
+    else:
+        lo, hi = law.support
+        pdf = lambda x: float(law.pdf(x))
+        tol = dict(epsabs=1e-14, epsrel=1e-13)
+        if m == 1:
+            oracle, _ = integrate.quad(lambda x: g(c[0] * x) * pdf(x), lo, hi, **tol)
+        else:
+            integrand = lambda y, x: g(c[0] * x + c[1] * y) * pdf(x) * pdf(y)
+            oracle, _ = integrate.dblquad(integrand, lo, hi, lo, hi, **tol)
+    assert _cumsum_means(model, m)[m - 1] == pytest.approx(oracle, rel=1e-10)
 
 
 # --- JSON schema -----------------------------------------------------------

@@ -20,19 +20,16 @@ from weakdep import (
     check_newman,
     check_quasi_association_counterexample,
     check_tail_domination,
-    clip_function,
     clt_ks_distance,
     empirical_process_path,
     estimate_gamma_operator,
     fclt_increment_check,
     make_report,
-    marginal_transform,
-    partial_sum_path,
     replicate_paths,
     sample_path,
     slln_rate_fit,
 )
-from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED
+from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, marginal_transform
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -76,13 +73,6 @@ def test_make_report_verdicts():
 
 
 # --- piecewise-linear functions --------------------------------------------
-
-
-def test_clip_function_matches_clamp():
-    f = clip_function(1.0)
-    assert f.lipschitz_norm == 1.0  # slopes are 0 and 1
-    x = np.linspace(-3, 3, 101)
-    assert np.allclose(f(x), np.clip(x, -1, 1))
 
 
 def test_piecewise_linear_pointwise_oracle():
@@ -297,16 +287,7 @@ def test_clt_rejects_nonstationary():
         clt_ks_distance(model, 64, MCConfig(replicates=200, seed=0))
 
 
-# --- partial-sum process --------------------------------------------------------
-
-
-def test_partial_sum_path_endpoint_identity():
-    path = sample_path(MA11_U, 100, 13)
-    psp = partial_sum_path(path)
-    assert psp.evaluate(1.0) == np.cumsum(path)[-1] / math.sqrt(100)
-    assert psp.evaluate(0.0) == 0.0
-    # right-continuous step function: evaluate(k/n) includes index k
-    assert psp.evaluate(0.5) == np.cumsum(path)[49] / math.sqrt(100)
+# --- partial-sum process increments ---------------------------------------------
 
 
 def test_fclt_single_time_reduces_to_variance():
