@@ -1,9 +1,8 @@
-"""Block decomposition of sample paths and the truncation split.
+"""Block decomposition of sample paths.
 
 A path of length n is cut into 2 r blocks of length p (r = floor(n / 2p)),
 alternating odd/even block sums plus a remainder, so that
-S_n = Z_odd + Z_even + R exactly.  The truncation split separates a path
-into a clamped bounded part and a residual, both centered.
+S_n = Z_odd + Z_even + R exactly.
 """
 
 from __future__ import annotations
@@ -60,38 +59,4 @@ def decompose(path, scheme: BlockScheme) -> BlockDecomposition:
         z_even=float(blocks[1::2].sum()),
         remainder=float(values[2 * r * p :].sum()),
         scheme=scheme,
-    )
-
-
-def clip(x, c: float):
-    """Clamp at level c > 0: max(min(x, c), -c). Nondecreasing, 1-Lipschitz."""
-    if not c > 0:
-        raise ValueError(f"clip level must be positive, got {c}")
-    return np.clip(x, -c, c)
-
-
-@dataclass(frozen=True, eq=False)
-class TruncationSplit:
-    level: float
-    bounded_part: np.ndarray  # clamp(x, c) - mean_of_clipped, in [-2c, 2c]
-    unbounded_part: np.ndarray  # residual, centered; bounded + unbounded = path
-    mean_of_clipped: float
-
-
-def truncate_path(path, c: float, mean_of_clipped: float) -> TruncationSplit:
-    """Split a path into centered clamped and residual parts.
-
-    The caller supplies E clamp(X, c) (analytic or pre-estimated); centering
-    by the true expectation rather than the within-path sample mean keeps
-    tail-bound comparisons honest at small n.  For centered variables the
-    residual mean is -mean_of_clipped, so bounded + unbounded reconstructs
-    the path elementwise.
-    """
-    values = np.asarray(path, dtype=float)
-    clipped = clip(values, c)
-    return TruncationSplit(
-        level=c,
-        bounded_part=clipped - mean_of_clipped,
-        unbounded_part=values - clipped + mean_of_clipped,
-        mean_of_clipped=mean_of_clipped,
     )

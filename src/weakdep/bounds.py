@@ -243,13 +243,6 @@ def unbounded_schedule(
     )
 
 
-def truncated_second_moment_bound(t: float, c_n: float, cond: LaplaceCondition) -> float:
-    """Bound (2 U / t^2) e^{-t c_n} on the second moment of the clipped residual."""
-    if not 0.0 < t < cond.tau:
-        raise ValueError(f"need 0 < t < tau = {cond.tau}, got t = {t}")
-    return 2.0 * cond.U / (t * t) * math.exp(-t * c_n)
-
-
 def named_inequalities(schedule: RateSchedule, cond: Optional[LaplaceCondition] = None) -> dict[str, bool]:
     """The admissibility inequalities a schedule must satisfy, by name.
 

@@ -5,6 +5,10 @@ Every check is a pure function of (model, config, seed): it reads its
 replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
 a row never depends on the number of replicates drawn.
+
+The empirical-process helpers return plain values: marginal_transform the
+distribution function that maps a path to uniform marginals, and
+empirical_process_path the array of zeta_n values on a grid.
 """
 
 from __future__ import annotations
@@ -576,91 +580,60 @@ def fclt_increment_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalTransform:
-    """Probability integral transform to uniform [0, 1] marginals.
-
-    Exact for i.i.d. continuous laws; estimated for moving averages from a
-    pre-pass path (piecewise-linear empirical distribution function).  The
-    reported Lipschitz constant is the (estimated) sup of the marginal
-    density; the transformed sequence inherits the dependence structure
-    only when this is finite, so callers can inspect it.
-    """
-
-    kind: str  # "exact" | "estimated"
-    cdf: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
+# the pre-pass whose empirical distribution function is a moving average's
+# marginal transform
+PREPASS_DRAWS = 1_000_000
+PREPASS_SEED = 987_654_321
 
 
 @lru_cache(maxsize=4)
-def marginal_transform(
-    model: ModelSpec, prepass_draws: int = 1_000_000, seed: int = 987_654_321
-) -> MarginalTransform:
-    """The model's marginal transform; a pure function of its arguments,
-    cached so that the checks of one run share one pre-pass."""
+def marginal_transform(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The model's marginal distribution function, the probability integral
+    transform to uniform [0, 1] marginals.
+
+    Exact for i.i.d. continuous laws.  For a moving average it is estimated:
+    the empirical distribution function, scaled by 1 / (m + 1), of the
+    first m = PREPASS_DRAWS values of the path with seed PREPASS_SEED.  A
+    pure function of the model, cached so that the checks of one run share
+    one pre-pass.
+    """
     if isinstance(model, IID):
-        law = model.law
-        if isinstance(law, Rademacher):
+        if isinstance(model.law, Rademacher):
             raise ValueError("marginal distribution function unavailable: discrete marginal law")
-        lip = float(np.max(law.pdf(np.linspace(law.support[0], law.support[1], 2001))))
-        return MarginalTransform(kind="exact", cdf=law.cdf, lipschitz=lip)
+        return model.law.cdf
     if isinstance(model, MovingAverage):
-        sample = np.sort(sample_path(model, prepass_draws, seed))
-        n = len(sample)
+        sample = np.sort(sample_path(model, PREPASS_DRAWS, PREPASS_SEED))
+        m = len(sample)
 
         def cdf(x):
-            return np.searchsorted(sample, np.asarray(x, dtype=float), side="right") / (n + 1.0)
+            return np.searchsorted(sample, np.asarray(x, dtype=float), side="right") / (m + 1.0)
 
-        hist, _ = np.histogram(sample, bins=200, density=True)
-        return MarginalTransform(kind="estimated", cdf=cdf, lipschitz=float(hist.max()))
+        return cdf
     raise ValueError("marginal distribution function unavailable for this model")
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalProcessPath:
-    """Centered, sqrt(n)-scaled empirical distribution deviation on a grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    n: int
-    marginal: MarginalTransform
-
-
-def empirical_process_path(
-    model: ModelSpec, n: int, grid: Sequence[float], seed: int
-) -> EmpiricalProcessPath:
-    """zeta_n(t) = sqrt(n) ((1/n) sum_j 1{U_j <= t} - t) on the grid, with
-    U_j the probability-integral-transformed path values."""
+def empirical_process_path(model: ModelSpec, n: int, grid: Sequence[float], seed: int) -> np.ndarray:
+    """zeta_n(t) = sqrt(n) ((1/n) sum_j 1{U_j <= t} - t) at each grid point t,
+    with U_j the probability-integral-transformed path values."""
     grid = np.asarray([float(t) for t in grid])
     if np.any(grid < 0.0) or np.any(grid > 1.0):
         raise ValueError("grid points must lie in [0, 1]")
-    marginal = marginal_transform(model)
-    u = marginal.cdf(sample_path(model, n, seed))
+    u = marginal_transform(model)(sample_path(model, n, seed))
     counts = np.array([np.sum(u <= t) for t in grid], dtype=float)
-    values = math.sqrt(n) * (counts / n - grid)
-    return EmpiricalProcessPath(grid=grid, values=values, n=n, marginal=marginal)
+    return math.sqrt(n) * (counts / n - grid)
 
 
-def estimate_gamma_operator(
-    model: ModelSpec,
-    s: float,
-    t: float,
-    cfg: MCConfig,
-    truncation: Optional[int] = None,
-) -> tuple[float, float]:
+def estimate_gamma_operator(model: ModelSpec, s: float, t: float, cfg: MCConfig) -> tuple[float, float]:
     """Covariance operator sum_{k=1}^K Cov(1{U_1 <= s}, 1{U_k <= t}) of the
     empirical-process limit, estimated across replicates.
 
-    K defaults to the coefficient support length + 5 (only k = 1 survives
-    for the i.i.d. baseline, where the sum is min(s, t) - s t).
+    K is the coefficient support length + 5 (only k = 1 survives for the
+    i.i.d. baseline, where the sum is min(s, t) - s t).
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("arguments must lie in [0, 1]")
-    if truncation is None:
-        support = len(gamma_sequence(model).values) if is_stationary(model) else 0
-        truncation = support + 5
-    marginal = marginal_transform(model)
-    u = replicate_paths(model, int(truncation), cfg.replicates, cfg.seed, marginal.cdf)
+    support = len(gamma_sequence(model).values) if is_stationary(model) else 0
+    u = replicate_paths(model, support + 5, cfg.replicates, cfg.seed, marginal_transform(model))
     a, b = (u[:, 0] <= s).astype(float), (u <= t).astype(float)
     am = a.mean()
     bm = b.mean(axis=0)

@@ -260,5 +260,5 @@ def test_criterion_10_empirical_process():
     target = min(0.3, 0.7) - 0.3 * 0.7
     ok = abs(est - target) <= 3 * se
     path = empirical_process_path(model, 4096, [0.0, 0.25, 0.5, 0.75, 1.0], seed=1010)
-    ok = ok and path.values[0] == 0.0 and path.values[-1] == 0.0
+    ok = ok and path[0] == 0.0 and path[-1] == 0.0
     crit.finish(ok, f"gamma(0.3,0.7)={est:.5f} (target {target}), se={se:.5f}")

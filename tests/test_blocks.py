@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import IID, MovingAverage, UniformOnInterval, block_scheme, decompose, sample_path
-from weakdep.blocks import clip, truncate_path
+from weakdep import MovingAverage, UniformOnInterval, block_scheme, decompose, sample_path
 
 U11 = UniformOnInterval(-1.0, 1.0)
 
@@ -77,56 +76,3 @@ def test_block_sums_bounded_by_c_p():
     s2 = block_scheme(250, 8)
     d2 = decompose(sample_path(model, 250, 9), s2)
     assert abs(d2.remainder) <= 2 * c * s2.p_n
-
-
-def test_clip_examples():
-    assert clip(0.5, 1.0) == 0.5
-    assert clip(-2.0, 1.0) == -1.0
-    assert clip(3.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        clip(1.0, 0.0)
-
-
-@given(
-    st.floats(-50, 50),
-    st.floats(-50, 50),
-    st.floats(0.01, 20),
-)
-@settings(max_examples=200)
-def test_clip_monotone_one_lipschitz(x, y, c):
-    if x > y:
-        x, y = y, x
-    dx = clip(y, c) - clip(x, c)
-    assert -1e-12 <= dx <= (y - x) + 1e-12
-
-
-def test_truncate_no_clipping_zero_residual():
-    values = np.array([0.3, -0.9, 0.5])
-    split = truncate_path(values, 1.0, 0.0)
-    assert np.all(split.unbounded_part == 0.0)
-    assert np.array_equal(split.bounded_part, values)
-
-
-def test_truncate_hand_example():
-    values = np.array([0.5, -2.0, 3.0])
-    split = truncate_path(values, 1.0, 0.0)
-    assert np.allclose(split.bounded_part, [0.5, -1.0, 1.0])
-    assert np.allclose(split.unbounded_part, [0.0, -1.0, 2.0])
-
-
-def test_truncate_reconstruction_and_sum_identity():
-    rng = np.random.default_rng(5)
-    values = rng.normal(size=500) * 3.0
-    mean_clip = 0.123  # arbitrary centering constant supplied by caller
-    split = truncate_path(values, 1.5, mean_clip)
-    assert np.allclose(split.bounded_part + split.unbounded_part, values, atol=1e-12)
-    assert split.bounded_part.sum() + split.unbounded_part.sum() == pytest.approx(
-        values.sum(), abs=1e-12 * len(values)
-    )
-    assert np.all(np.abs(split.bounded_part) <= 2 * 1.5)
-
-
-def test_truncate_accepts_sample_path():
-    path = sample_path(IID(U11), 32, 0)
-    split = truncate_path(path, 0.5, 0.0)
-    assert np.allclose(split.bounded_part + split.unbounded_part, path)

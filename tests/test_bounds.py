@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdep import BoundParams, LaplaceCondition, named_inequalities, slln_schedule, tail_bound, unbounded_schedule
-from weakdep.bounds import geometric_sum, truncated_second_moment_bound
+from weakdep.bounds import geometric_sum
 
 PARAMS = BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
 
@@ -203,6 +203,9 @@ def test_unbounded_tail_term_power_fit():
 
 
 def test_unbounded_schedule_markov_exponent_needs_headroom():
+    # the exponential-moment hypothesis itself needs tau > 3
+    with pytest.raises(ValueError):
+        LaplaceCondition(tau=3.0, U=1.0)
     # tau must exceed alpha + 1 + 2(1 - theta) = 4.4 here
     with pytest.raises(ValueError, match="markov_exponent_not_admissible"):
         unbounded_schedule(4096, 0.55, 2.5, 1.0, LaplaceCondition(tau=4.0, U=1.0))
@@ -217,28 +220,3 @@ def test_unbounded_schedule_named_inequalities_on_grid():
         sched = unbounded_schedule(2**k, 0.55, alpha, 1.0, COND)
         checks = named_inequalities(sched, COND)
         assert all(checks.values()), (k, checks)
-
-
-# --- truncated second moment -----------------------------------------------
-
-
-def test_truncated_second_moment_hand_value():
-    # (2 * 1 / 4) e^{-2 log 100} = 0.5 * 1e-4
-    cond = LaplaceCondition(tau=4.0, U=1.0)
-    val = truncated_second_moment_bound(2.0, math.log(100.0), cond)
-    assert val == pytest.approx(5e-5, rel=1e-12)
-
-
-def test_truncated_second_moment_limits_and_linearity():
-    cond1 = LaplaceCondition(tau=4.0, U=1.0)
-    cond2 = LaplaceCondition(tau=4.0, U=2.0)
-    assert truncated_second_moment_bound(1.5, 500.0, cond1) < 1e-300
-    a = truncated_second_moment_bound(1.5, 3.0, cond1)
-    b = truncated_second_moment_bound(1.5, 3.0, cond2)
-    assert b == pytest.approx(2 * a, rel=1e-12)
-    with pytest.raises(ValueError):
-        truncated_second_moment_bound(5.0, 3.0, cond1)
-    with pytest.raises(ValueError):
-        truncated_second_moment_bound(0.0, 3.0, cond1)
-    with pytest.raises(ValueError):
-        LaplaceCondition(tau=3.0, U=1.0)

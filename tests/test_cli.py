@@ -108,9 +108,11 @@ def test_usage_errors(iid_model, capsys):
     assert run(["verify", "--check", "clt"]) == 2  # missing --model
     assert run(["coeffs", "--model", "/nonexistent/model.json"]) == 2
     assert run(["verify", "--check", "clt", "--model", iid_model, "--replicates", "100", "--n", "0"]) == 2
-    # a run that checks nothing writes no header-only report
+    # a run that checks nothing writes no header-only report; a quasi grid
+    # that overflows f_norm and an emp point outside [0, 1] are usage errors
     for argv in (["--check", "cov", "--cases", "0"], ["--check", "cov", "--cases", "-3"],
-                 ["--check", "newman", "--t-grid", ","]):
+                 ["--check", "newman", "--t-grid", ","], ["--check", "quasi", "--alpha1-grid", "400:401:1"],
+                 ["--check", "quasi", "--alpha2", "1000"], ["--check", "emp", "--s", "1.5"]):
         capsys.readouterr()
         assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
         out, err = capsys.readouterr()
@@ -127,11 +129,18 @@ def test_malformed_model_json(tmp_path, capsys):
         '{"variant": "moving_average", "coeffs": [NaN, 1.0], "law": %s}' % json.dumps(law),
         '{"variant": "moving_average", "coeffs": [Infinity], "law": %s}' % json.dumps(law),
     ]
+    cumsum = {"variant": "cumsum_transform", "coeffs": [1.0, 1.0], "law": law}
+    decompose = ["decompose", "--n", "2", "--p", "1"]
+    cases = [(doc, ["coeffs"]) for doc in bad_docs] + [
+        # well-formed models whose centering mean overflows or whose quadrature diverges
+        (json.dumps({**cumsum, "coeffs": [1000.0, 1.0], "transform": {"variant": "neg_exp"}}), decompose),
+        (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": 1e-9}}), decompose),
+    ]
     bad = tmp_path / "bad.json"
-    for doc in bad_docs:
+    for doc, argv in cases:
         bad.write_text(doc)
         capsys.readouterr()
-        assert run(["coeffs", "--model", str(bad)]) == 2
+        assert run([*argv, "--model", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -340,9 +340,9 @@ def test_fclt_validates_times():
 
 def test_empirical_process_endpoints_exact():
     path = empirical_process_path(IID(U11), 256, [0.0, 0.5, 1.0], seed=17)
-    assert path.values[0] == 0.0
-    assert path.values[-1] == 0.0
-    assert np.all(np.abs(path.values) <= math.sqrt(256))
+    assert path[0] == 0.0
+    assert path[-1] == 0.0
+    assert np.all(np.abs(path) <= math.sqrt(256))
 
 
 def test_empirical_process_variance_at_half():
@@ -350,7 +350,7 @@ def test_empirical_process_variance_at_half():
     reps, n = 3000, 64
     vals = np.empty(reps)
     for r in range(reps):
-        vals[r] = empirical_process_path(IID(U11), n, [0.5], seed=[18, r]).values[0]
+        vals[r] = empirical_process_path(IID(U11), n, [0.5], seed=[18, r])[0]
     var = vals.var(ddof=1)
     se = math.sqrt(2.0 / reps) * 0.25  # normal-theory SE of a variance estimate
     assert abs(var - 0.25) <= 4 * se
@@ -362,10 +362,7 @@ def test_empirical_process_rejects_discrete_marginal():
 
 
 def test_marginal_transform_estimated_for_ma():
-    mt = marginal_transform(MA11_U, prepass_draws=200_000, seed=19)
-    assert mt.kind == "estimated"
-    assert np.isfinite(mt.lipschitz)
-    u = mt.cdf(sample_path(MA11_U, 4096, 20))
+    u = marginal_transform(MA11_U)(sample_path(MA11_U, 4096, 20))
     assert abs(u.mean() - 0.5) < 0.03
 
 
