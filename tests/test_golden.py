@@ -10,7 +10,9 @@ import hashlib
 
 import pytest
 
-from weakdep import IID, MovingAverage, UniformOnInterval, model_to_json
+from weakdep import (
+    IID, CumSumTransform, GaussBumpPlusX, MovingAverage, TruncatedGaussian, UniformOnInterval, model_to_json,
+)
 from weakdep.cli import run
 
 U11 = UniformOnInterval(-1.0, 1.0)
@@ -18,6 +20,9 @@ MODELS = {
     "ma11": MovingAverage(coeffs=(1.0, 1.0), law=U11),
     "ma3": MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11),
     "iid": IID(U11),
+    # the paper's counterexample family; its centering means go through
+    # the Fourier quadrature of TruncatedGaussian.chf
+    "bump": CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0), law=TruncatedGaussian(1.5)),
 }
 
 # id -> (model, argv without --model and --out, exit code, sha256 of the report)
@@ -29,6 +34,10 @@ CASES = {
     "decompose": (
         "ma3", "decompose --n 64 --p 4 --seed 0", 0,
         "60c4ad6772b13a65b7c5bceb14ccd2966bf04eb99b8cb85a33aa4265b639ea5b",
+    ),
+    "decompose-bump": (
+        "bump", "decompose --n 2 --p 1 --seed 0", 0,
+        "2dc0cc13f03c8d9a604428d0c548a46cb27269604ed2fb35048b6b570019b71c",
     ),
     "bound": (
         "ma11", "bound --n 4096 --x-grid 0:4000:250", 0,
