@@ -323,6 +323,9 @@ def _check_fclt(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationRepor
 
 def _check_emp(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
     s, t = args.s, args.t
+    for option, value in (("--s", s), ("--t", t)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{option} must lie in [0, 1], got {value:g}")
     zeta = empirical_process_path(model, _n(args, 4096), [0.0, 1.0], cfg.seed)
     reports = [
         make_report("emp", label, value, 0.0, 0.0, value == 0.0, cfg)

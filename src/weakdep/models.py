@@ -123,6 +123,19 @@ class Rademacher:
         return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre_200() -> tuple[np.ndarray, np.ndarray]:
+    """The 200-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Built on first use, not at import, so that commands that never call
+    TruncatedGaussian.chf do not pay for it; read-only because every
+    caller shares the one copy."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class TruncatedGaussian:
     """Standard normal conditioned on |Z| <= bound, renormalized (mean zero)."""
@@ -153,9 +166,10 @@ class TruncatedGaussian:
 
     def chf(self, t):
         # 1-D quadrature of cos(t x) against the truncated density; fixed
-        # Gauss-Legendre rule, exact to ~1e-14 for the t values used here.
+        # Gauss-Legendre rule, exact to ~1e-14 for the t values used here,
+        # built once per process: one cumsum mean makes hundreds of calls.
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        nodes, weights = np.polynomial.legendre.leggauss(200)
+        nodes, weights = _gauss_legendre_200()
         x = nodes * self.bound
         w = weights * self.bound
         dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / self._mass

@@ -109,14 +109,19 @@ def test_usage_errors(iid_model, capsys):
     assert run(["coeffs", "--model", "/nonexistent/model.json"]) == 2
     assert run(["verify", "--check", "clt", "--model", iid_model, "--replicates", "100", "--n", "0"]) == 2
     # a run that checks nothing writes no header-only report; a quasi grid
-    # that overflows f_norm and an emp point outside [0, 1] are usage errors
+    # that overflows f_norm is a usage error
     for argv in (["--check", "cov", "--cases", "0"], ["--check", "cov", "--cases", "-3"],
                  ["--check", "newman", "--t-grid", ","], ["--check", "quasi", "--alpha1-grid", "400:401:1"],
-                 ["--check", "quasi", "--alpha2", "1000"], ["--check", "emp", "--s", "1.5"]):
+                 ["--check", "quasi", "--alpha2", "1000"]):
         capsys.readouterr()
         assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # an emp point outside [0, 1] names its option
+    for option, value in (("--s", "1.5"), ("--t", "-0.5"), ("--s", "nan")):
+        capsys.readouterr()
+        assert run(["verify", "--check", "emp", option, value, "--model", iid_model, "--replicates", "100"]) == 2
+        assert capsys.readouterr() == ("", f"error: {option} must lie in [0, 1], got {value}\n")
 
 
 def test_malformed_model_json(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import erf
 
 from weakdep import (
     IID,
@@ -23,7 +24,9 @@ from weakdep import (
     replicate_paths,
     sample_path,
 )
-from weakdep.models import REPLICATE_BLOCK_VALUES, _cumsum_means, is_stationary, nonneg_shift_mgf
+from weakdep.models import (
+    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, is_stationary, nonneg_shift_mgf,
+)
 
 from oracles import analytic_covariance
 
@@ -58,6 +61,33 @@ def test_mgf_matches_quadrature_oracle(law, t):
         lo, hi = law.support
         expected, _ = integrate.quad(lambda x: math.exp(t * x) * float(law.pdf(x)), lo, hi)
     assert law.mgf(t) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("bound", [1.0, 1.5, 2.0])
+def test_truncated_gaussian_chf_closed_form(bound):
+    # int_{-b}^{b} e^{itx} phi(x) dx = e^{-t^2/2} Re erf((b + it)/sqrt 2)
+    t = np.linspace(-12.0, 12.0, 241)
+    oracle = np.exp(-0.5 * t * t) * erf((bound + 1j * t) / math.sqrt(2.0)).real / erf(bound / math.sqrt(2.0))
+    law = TruncatedGaussian(bound)
+    assert law.chf(t) == pytest.approx(oracle, abs=1e-13)
+    assert law.chf(t[200]) == pytest.approx(oracle[200], abs=1e-13)
+
+
+def test_truncated_gaussian_rule_built_once(monkeypatch):
+    # one cumsum mean calls chf hundreds of times; they share one read-only rule
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda deg: calls.append(deg) or leggauss(deg))
+    _gauss_legendre_200.cache_clear()
+    law = TruncatedGaussian(1.5)
+    law.chf(0.5)
+    law.chf([1.0, 2.0])
+    assert calls == [200]
+    nodes, weights = _gauss_legendre_200()
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_truncated_gaussian_variance_below_one():
@@ -314,7 +344,7 @@ def test_negexp_variance_vanishes_for_nonnegative_shift():
     assert last < 1e-3
 
 
-@pytest.mark.parametrize("law", [U11, UniformOnInterval(0.0, 3.0), Rademacher()])
+@pytest.mark.parametrize("law", [U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5)])
 @pytest.mark.parametrize("coeffs, beta", [((1.3, 0.7), 3.0), ((1.0, 1.0), 2.0)])
 @pytest.mark.parametrize("m", [1, 2])
 def test_cumsum_means_gauss_bump_exact(law, coeffs, beta, m):
