@@ -22,6 +22,9 @@ MODELS = {
     "iid": IID(U11),
     # the paper's counterexample family; its centering means go through
     # the Fourier quadrature of TruncatedGaussian.chf
+    # coefficients that nearly cancel: sigma^2 = 0.01^2 / 3, far from the
+    # limit at small n
+    "ma-cancel": MovingAverage(coeffs=(1.0, -0.99), law=U11),
     "bump": CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0), law=TruncatedGaussian(1.5)),
 }
 
@@ -67,9 +70,19 @@ CASES = {
         "ma11", "verify --check slln --n-grid 64,128,256,512,1024 --replicates 500", 0,
         "12a14fbc7c22a78304f679329205454a4fc692829daa9c380ae17c1ec99d4183",
     ),
+    # a fitted slope below the -0.55 end of the window: VIOLATED, exit 1
+    "slln-miss": (
+        "ma11", "verify --check slln --n-grid 64,128,256 --replicates 200", 1,
+        "b1e07eee25d367c610a275b2d975fc05417b2422915209e7fa052bb4c803ec60",
+    ),
     "clt": (
         "ma11", "verify --check clt --n 1024 --replicates 1000", 0,
         "4462d8f9ce0a345e43d1e01aecd0bddf810e4c1a20e817f90362473356b803f0",
+    ),
+    # a KS distance above its threshold: VIOLATED, exit 1
+    "clt-miss": (
+        "ma-cancel", "verify --check clt --n 64 --replicates 200", 1,
+        "cd86b92acc9ff104240badc434bd9fa81a7fe2cfbb28d61ba7f7606ad66b3472",
     ),
     "fclt": (
         "ma11", "verify --check fclt --n 1024 --times 0.25,0.5,1 --replicates 1000", 0,
