@@ -329,8 +329,13 @@ def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
         # g multiplicative over independent summands: product of mgfs
         means = []
         acc = 1.0
-        for c in coeffs:
-            acc *= model.law.mgf(-c)
+        for i, c in enumerate(coeffs):
+            try:
+                acc *= model.law.mgf(-c)
+            except OverflowError:
+                acc = math.inf
+            if not math.isfinite(acc):
+                raise ValueError(f"neg_exp mean E exp(-S) overflows at coeffs[{i}] = {c:g}")
             means.append(acc)
         return tuple(means)
     # GaussBumpPlusX: E exp(-X^2/beta) via the Gaussian Fourier identity

@@ -108,15 +108,23 @@ def test_usage_errors(iid_model, capsys):
     assert run(["verify", "--check", "clt"]) == 2  # missing --model
     assert run(["coeffs", "--model", "/nonexistent/model.json"]) == 2
     assert run(["verify", "--check", "clt", "--model", iid_model, "--replicates", "100", "--n", "0"]) == 2
-    # a run that checks nothing writes no header-only report; a quasi grid
-    # that overflows f_norm is a usage error
+    # a run that checks nothing writes no header-only report
     for argv in (["--check", "cov", "--cases", "0"], ["--check", "cov", "--cases", "-3"],
-                 ["--check", "newman", "--t-grid", ","], ["--check", "quasi", "--alpha1-grid", "400:401:1"],
-                 ["--check", "quasi", "--alpha2", "1000"]):
+                 ["--check", "newman", "--t-grid", ","]):
         capsys.readouterr()
         assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    # quasi scales that overflow ||f|| name both options; a non-finite
+    # --alpha2 is a usage error, not a verdict
+    overflow = ("--alpha1-grid", "--alpha2")
+    for argv, words in ((["--alpha1-grid", "400:401:1"], overflow), (["--alpha2", "1000"], overflow),
+                        (["--alpha2", "inf"], ("finite",)), (["--alpha2", "nan"], ("finite",))):
+        capsys.readouterr()
+        assert run(["verify", "--check", "quasi", *argv, "--model", iid_model, "--replicates", "100"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words), err
     # an emp point outside [0, 1] names its option
     for option, value in (("--s", "1.5"), ("--t", "-0.5"), ("--s", "nan")):
         capsys.readouterr()
@@ -136,18 +144,20 @@ def test_malformed_model_json(tmp_path, capsys):
     ]
     cumsum = {"variant": "cumsum_transform", "coeffs": [1.0, 1.0], "law": law}
     decompose = ["decompose", "--n", "2", "--p", "1"]
-    cases = [(doc, ["coeffs"]) for doc in bad_docs] + [
-        # well-formed models whose centering mean overflows or whose quadrature diverges
-        (json.dumps({**cumsum, "coeffs": [1000.0, 1.0], "transform": {"variant": "neg_exp"}}), decompose),
-        (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": 1e-9}}), decompose),
+    cases = [(doc, ["coeffs"], "") for doc in bad_docs] + [
+        # well-formed models whose centering mean overflows (naming the
+        # field at fault) or whose quadrature diverges
+        (json.dumps({**cumsum, "coeffs": [1000.0, 1.0], "transform": {"variant": "neg_exp"}}), decompose, "coeffs"),
+        (json.dumps({**cumsum, "coeffs": [700.0, 700.0], "transform": {"variant": "neg_exp"}}), decompose, "coeffs"),
+        (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": 1e-9}}), decompose, ""),
     ]
     bad = tmp_path / "bad.json"
-    for doc, argv in cases:
+    for doc, argv, word in cases:
         bad.write_text(doc)
         capsys.readouterr()
         assert run([*argv, "--model", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
 
 
 def test_version_and_list_checks(capsys):

@@ -228,24 +228,41 @@ def test_newman_rejects_large_n():
 
 def test_quasi_counterexample_finds_violation_at_ten():
     cfg = MCConfig(replicates=100, seed=0)
-    report = check_quasi_association_counterexample(range(1, 51), 1.0, U11, cfg)
-    assert report.alpha1_found == 10.0
-    assert all(row.lweak_holds for row in report.rows)
+    [rep] = check_quasi_association_counterexample(range(1, 51), 1.0, U11, cfg)
+    assert (rep.check, rep.param, rep.estimate, rep.se, rep.bound) == ("quasi", "alpha2=1", 10.0, 0.0, 50.0)
+    # the L-weak bound holds at every scale, or the row would not pass
+    assert rep.verdict == DOMINATED
 
 
 def test_quasi_rows_match_quadrature_oracle():
-    cfg = MCConfig(replicates=100, seed=0)
-    report = check_quasi_association_counterexample([2.0, 10.0], 1.0, U11, cfg)
-    # oracle: moments of exp(-a xi~) for xi~ uniform on [0, 2] by quadrature
+    # oracle: moments of exp(-a xi~) for xi~ uniform on [0, 2] by quadrature,
+    # with alpha2 = 1 and ||f|| = exp((1 + 1) 2) frozen at the scale 1
     def mom(a, power):
         val, _ = integrate.quad(lambda x: math.exp(-power * a * x) / 2.0, 0.0, 2.0)
         return val
 
-    e_g2 = mom(1.0, 1)
-    for row, a1 in zip(report.rows, (2.0, 10.0)):
-        var_g1 = mom(a1, 2) - mom(a1, 1) ** 2
-        assert row.lhs == pytest.approx(a1 * a1 / 3.0, rel=1e-12)
-        assert row.rhs == pytest.approx(report.f_norm**2 * e_g2 * var_g1, rel=1e-9)
+    f_norm = math.exp((1.0 + 1.0) * 2.0)
+
+    def sides(a1):
+        return a1 * a1 / 3.0, f_norm**2 * mom(1.0, 1) * (mom(a1, 2) - mom(a1, 1) ** 2)
+
+    # the inequality lhs <= rhs holds up to 9 (27.0 vs 31.8) and fails at 10 (33.3 vs 29.0)
+    assert all(lhs <= rhs for lhs, rhs in map(sides, range(1, 10)))
+    lhs, rhs = sides(10)
+    assert lhs > rhs
+    cfg = MCConfig(replicates=100, seed=0)
+    [rep] = check_quasi_association_counterexample(range(1, 51), 1.0, U11, cfg)
+    assert rep.estimate == 10.0
+    # a grid that stops short of the crossing finds no scale
+    [miss] = check_quasi_association_counterexample([2.0, 9.0], 1.0, U11, cfg)
+    assert miss.verdict == VIOLATED and math.isnan(miss.estimate)
+
+
+def test_quasi_rejects_nonfinite_scales():
+    cfg = MCConfig(replicates=100, seed=0)
+    for grid, alpha2 in (([1.0], math.inf), ([1.0], math.nan), ([1.0, math.inf], 1.0), ([0.0, 1.0], 1.0)):
+        with pytest.raises(ValueError):
+            check_quasi_association_counterexample(grid, alpha2, U11, cfg)
 
 
 def test_quasi_rejects_nonuniform_law():
@@ -258,10 +275,10 @@ def test_quasi_rejects_nonuniform_law():
 
 def test_slln_rate_fit_iid_slope_near_half():
     cfg = MCConfig(replicates=3000, seed=10)
-    fit = slln_rate_fit(IID(U11), [2**k for k in range(6, 12)], cfg)
-    assert -0.6 <= fit.slope <= -0.4
-    assert fit.band[0] <= fit.slope <= fit.band[1]
-    assert len(fit.quantiles) == 6
+    [rep] = slln_rate_fit(IID(U11), [2**k for k in range(6, 12)], cfg)
+    assert -0.6 <= rep.estimate <= -0.4
+    assert rep.se > 0.0
+    assert (rep.check, rep.param, rep.bound) == ("slln", "q=0.99", -0.45)
 
 
 def test_slln_rate_fit_zero_model_rejected():
@@ -275,10 +292,11 @@ def test_slln_rate_fit_zero_model_rejected():
 
 def test_clt_ks_distance_iid_rademacher():
     cfg = MCConfig(replicates=2000, seed=12)
-    rep = clt_ks_distance(IID(Rademacher()), 1024, cfg)
+    [rep] = clt_ks_distance(IID(Rademacher()), 1024, cfg)
     assert rep.verdict == DOMINATED
-    assert rep.ks_statistic <= rep.threshold
-    assert abs(rep.sign_estimate - 0.5) <= 3 * rep.sign_se
+    assert rep.estimate <= rep.bound
+    sums = replicate_paths(IID(Rademacher()), 1024, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1))
+    assert abs(float(np.mean(sums <= 0.0)) - 0.5) <= 3 * math.sqrt(0.25 / cfg.replicates)
 
 
 def test_clt_rejects_nonstationary():
