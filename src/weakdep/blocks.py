@@ -2,7 +2,8 @@
 
 A path of length n is cut into 2 r blocks of length p (r = floor(n / 2p)),
 alternating odd/even block sums plus a remainder, so that
-S_n = Z_odd + Z_even + R exactly.
+S_n = Z_odd + Z_even + R exactly.  A stack of paths is cut along its last
+axis, each row as on its own.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ def block_scheme(n: int, p_n: int) -> BlockScheme:
 
 @dataclass(frozen=True, eq=False)
 class BlockDecomposition:
+    """Block sums of one path; for a stack of paths each field holds one
+    entry per path along the leading axes."""
+
     blocks: np.ndarray  # 2 r block sums, block j covers indices (j-1)p+1 .. jp
     z_odd: float
     z_even: float
@@ -46,17 +50,18 @@ class BlockDecomposition:
 
 
 def decompose(path, scheme: BlockScheme) -> BlockDecomposition:
-    """Cut a path into alternating block sums; z_odd + z_even + remainder = S_n."""
+    """Cut a path, or each path of a stack along the last axis, into
+    alternating block sums; z_odd + z_even + remainder = S_n."""
     values = np.asarray(path, dtype=float)
-    if len(values) != scheme.n:
-        raise ValueError(f"path length {len(values)} does not match scheme n={scheme.n}")
+    if values.shape[-1:] != (scheme.n,):
+        raise ValueError(f"path shape {values.shape} does not match scheme n={scheme.n}")
     p, r = scheme.p_n, scheme.r_n
-    body = values[: 2 * r * p].reshape(2 * r, p)
-    blocks = body.sum(axis=1)
+    body = values[..., : 2 * r * p].reshape(*values.shape[:-1], 2 * r, p)
+    blocks = body.sum(axis=-1)
     return BlockDecomposition(
         blocks=blocks,
-        z_odd=float(blocks[0::2].sum()),
-        z_even=float(blocks[1::2].sum()),
-        remainder=float(values[2 * r * p :].sum()),
+        z_odd=blocks[..., 0::2].sum(axis=-1),
+        z_even=blocks[..., 1::2].sum(axis=-1),
+        remainder=values[..., 2 * r * p :].sum(axis=-1),
         scheme=scheme,
     )

@@ -97,8 +97,13 @@ class UniformOnInterval:
         return np.where(np.abs(x) <= h, 1.0 / (2.0 * h), 0.0)
 
     def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
+        # rng.uniform(-h, h, size) bit for bit, low + range * u, but scaled
+        # in place: numpy's broadcasting uniform loop is the slower one
         h = self.halfwidth
-        return rng.uniform(-h, h, size)
+        u = rng.random(size)
+        u *= h - (-h)
+        u += -h
+        return u
 
 
 @dataclass(frozen=True)
@@ -363,7 +368,8 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator) -> np
     the stream from index w on and is a prefix of the same path for any
     larger n.  The moving average is a sum of shifted slices accumulated
     in the order of np.convolve, a[p-1] eps[0:n] first, so width 1 gives
-    the full convolution cut to its n complete terms bit for bit.
+    the full convolution cut to its n complete terms bit for bit; each term
+    is formed in one scratch array.
     """
     if isinstance(model, IID):
         values = model.law.sample(rng, (n, width))
@@ -371,8 +377,9 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator) -> np
         a, p = model.coeffs, model.order
         eps = model.law.sample(rng, (n + p - 1, width))
         values = a[p - 1] * eps[:n]
+        term = np.empty_like(values)
         for j in range(p - 2, -1, -1):
-            values += a[j] * eps[p - 1 - j : p - 1 - j + n]
+            values += np.multiply(a[j], eps[p - 1 - j : p - 1 - j + n], out=term)
     elif isinstance(model, CumSumTransform):
         if n > len(model.coeffs):
             raise ValueError(

@@ -262,9 +262,7 @@ def check_tail_domination(
     theta_eff = math.log(scheme.p_n) / math.log(scheme.n)
     d_n = (4.0 * alpha * c * c / sigma2) * scheme.n ** (2.0 * theta_eff - 1.0) * math.log(scheme.n)
     params = bnd.BoundParams(c=c, sigma2=sigma2, p_n=scheme.p_n, d_n=d_n, n=scheme.n)
-    z_odd = replicate_paths(
-        model, scheme.n, cfg.replicates, cfg.seed, lambda x: [decompose(row, scheme).z_odd for row in x]
-    )
+    z_odd = replicate_paths(model, scheme.n, cfg.replicates, cfg.seed, lambda x: decompose(x, scheme).z_odd)
     reports = []
     for x in x_grid:
         count = int(np.sum(z_odd > x))

@@ -49,6 +49,20 @@ def test_decompose_block_indexing():
 def test_decompose_length_mismatch():
     with pytest.raises(ValueError):
         decompose(np.ones(5), block_scheme(6, 1))
+    with pytest.raises(ValueError):
+        decompose(np.ones((3, 5)), block_scheme(6, 1))
+
+
+@pytest.mark.parametrize("n, p", [(4096, 97), (1000, 31), (777, 5), (64, 32)])
+def test_decompose_stack_matches_rows(n, p):
+    # a stack of paths is cut row by row along its last axis, bit for bit
+    values = np.random.default_rng(n).normal(size=(40, n))
+    s = block_scheme(n, p)
+    d = decompose(values, s)
+    rows = [decompose(row, s) for row in values]
+    assert np.array_equal(d.blocks, np.stack([r.blocks for r in rows]))
+    for field in ("z_odd", "z_even", "remainder"):
+        assert np.array_equal(getattr(d, field), [getattr(r, field) for r in rows])
 
 
 @given(

@@ -52,6 +52,16 @@ def test_law_samples_are_centered_and_bounded():
         assert x.var() == pytest.approx(law.variance, rel=0.02)
 
 
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 3.0), (-2.5, 0.7)])
+@pytest.mark.parametrize("size", [1000, (1000 + 3 - 1, 65), (1000, 1)])
+def test_uniform_sample_matches_generator_uniform(a, b, size):
+    # scaling in place keeps numpy's uniform arithmetic, low + range * u
+    law = UniformOnInterval(a, b)
+    h = law.halfwidth
+    x = law.sample(np.random.default_rng(41), size)
+    assert np.array_equal(x, np.random.default_rng(41).uniform(-h, h, size))
+
+
 @pytest.mark.parametrize("law", [U11, Rademacher(), TruncatedGaussian(1.5)])
 @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.3, 1.7])
 def test_mgf_matches_quadrature_oracle(law, t):
