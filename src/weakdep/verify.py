@@ -386,6 +386,17 @@ def check_quasi_association_counterexample(
 # ---------------------------------------------------------------------------
 
 
+def _partial_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """np.cumsum(x, axis=1)[:, ends] up to rounding, for sorted column
+    indices ends: the row sums of each segment between consecutive ends,
+    then a running sum over those few columns, so no full-length running
+    sum is built."""
+    cuts, back = np.unique(ends, return_inverse=True)
+    starts = np.concatenate(([0], cuts[:-1] + 1))
+    return np.cumsum(np.add.reduceat(x[:, : cuts[-1] + 1], starts, axis=1), axis=1)[:, back]
+
+
+
 def slln_rate_fit(
     model: ModelSpec,
     n_grid: Sequence[int],
@@ -408,7 +419,7 @@ def slln_rate_fit(
         raise ValueError("need at least 3 distinct positive grid points to fit a slope")
     n_max = grid[-1]
     idx = np.asarray(grid) - 1
-    sums = replicate_paths(model, n_max, cfg.replicates, cfg.seed, lambda x: np.cumsum(x, axis=1)[:, idx])
+    sums = replicate_paths(model, n_max, cfg.replicates, cfg.seed, lambda x: _partial_sums(x, idx))
     vals = np.abs(sums) / np.asarray(grid)
     quantiles = np.quantile(vals, SLLN_QUANTILE, axis=0)
     x = np.log(np.asarray(grid, dtype=float))
@@ -482,7 +493,7 @@ def fclt_increment_check(
     if any(c2 == c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError(f"times {u} give an empty increment at n={n}")
     ends = np.asarray(cuts[1:]) - 1  # S_cut is the running sum through index cut - 1
-    sums = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: np.cumsum(x, axis=1)[:, ends])
+    sums = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: _partial_sums(x, ends))
     incs = np.diff(sums, axis=1, prepend=0.0) / math.sqrt(n)
     allowance = clt_bias_allowance(n) * sigma2
     valid = clt_bias_allowance(n) < min(t2 - t1 for t1, t2 in zip([0.0] + u, u))

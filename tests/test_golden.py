@@ -68,12 +68,12 @@ CASES = {
     ),
     "slln": (
         "ma11", "verify --check slln --n-grid 64,128,256,512,1024 --replicates 500", 0,
-        "12a14fbc7c22a78304f679329205454a4fc692829daa9c380ae17c1ec99d4183",
+        "3bb03bbcc7fd9be97b8d3b20e3b6127019dc5a61590df34259c3bb8f6f51d973",
     ),
     # a fitted slope below the -0.55 end of the window: VIOLATED, exit 1
     "slln-miss": (
         "ma11", "verify --check slln --n-grid 64,128,256 --replicates 200", 1,
-        "b1e07eee25d367c610a275b2d975fc05417b2422915209e7fa052bb4c803ec60",
+        "e7a699cc7ac5c27e4f293ecd844fcdb381ed7dfde396a034b6a90b25e27056d1",
     ),
     "clt": (
         "ma11", "verify --check clt --n 1024 --replicates 1000", 0,
@@ -86,7 +86,7 @@ CASES = {
     ),
     "fclt": (
         "ma11", "verify --check fclt --n 1024 --times 0.25,0.5,1 --replicates 1000", 0,
-        "bfc491445a402aa237f8157c48e249da428aeb018db74a047e65fdb6fbe2a354",
+        "5501cc1764799368f7f20132f684a0d6ca04768d98bd204e814b8afe5b96f003",
     ),
     # i.i.d. only: a moving average has no gamma(s,t) target
     "emp": (

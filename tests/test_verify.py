@@ -29,7 +29,7 @@ from weakdep import (
     sample_path,
     slln_rate_fit,
 )
-from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, marginal_transform
+from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, _partial_sums, marginal_transform
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -271,6 +271,22 @@ def test_quasi_rejects_nonuniform_law():
 
 
 # --- strong-law rate fit ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, ends",
+    [
+        (1000, [999]),  # a single end
+        (1000, [0, 1, 500, 999]),  # a first end at 0
+        (4096, [255, 1023, 2047]),  # ends that stop before the last column
+        (300, [63, 63, 127, 299]),  # a repeated end, as a repeated grid point gives
+    ],
+)
+def test_partial_sums_match_full_cumsum(n, ends):
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, (25, n))
+    ends = np.asarray(ends)
+    expected = np.cumsum(x, axis=1)[:, ends]
+    assert _partial_sums(x, ends) == pytest.approx(expected, rel=1e-12)
 
 
 def test_slln_rate_fit_iid_slope_near_half():
