@@ -355,7 +355,10 @@ def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
         def integrand(t, cs=cs):
             return math.exp(-beta * t * t / 4.0) * float(np.prod(model.law.chf(cs * t)))
 
-        val = _quad(integrand, -np.inf, np.inf)
+        try:
+            val = _quad(integrand, -np.inf, np.inf)
+        except QuadratureError as exc:
+            raise QuadratureError(f"gauss_bump_plus_x mean E g(S_{m}) with beta = {beta:g}: {exc}") from exc
         means.append(math.sqrt(beta / (4.0 * math.pi)) * val)
     return tuple(means)
 

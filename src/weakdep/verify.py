@@ -356,7 +356,8 @@ def check_quasi_association_counterexample(
     One row: the estimate is the first scale at which the inequality
     fails (NaN when none does) and the bound the largest scale scanned.
     It passes when such a scale is found and the envelope bound holds at
-    every scale.  The grid and alpha2 must be finite and positive.
+    every scale.  The grid and alpha2 must be finite and positive, and
+    OverflowError is raised when ||f||^2 is not a finite float.
     """
     if not isinstance(law, UniformOnInterval):
         raise ValueError("counterexample check needs a uniform innovation law")
@@ -368,14 +369,17 @@ def check_quasi_association_counterexample(
     e_g2 = nonneg_shift_mgf(law, -alpha2)
     # f = -log on the Y values at the reference scale: Y >= exp(-(a1_ref + a2) width)
     f_norm = math.exp((grid[0] + alpha2) * width)
+    f_norm2 = f_norm * f_norm  # finite ||f|| can still square past the float range
+    if not math.isfinite(f_norm2):
+        raise OverflowError(f"||f||^2 = exp(2 * {(grid[0] + alpha2) * width:g}) overflows")
     found = None
     lweak_holds = True
     for a1 in grid:
         var_g1 = nonneg_shift_mgf(law, -2.0 * a1) - nonneg_shift_mgf(law, -a1) ** 2
         lhs = a1 * a1 * law.variance  # Cov(X_1, X_2)
-        if found is None and not lhs <= f_norm * f_norm * e_g2 * var_g1:
+        if found is None and not lhs <= f_norm2 * e_g2 * var_g1:
             found = a1
-        lweak_holds = lweak_holds and lhs <= f_norm * f_norm * lhs  # ||g|| = 1 on [0, inf)
+        lweak_holds = lweak_holds and lhs <= f_norm2 * lhs  # ||g|| = 1 on [0, inf)
     estimate = math.nan if found is None else found
     ok = found is not None and lweak_holds
     return [make_report("quasi", f"alpha2={alpha2:g}", estimate, 0.0, grid[-1], ok, cfg)]

@@ -115,10 +115,11 @@ def test_usage_errors(iid_model, capsys):
         assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    # quasi scales that overflow ||f|| name both options; a non-finite
-    # --alpha2 is a usage error, not a verdict
+    # quasi scales that overflow ||f|| or its square name both options; a
+    # non-finite --alpha2 is a usage error, not a verdict
     overflow = ("--alpha1-grid", "--alpha2")
     for argv, words in ((["--alpha1-grid", "400:401:1"], overflow), (["--alpha2", "1000"], overflow),
+                        (["--alpha2", "200"], overflow),
                         (["--alpha2", "inf"], ("finite",)), (["--alpha2", "nan"], ("finite",))):
         capsys.readouterr()
         assert run(["verify", "--check", "quasi", *argv, "--model", iid_model, "--replicates", "100"]) == 2
@@ -145,11 +146,11 @@ def test_malformed_model_json(tmp_path, capsys):
     cumsum = {"variant": "cumsum_transform", "coeffs": [1.0, 1.0], "law": law}
     decompose = ["decompose", "--n", "2", "--p", "1"]
     cases = [(doc, ["coeffs"], "") for doc in bad_docs] + [
-        # well-formed models whose centering mean overflows (naming the
-        # field at fault) or whose quadrature diverges
+        # well-formed models whose centering mean overflows or whose
+        # quadrature diverges, naming the field at fault
         (json.dumps({**cumsum, "coeffs": [1000.0, 1.0], "transform": {"variant": "neg_exp"}}), decompose, "coeffs"),
         (json.dumps({**cumsum, "coeffs": [700.0, 700.0], "transform": {"variant": "neg_exp"}}), decompose, "coeffs"),
-        (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": 1e-9}}), decompose, ""),
+        (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": 1e-9}}), decompose, "beta"),
     ]
     bad = tmp_path / "bad.json"
     for doc, argv, word in cases:
