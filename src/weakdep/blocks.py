@@ -3,7 +3,7 @@
 A path of length n is cut into 2 r blocks of length p (r = floor(n / 2p)),
 alternating odd/even block sums plus a remainder, so that
 S_n = Z_odd + Z_even + R exactly.  A stack of paths is cut along its last
-axis, each row as on its own.
+axis, each row exactly as it is cut on its own.
 """
 
 from __future__ import annotations

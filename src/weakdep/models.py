@@ -383,6 +383,7 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator) -> np
         term = np.empty_like(values)
         for j in range(p - 2, -1, -1):
             values += np.multiply(a[j], eps[p - 1 - j : p - 1 - j + n], out=term)
+        del term  # freed before the transposed copy below, which sets the peak memory
     elif isinstance(model, CumSumTransform):
         if n > len(model.coeffs):
             raise ValueError(

@@ -391,14 +391,13 @@ def check_quasi_association_counterexample(
 
 
 def _partial_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """np.cumsum(x, axis=1)[:, ends] up to rounding, for sorted column
-    indices ends: the row sums of each segment between consecutive ends,
-    then a running sum over those few columns, so no full-length running
-    sum is built."""
+    """np.cumsum(x, axis=1)[:, ends] up to rounding: the row sums of each
+    segment between consecutive distinct ends, then a running sum over
+    those few columns, so no full-length running sum is built.  A repeated
+    end, as a repeated slln grid point gives, repeats its column."""
     cuts, back = np.unique(ends, return_inverse=True)
     starts = np.concatenate(([0], cuts[:-1] + 1))
     return np.cumsum(np.add.reduceat(x[:, : cuts[-1] + 1], starts, axis=1), axis=1)[:, back]
-
 
 
 def slln_rate_fit(
