@@ -300,7 +300,7 @@ def _check_quasi(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationRepo
         return check_quasi_association_counterexample(grid, args.alpha2, model.law, cfg)
     except OverflowError:
         raise ConfigError(
-            f"--alpha1-grid start {grid[0]:g} plus --alpha2 {args.alpha2:g} is too large: ||f|| overflows"
+            f"--alpha1-grid start {grid[0]:g} plus --alpha2 {args.alpha2:g} is too large: ||f||^2 overflows"
         ) from None
 
 
