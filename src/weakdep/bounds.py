@@ -22,7 +22,7 @@ class BoundParams:
     """Inputs of the tail bound.
 
     c is the almost-sure bound on the variables, sigma2 the long-run
-    variance, p_n the block length, d_n > 1 the slack sequence, n the
+    variance, p_n the block length, d_n > 1 the finite slack sequence, n the
     sample size.  r_n = floor(n / 2 p_n) block pairs.
     """
 
@@ -37,8 +37,8 @@ class BoundParams:
             raise ValueError(f"almost-sure bound c must be positive, got {self.c}")
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not self.d_n > 1:
-            raise ValueError(f"d_n must exceed 1, got {self.d_n}")
+        if not 1 < self.d_n < math.inf:
+            raise ValueError(f"d_n must be finite and exceed 1, got {self.d_n}")
         if not 1 <= self.p_n <= self.n / 2:
             raise ValueError(f"need 1 <= p_n <= n/2, got p_n={self.p_n}, n={self.n}")
 
@@ -93,10 +93,11 @@ def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
         raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
     t = x / (2.0 * params.sigma2 * params.n * params.d_n)
     violated = []
-    if t > params.mgf_threshold:
+    # written so that a NaN t fails both hypotheses
+    if not t <= params.mgf_threshold:
         violated.append("t_exceeds_block_mgf_threshold")
     ratio_term = 2.0 * t * params.sigma2 * params.d_n - params.c
-    if ratio_term >= 0:
+    if not ratio_term < 0:
         violated.append("series_ratio_not_contracting")
     log_ratio = t * params.p_n * ratio_term
     gsum = geometric_sum(log_ratio, params.r_n - 1)
@@ -155,11 +156,15 @@ class RateSchedule:
         return self.epsilon_n / (2.0 * self.sigma2 * self.d_n)
 
 
+def _check_alpha(alpha: float):
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
+
+
 def _check_theta_alpha(theta: float, alpha: float):
     if not 0.5 < theta < 1.0:
         raise ValueError(f"theta must lie in (1/2, 1), got {theta}")
-    if not alpha > 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    _check_alpha(alpha)
 
 
 def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -> RateSchedule:

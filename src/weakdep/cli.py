@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -162,18 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out")
     p_ver.add_argument("--format", choices=("csv", "json"))
-    p_ver.add_argument("--n", type=int)
-    p_ver.add_argument("--theta", type=float, default=0.55)
-    p_ver.add_argument("--alpha", type=float, default=2.0)
-    p_ver.add_argument("--x-grid")
-    p_ver.add_argument("--t-grid", default="0.25,0.5,1")
-    p_ver.add_argument("--times", default="0.25,0.5,1")
-    p_ver.add_argument("--alpha2", type=float, default=1.0)
-    p_ver.add_argument("--alpha1-grid", default="1:50:1")
-    p_ver.add_argument("--cases", type=int, default=10)
-    p_ver.add_argument("--s", type=float, default=0.3)
-    p_ver.add_argument("--t", type=float, default=0.7)
-    p_ver.add_argument("--n-grid", default="256,512,1024,2048,4096,8192,16384")
+    for name, default in _options(*CHECKS.values()).items():
+        p_ver.add_argument(_flag(name), type=type(default))
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -261,67 +252,63 @@ def random_cov_cases(model: ModelSpec, n: int, cases: int, seed: int):
     return out
 
 
-def _n(args, default: int) -> int:
-    """--n, or the check's default when the flag is absent."""
-    return default if args.n is None else args.n
+def _list(spec: str, kind: type, option: str) -> list:
+    try:
+        return [kind(v) for v in spec.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{option} must be a comma-separated list of {kind.__name__}s, got {spec!r}") from None
 
 
-def _floats(spec: str) -> list[float]:
-    return [float(v) for v in spec.split(",") if v]
-
-
-def _check_cov(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    n = _n(args, 24)
+def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
     paths = replicate_paths(model, n, cfg.replicates, cfg.seed)
     return [
         check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
-        for f_spec, g_spec, I, J in random_cov_cases(model, n, args.cases, args.seed)
+        for f_spec, g_spec, I, J in random_cov_cases(model, n, cases, cfg.seed)
     ]
 
 
-def _check_tail(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    n = _n(args, 4096)
-    if not 0.5 < args.theta < 1.0:
-        raise ConfigError(f"theta must lie in (1/2, 1), got {args.theta}")
-    scheme = block_scheme(n, max(1, math.floor(n ** args.theta)))
-    grid = parse_grid(args.x_grid or "0:4000:250")
-    return check_tail_domination(model, scheme, grid, cfg, alpha=args.alpha)
+def _check_tail(model: ModelSpec, cfg: MCConfig, *, n=4096, theta=0.55, alpha=2.0,
+                x_grid="0:4000:250") -> list[VerificationReport]:
+    if not 0.5 < theta < 1.0:
+        raise ConfigError(f"theta must lie in (1/2, 1), got {theta}")
+    scheme = block_scheme(n, max(1, math.floor(n ** theta)))
+    return check_tail_domination(model, scheme, parse_grid(x_grid), cfg, alpha=alpha)
 
 
-def _check_newman(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    return check_newman(model, _n(args, 8), _floats(args.t_grid), cfg)
+def _check_newman(model: ModelSpec, cfg: MCConfig, *, n=8, t_grid="0.25,0.5,1") -> list[VerificationReport]:
+    return check_newman(model, n, _list(t_grid, float, "--t-grid"), cfg)
 
 
-def _check_quasi(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
+def _check_quasi(model: ModelSpec, cfg: MCConfig, *, alpha1_grid="1:50:1", alpha2=1.0) -> list[VerificationReport]:
     if not isinstance(model.law, UniformOnInterval):
         raise ConfigError("quasi check needs a model with a uniform innovation law")
-    grid = parse_grid(args.alpha1_grid)
+    grid = parse_grid(alpha1_grid)
     try:
-        return check_quasi_association_counterexample(grid, args.alpha2, model.law, cfg)
+        return check_quasi_association_counterexample(grid, alpha2, model.law, cfg)
     except OverflowError:
         raise ConfigError(
-            f"--alpha1-grid start {grid[0]:g} plus --alpha2 {args.alpha2:g} is too large: ||f||^2 overflows"
+            f"--alpha1-grid start {grid[0]:g} plus --alpha2 {alpha2:g} is too large: ||f||^2 overflows"
         ) from None
 
 
-def _check_slln(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    return slln_rate_fit(model, [int(v) for v in args.n_grid.split(",") if v], cfg)
+def _check_slln(model: ModelSpec, cfg: MCConfig, *,
+                n_grid="256,512,1024,2048,4096,8192,16384") -> list[VerificationReport]:
+    return slln_rate_fit(model, _list(n_grid, int, "--n-grid"), cfg)
 
 
-def _check_clt(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    return clt_ks_distance(model, _n(args, 4096), cfg)
+def _check_clt(model: ModelSpec, cfg: MCConfig, *, n=4096) -> list[VerificationReport]:
+    return clt_ks_distance(model, n, cfg)
 
 
-def _check_fclt(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    return fclt_increment_check(model, _floats(args.times), _n(args, 4096), cfg)
+def _check_fclt(model: ModelSpec, cfg: MCConfig, *, n=4096, times="0.25,0.5,1") -> list[VerificationReport]:
+    return fclt_increment_check(model, _list(times, float, "--times"), n, cfg)
 
 
-def _check_emp(args, model: ModelSpec, cfg: MCConfig) -> list[VerificationReport]:
-    s, t = args.s, args.t
+def _check_emp(model: ModelSpec, cfg: MCConfig, *, n=4096, s=0.3, t=0.7) -> list[VerificationReport]:
     for option, value in (("--s", s), ("--t", t)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{option} must lie in [0, 1], got {value:g}")
-    zeta = empirical_process_path(model, _n(args, 4096), [0.0, 1.0], cfg.seed)
+    zeta = empirical_process_path(model, n, [0.0, 1.0], cfg.seed)
     reports = [
         make_report("emp", label, value, 0.0, 0.0, value == 0.0, cfg)
         for label, value in zip(("zeta(0)", "zeta(1)"), zeta)
@@ -348,14 +335,26 @@ CHECKS = {
 }
 
 
+def _options(*checks) -> dict:
+    """The options the given verify checks read, name -> default: their keyword-only parameters."""
+    params = [p for check in checks for p in inspect.signature(check).parameters.values()]
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _cmd_verify(args) -> int:
+    check = CHECKS[args.check]
+    given = {name: getattr(args, name) for name in _options(*CHECKS.values()) if getattr(args, name) is not None}
+    if unread := [_flag(name) for name in given if name not in _options(check)]:
+        raise ConfigError(f"verify --check {args.check} does not read {', '.join(unread)}")
     cfg = MCConfig(replicates=args.replicates, seed=args.seed)
-    reports = CHECKS[args.check](args, _load_model(args.model), cfg)
+    reports = check(_load_model(args.model), cfg, **given)
     if not reports:
         raise ConfigError(f"verify --check {args.check} has no rows to report with these arguments")
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if (args.out or "").endswith(".json") else "csv"
+    fmt = args.format or ("json" if (args.out or "").endswith(".json") else "csv")
     emit_report(reports, fmt, args.out)
     return 1 if any(rep.verdict == VIOLATED for rep in reports) else 0
 
@@ -368,8 +367,8 @@ def run(argv: Sequence[str]) -> int:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return int(exc.code or 0)
     if args.list_checks:
-        for name in CHECKS:
-            print(name)
+        for name, check in CHECKS.items():
+            print(name, *(f"{_flag(o)}={default}" for o, default in _options(check).items()))
         return 0
     if args.command is None:
         parser.print_usage(sys.stderr)

@@ -252,8 +252,10 @@ def check_tail_domination(
 
     Requires a bounded model (compact-support law, i.i.d. or moving
     average).  d_n is the bounded-case schedule evaluated at the scheme's
-    effective theta = log p / log n.
+    effective theta = log p / log n; alpha must be finite and exceed 1, as
+    for the schedule.
     """
+    bnd._check_alpha(alpha)
     c = almost_sure_bound(model)
     if c is None:
         raise ValueError("tail domination needs a bounded model")
@@ -391,13 +393,12 @@ def check_quasi_association_counterexample(
 
 
 def _partial_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """np.cumsum(x, axis=1)[:, ends] up to rounding: the row sums of each
-    segment between consecutive distinct ends, then a running sum over
-    those few columns, so no full-length running sum is built.  A repeated
-    end, as a repeated slln grid point gives, repeats its column."""
-    cuts, back = np.unique(ends, return_inverse=True)
-    starts = np.concatenate(([0], cuts[:-1] + 1))
-    return np.cumsum(np.add.reduceat(x[:, : cuts[-1] + 1], starts, axis=1), axis=1)[:, back]
+    """np.cumsum(x, axis=1)[:, ends] up to rounding, for strictly increasing
+    ends: the row sums of each segment between consecutive ends, then a
+    running sum over those few columns, so no full-length running sum is
+    built."""
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return np.cumsum(np.add.reduceat(x[:, : ends[-1] + 1], starts, axis=1), axis=1)
 
 
 def slln_rate_fit(
@@ -412,13 +413,17 @@ def slln_rate_fit(
     makes every smaller n an exact prefix, so all grid points share
     innovations and the fitted log-log slope is read off a single pass.
     One row: the slope with its least-squares SE, against the upper end of
-    SLLN_SLOPE_WINDOW; it passes when the slope lies in the window.
+    SLLN_SLOPE_WINDOW; it passes when the slope lies in the window.  A
+    repeated grid point is an error: it is no independent observation.
     """
     if not is_stationary(model):
         raise ValueError("rate fit requires a stationary model")
     long_run_variance(model)  # raises on degenerate models
     grid = sorted(int(n) for n in n_grid)
-    if len(set(grid)) < 3 or grid[0] < 1:
+    repeats = sorted({a for a, b in zip(grid, grid[1:]) if a == b})
+    if repeats:
+        raise ValueError(f"grid points must be distinct: {', '.join(map(str, repeats))} repeated")
+    if len(grid) < 3 or grid[0] < 1:
         raise ValueError("need at least 3 distinct positive grid points to fit a slope")
     n_max = grid[-1]
     idx = np.asarray(grid) - 1

@@ -41,6 +41,9 @@ def test_bound_params_validation():
         BoundParams(c=1.0, sigma2=1.0, p_n=40, d_n=2.0, n=64)  # p > n/2
     with pytest.raises(ValueError):
         BoundParams(c=-1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
+    for d_n in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=d_n, n=64)
 
 
 # --- tail bound ------------------------------------------------------------
@@ -68,6 +71,12 @@ def test_tail_bound_invalid_when_deviation_reaches_bound_scale():
     ev = tail_bound(40.0, PARAMS, 0.1)
     assert ev.violated_conditions == ("t_exceeds_block_mgf_threshold",)
     assert 0.0 < ev.value < math.inf
+
+
+def test_tail_bound_nan_point_is_invalid():
+    ev = tail_bound(math.nan, PARAMS, 0.1)
+    assert not ev.valid
+    assert ev.violated_conditions == ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting")
 
 
 def test_tail_bound_full_hand_evaluation():
@@ -149,8 +158,9 @@ def test_slln_schedule_rejects_bad_theta():
         slln_schedule(1024, 0.5, 2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         slln_schedule(1024, 1.2, 2.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        slln_schedule(1024, 0.7, 1.0, 1.0, 1.0)
+    for alpha in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and exceed 1"):
+            slln_schedule(1024, 0.7, alpha, 1.0, 1.0)
 
 
 # --- unbounded-case schedule -----------------------------------------------

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, VerificationReport, model_to_json
-from weakdep.cli import MAX_GRID_POINTS, ConfigError, emit_report, parse_grid, run
+from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
 MA11_JSON = model_to_json(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
@@ -131,6 +131,49 @@ def test_usage_errors(iid_model, capsys):
         capsys.readouterr()
         assert run(["verify", "--check", "emp", option, value, "--model", iid_model, "--replicates", "100"]) == 2
         assert capsys.readouterr() == ("", f"error: {option} must lie in [0, 1], got {value}\n")
+    # a malformed list entry names its option; an empty tail grid is no default grid
+    for argv, line in (
+        (["--check", "newman", "--t-grid", "abc"], "--t-grid must be a comma-separated list of floats, got 'abc'"),
+        (["--check", "fclt", "--times", "0.5,x"], "--times must be a comma-separated list of floats, got '0.5,x'"),
+        (["--check", "slln", "--n-grid", "1e3"], "--n-grid must be a comma-separated list of ints, got '1e3'"),
+        (["--check", "tail", "--x-grid", ""], "grid must be start:stop:step, got ''"),
+    ):
+        capsys.readouterr()
+        assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+    # alpha must be finite and exceed 1, in bound and in the tail check alike
+    for argv, line in (
+        (["bound", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),
+        (["bound", "--alpha", "1e308"], "d_n must be finite and exceed 1, got inf"),
+        (["verify", "--check", "tail", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),
+        (["verify", "--check", "tail", "--alpha", "1e308"], "d_n must be finite and exceed 1, got inf"),
+        (["verify", "--check", "tail", "--alpha", "0.5"], "alpha must be finite and exceed 1, got 0.5"),
+    ):
+        capsys.readouterr()
+        assert run([*argv, "--model", iid_model]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+ALL_OPTIONS = _options(*CHECKS.values())
+
+
+@pytest.mark.parametrize(
+    "check, option",
+    [(check, option) for check in CHECKS for option in ALL_OPTIONS if option not in _options(CHECKS[check])],
+)
+def test_verify_rejects_an_option_the_check_does_not_read(check, option, capsys):
+    flag = "--" + option.replace("_", "-")
+    # rejected before the model file is read
+    argv = ["verify", "--check", check, flag, str(ALL_OPTIONS[option]), "--model", "/nonexistent/model.json"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: verify --check {check} does not read {flag}\n")
+
+
+def test_each_option_has_one_type_across_checks():
+    # the parser converts an option with the type of its default
+    for name in ALL_OPTIONS:
+        kinds = {type(_options(check)[name]) for check in CHECKS.values() if name in _options(check)}
+        assert len(kinds) == 1, (name, kinds)
 
 
 def test_malformed_model_json(tmp_path, capsys):
@@ -163,10 +206,18 @@ def test_malformed_model_json(tmp_path, capsys):
 
 def test_version_and_list_checks(capsys):
     assert run(["--version"]) == 0
+    capsys.readouterr()
     assert run(["--list-checks"]) == 0
-    out = capsys.readouterr().out
-    for name in ("cov", "tail", "newman", "quasi", "slln", "clt", "fclt", "emp"):
-        assert name in out
+    assert capsys.readouterr().out == (
+        "cov --n=24 --cases=10\n"
+        "tail --n=4096 --theta=0.55 --alpha=2.0 --x-grid=0:4000:250\n"
+        "newman --n=8 --t-grid=0.25,0.5,1\n"
+        "quasi --alpha1-grid=1:50:1 --alpha2=1.0\n"
+        "slln --n-grid=256,512,1024,2048,4096,8192,16384\n"
+        "clt --n=4096\n"
+        "fclt --n=4096 --times=0.25,0.5,1\n"
+        "emp --n=4096 --s=0.3 --t=0.7\n"
+    )
 
 
 def test_verify_newman_iid_exit_zero(tmp_path, iid_model):

@@ -25,10 +25,12 @@ from weakdep import (
     estimate_gamma_operator,
     fclt_increment_check,
     make_report,
+    model_to_json,
     replicate_paths,
     sample_path,
     slln_rate_fit,
 )
+from weakdep.cli import run
 from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, _partial_sums, marginal_transform
 
 U11 = UniformOnInterval(-1.0, 1.0)
@@ -279,7 +281,6 @@ def test_quasi_rejects_nonuniform_law():
         (1000, [999]),  # a single end
         (1000, [0, 1, 500, 999]),  # a first end at 0
         (4096, [255, 1023, 2047]),  # ends that stop before the last column
-        (300, [63, 63, 127, 299]),  # a repeated end, as a repeated grid point gives
     ],
 )
 def test_partial_sums_match_full_cumsum(n, ends):
@@ -287,6 +288,17 @@ def test_partial_sums_match_full_cumsum(n, ends):
     ends = np.asarray(ends)
     expected = np.cumsum(x, axis=1)[:, ends]
     assert _partial_sums(x, ends) == pytest.approx(expected, rel=1e-12)
+
+
+def test_slln_rate_fit_rejects_repeated_grid_point(tmp_path, capsys):
+    # a repeated point is no independent observation: it would shrink the slope SE
+    with pytest.raises(ValueError, match="64 repeated"):
+        slln_rate_fit(MA11_U, [64, 64, 64, 128, 256, 512], MCConfig(replicates=500, seed=0))
+    model = tmp_path / "ma11.json"
+    model.write_text(model_to_json(MA11_U))
+    argv = ["verify", "--check", "slln", "--model", str(model), "--replicates", "500", "--n-grid", "64,128,64,256"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: grid points must be distinct: 64 repeated\n")
 
 
 def test_slln_rate_fit_iid_slope_near_half():
