@@ -46,6 +46,16 @@ CASES = {
         "ma11", "bound --n 4096 --x-grid 0:4000:250", 0,
         "f82216c36ef0c23ee3761378d1aa0c9e75f733df991b94edc4534e01ad2d0ed2",
     ),
+    # a dense grid whose upper end crosses x/n >= c: valid=false rows
+    "bound-dense": (
+        "ma3", "bound --n 64 --x-grid 0:2000:0.5", 0,
+        "e18db2275ba692124bfcd3bcd85e8d572386cd6e749641481cca71d71f5f4a9f",
+    ),
+    # n_max no larger than the number of nonzero coefficients
+    "coeffs-short": (
+        "ma3", "coeffs --n-max 2", 0,
+        "fdf039c59e2413b37d73a0269db6907c281dcf11361a0fd994e2e3da4a89050c",
+    ),
     "cov": (
         "ma3", "verify --check cov --n 24 --cases 5 --replicates 2000", 0,
         "757a5b75595f54107b9371ef15cfd1cd4b2a8c15cbfef7d6a84df8d35cebdc82",
