@@ -5,7 +5,9 @@ violated hypotheses instead of erroring, so the verification harness can
 report behavior across the validity boundary.  No unspecified constants
 are materialized anywhere: the bound is the fully explicit pre-constant
 form of the odd-block tail inequality, the Markov bound on the block-MGF
-of the odd-block sum at the optimized exponent.
+of the odd-block sum at the optimized exponent.  The formula lives in one
+kernel over an array of x, which the bound command calls once per grid;
+tail_bound is its one-point case.
 """
 
 from __future__ import annotations
@@ -62,22 +64,39 @@ class BoundEvaluation:
         return not self.violated_conditions
 
 
-def geometric_sum(log_ratio: float, terms: int) -> float:
-    """sum_{j=0}^{terms-1} exp(j * log_ratio), stable for any ratio.
+def geometric_sum(log_ratio, terms: int):
+    """sum_{j=0}^{terms-1} exp(j * log_ratio) elementwise, stable for any ratio.
 
     The expm1 ratio expm1(m a)/expm1(a) avoids the cancellation of
     (1 - q^m)/(1 - q) near q = 1 and agrees with it elsewhere; far in the
-    growing regime the top term dominates and is returned alone.
+    growing regime the top term dominates and is returned alone.  A scalar
+    log_ratio gives a float.
     """
-    if terms <= 0:
-        return 0.0
-    if log_ratio == 0.0:
-        return float(terms)
-    with np.errstate(over="ignore"):
-        if log_ratio > 350.0:
-            # remaining terms are smaller by at least exp(-350)
-            return float(np.exp((terms - 1) * log_ratio))
-        return float(np.expm1(terms * log_ratio) / np.expm1(log_ratio))
+    a = np.asarray(log_ratio, dtype=float)
+    # np.where evaluates every branch on every lane: expm1(0)/expm1(0) and the
+    # overflows of the lanes it discards must not warn
+    with np.errstate(all="ignore"):
+        # remaining terms are smaller by at least exp(-350)
+        out = np.where(a > 350.0, np.exp((terms - 1) * a), np.expm1(terms * a) / np.expm1(a))
+    out = np.where(terms <= 0, 0.0, np.where(a == 0.0, terms, out))
+    return float(out) if out.ndim == 0 else out
+
+
+def _tail_bound_grid(x, params: BoundParams, v_pn: float):
+    """The bound of tail_bound at every point of x, with its two hypotheses:
+    (value, t below the block-MGF threshold, series ratio contracting)."""
+    if v_pn < 0:
+        raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        t = x / (2.0 * params.sigma2 * params.n * params.d_n)
+        # written so that a NaN t fails both hypotheses
+        t_ok = t <= params.mgf_threshold
+        ratio_term = 2.0 * t * params.sigma2 * params.d_n - params.c
+        gsum = geometric_sum(t * params.p_n * ratio_term, params.r_n - 1)
+        first = t * t * np.exp(t * params.c * params.n / 2.0 - t * x) * params.p_n * v_pn * gsum
+        second = np.exp(-x * x / (4.0 * params.sigma2 * params.n * params.d_n))
+        return np.where((t == 0.0) | (v_pn == 0.0), 0.0, first) + second, t_ok, ratio_term < 0
 
 
 def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
@@ -89,27 +108,10 @@ def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
     Valid when t clears the block-MGF threshold and the series ratio is
     contracting, 2 t sigma2 d_n - c < 0 (equivalently x/n < c).
     """
-    if v_pn < 0:
-        raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
-    t = x / (2.0 * params.sigma2 * params.n * params.d_n)
-    violated = []
-    # written so that a NaN t fails both hypotheses
-    if not t <= params.mgf_threshold:
-        violated.append("t_exceeds_block_mgf_threshold")
-    ratio_term = 2.0 * t * params.sigma2 * params.d_n - params.c
-    if not ratio_term < 0:
-        violated.append("series_ratio_not_contracting")
-    log_ratio = t * params.p_n * ratio_term
-    gsum = geometric_sum(log_ratio, params.r_n - 1)
-    with np.errstate(over="ignore"):
-        if v_pn == 0.0 or t == 0.0:
-            first = 0.0
-        else:
-            first = float(
-                t * t * np.exp(t * params.c * params.n / 2.0 - t * x) * params.p_n * v_pn * gsum
-            )
-        second = float(np.exp(-x * x / (4.0 * params.sigma2 * params.n * params.d_n)))
-    return BoundEvaluation(value=first + second, violated_conditions=tuple(violated))
+    value, t_ok, ratio_ok = _tail_bound_grid(x, params, v_pn)
+    violated = [name for name, ok in (("t_exceeds_block_mgf_threshold", t_ok),
+                                      ("series_ratio_not_contracting", ratio_ok)) if not ok]
+    return BoundEvaluation(value=float(value), violated_conditions=tuple(violated))
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,14 @@ import math
 import os
 import sys
 import tempfile
+from itertools import repeat
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .blocks import block_scheme, decompose
-from .bounds import BoundParams, slln_schedule, tail_bound
+from .bounds import BoundParams, _tail_bound_grid, slln_schedule
 from .coefficients import gamma_sequence, long_run_variance
 from .models import (IID, ModelSpec, QuadratureError, UniformOnInterval, almost_sure_bound, model_from_json,
                      replicate_paths, sample_path)
@@ -43,12 +46,14 @@ from .verify import (
     estimate_gamma_operator,
     fclt_increment_check,
     make_report,
+    _slln_grid,
     slln_rate_fit,
 )
 
 REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationReport))
 
 MAX_GRID_POINTS = 1_000_000
+_D_N_OVERFLOW = "--alpha {:g} is too large: d_n overflows"
 
 
 class ConfigError(Exception):
@@ -84,7 +89,7 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str, path: Optional[
     writes to stdout.
     """
     if fmt == "csv":
-        text = _csv_text(REPORT_COLUMNS, [dataclasses.astuple(rep) for rep in reports])
+        text = _csv_text(REPORT_COLUMNS, [[getattr(rep, name) for rep in reports] for name in REPORT_COLUMNS])
     elif fmt == "json":
         text = json.dumps([dataclasses.asdict(rep) for rep in reports], indent=2) + "\n"
     else:
@@ -106,12 +111,15 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid needs step > 0 and stop >= start, got {spec!r}")
-    out = []
-    for k in range(MAX_GRID_POINTS + 1):
-        x = start + k * step
-        if x > stop + 1e-12:
-            return out
-        out.append(min(x, stop))
+    # point k is start + k*step up to the first beyond stop + 1e-12; the count guess
+    # falls short when start + k*step rounds (a huge start), so a miss retries at the limit
+    span = (stop - start) / step
+    guess = int(span) + 2 if span < MAX_GRID_POINTS else MAX_GRID_POINTS + 1
+    for count in dict.fromkeys((guess, MAX_GRID_POINTS + 1)):
+        x = start + np.arange(count) * step
+        beyond = np.flatnonzero(x > stop + 1e-12)
+        if beyond.size:
+            return np.where(stop < x, stop, x)[: beyond[0]].tolist()
     raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
 
 
@@ -169,12 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence], footer: Optional[str] = None) -> str:
+def _csv_text(header: Sequence[str], columns: Sequence, footer: Optional[str] = None) -> str:
+    """CSV of equal-length columns; a float64 array is formatted in one map, others by _fmt."""
+    cells = [
+        map(format, col.tolist(), repeat(".17g")) if isinstance(col, np.ndarray) and col.dtype == np.float64
+        else map(_fmt, col.tolist() if isinstance(col, np.ndarray) else col)
+        for col in columns
+    ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(zip(*cells))
     text = buf.getvalue()
     if footer is not None:
         text += footer + "\n"
@@ -193,8 +206,12 @@ def _cmd_coeffs(args) -> int:
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     gamma = gamma_sequence(model)
-    rows = [(k, gamma.gamma(k), gamma.tail_sum(k)) for k in range(1, args.n_max + 1)]
-    _write_or_print(_csv_text(("k", "gamma", "v"), rows), args.out)
+    # gamma_k and v(k) are 0 beyond the last nonzero coefficient
+    known = min(len(gamma.values), args.n_max)
+    g, v = np.zeros(args.n_max), np.zeros(args.n_max)
+    g[:known] = gamma.values[:known]
+    v[:known] = [gamma.tail_sum(k) for k in range(1, known + 1)]
+    _write_or_print(_csv_text(("k", "gamma", "v"), (range(1, args.n_max + 1), g, v)), args.out)
     return 0
 
 
@@ -203,11 +220,10 @@ def _cmd_decompose(args) -> int:
     scheme = block_scheme(args.n, args.p)
     path = sample_path(model, args.n, args.seed)
     dec = decompose(path, scheme)
-    rows = [(j + 1, y) for j, y in enumerate(dec.blocks)]
     footer = (
         f"# z_odd={_fmt(dec.z_odd)} z_even={_fmt(dec.z_even)} remainder={_fmt(dec.remainder)}"
     )
-    _write_or_print(_csv_text(("j", "Y"), rows, footer), args.out)
+    _write_or_print(_csv_text(("j", "Y"), (range(1, len(dec.blocks) + 1), dec.blocks), footer), args.out)
     return 0
 
 
@@ -218,13 +234,13 @@ def _cmd_bound(args) -> int:
         raise ConfigError("bound evaluation needs a bounded model")
     sigma2 = long_run_variance(model)
     sched = slln_schedule(args.n, args.theta, args.alpha, sigma2, c)
+    if math.isinf(sched.d_n):
+        raise ConfigError(_D_N_OVERFLOW.format(args.alpha))
     params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=args.n)
     v_pn = gamma_sequence(model).tail_sum(sched.p_n)
-    rows = []
-    for x in parse_grid(args.x_grid):
-        ev = tail_bound(x, params, v_pn)
-        rows.append((x, ev.value, ev.valid))
-    _write_or_print(_csv_text(("x", "bound", "valid"), rows), args.out)
+    x = np.array(parse_grid(args.x_grid))
+    value, t_ok, ratio_ok = _tail_bound_grid(x, params, v_pn)
+    _write_or_print(_csv_text(("x", "bound", "valid"), (x, value, t_ok & ratio_ok)), args.out)
     return 0
 
 
@@ -237,8 +253,6 @@ def _random_pl(rng) -> PiecewiseLinear:
 
 def random_cov_cases(model: ModelSpec, n: int, cases: int, seed: int):
     """Randomized (f, g, I, J) cases with disjoint index sets in 1..n."""
-    import numpy as np
-
     rng = np.random.default_rng([seed, 202])
     out = []
     for _ in range(cases):
@@ -272,7 +286,10 @@ def _check_tail(model: ModelSpec, cfg: MCConfig, *, n=4096, theta=0.55, alpha=2.
     if not 0.5 < theta < 1.0:
         raise ConfigError(f"theta must lie in (1/2, 1), got {theta}")
     scheme = block_scheme(n, max(1, math.floor(n ** theta)))
-    return check_tail_domination(model, scheme, parse_grid(x_grid), cfg, alpha=alpha)
+    try:
+        return check_tail_domination(model, scheme, parse_grid(x_grid), cfg, alpha=alpha)
+    except OverflowError:
+        raise ConfigError(_D_N_OVERFLOW.format(alpha)) from None
 
 
 def _check_newman(model: ModelSpec, cfg: MCConfig, *, n=8, t_grid="0.25,0.5,1") -> list[VerificationReport]:
@@ -293,7 +310,9 @@ def _check_quasi(model: ModelSpec, cfg: MCConfig, *, alpha1_grid="1:50:1", alpha
 
 def _check_slln(model: ModelSpec, cfg: MCConfig, *,
                 n_grid="256,512,1024,2048,4096,8192,16384") -> list[VerificationReport]:
-    return slln_rate_fit(model, _list(n_grid, int, "--n-grid"), cfg)
+    grid = _list(n_grid, int, "--n-grid")
+    _slln_grid(grid, "--n-grid")
+    return slln_rate_fit(model, grid, cfg)
 
 
 def _check_clt(model: ModelSpec, cfg: MCConfig, *, n=4096) -> list[VerificationReport]:

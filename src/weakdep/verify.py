@@ -263,6 +263,8 @@ def check_tail_domination(
     v_pn = gamma_sequence(model).tail_sum(scheme.p_n)
     theta_eff = math.log(scheme.p_n) / math.log(scheme.n)
     d_n = (4.0 * alpha * c * c / sigma2) * scheme.n ** (2.0 * theta_eff - 1.0) * math.log(scheme.n)
+    if math.isinf(d_n):
+        raise OverflowError(f"d_n overflows at alpha = {alpha:g}")
     params = bnd.BoundParams(c=c, sigma2=sigma2, p_n=scheme.p_n, d_n=d_n, n=scheme.n)
     z_odd = replicate_paths(model, scheme.n, cfg.replicates, cfg.seed, lambda x: decompose(x, scheme).z_odd)
     reports = []
@@ -401,6 +403,17 @@ def _partial_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.cumsum(np.add.reduceat(x[:, : ends[-1] + 1], starts, axis=1), axis=1)
 
 
+def _slln_grid(n_grid: Sequence[int], name: str = "grid") -> list[int]:
+    """The sorted grid of a rate fit; name is what its errors call it."""
+    grid = sorted(int(n) for n in n_grid)
+    repeats = sorted({a for a, b in zip(grid, grid[1:]) if a == b})
+    if repeats:
+        raise ValueError(f"{name} points must be distinct: {', '.join(map(str, repeats))} repeated")
+    if len(grid) < 3 or grid[0] < 1:
+        raise ValueError(f"need at least 3 distinct positive {name} points to fit a slope")
+    return grid
+
+
 def slln_rate_fit(
     model: ModelSpec,
     n_grid: Sequence[int],
@@ -419,12 +432,7 @@ def slln_rate_fit(
     if not is_stationary(model):
         raise ValueError("rate fit requires a stationary model")
     long_run_variance(model)  # raises on degenerate models
-    grid = sorted(int(n) for n in n_grid)
-    repeats = sorted({a for a, b in zip(grid, grid[1:]) if a == b})
-    if repeats:
-        raise ValueError(f"grid points must be distinct: {', '.join(map(str, repeats))} repeated")
-    if len(grid) < 3 or grid[0] < 1:
-        raise ValueError("need at least 3 distinct positive grid points to fit a slope")
+    grid = _slln_grid(n_grid)
     n_max = grid[-1]
     idx = np.asarray(grid) - 1
     sums = replicate_paths(model, n_max, cfg.replicates, cfg.seed, lambda x: _partial_sums(x, idx))

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakdep import BoundParams, LaplaceCondition, named_inequalities, slln_schedule, tail_bound, unbounded_schedule
-from weakdep.bounds import geometric_sum
+from weakdep.bounds import _tail_bound_grid, geometric_sum
 
 PARAMS = BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
 
@@ -29,6 +31,56 @@ def test_geometric_sum_near_one_fallback():
     # deep growing regime: dominated by the top term, no overflow surprises
     assert geometric_sum(350.5, 2) == pytest.approx(math.exp(350.5), rel=1e-12)
     assert geometric_sum(400.0, 3) == float("inf")
+
+
+def test_geometric_sum_elementwise_matches_scalar_reference():
+    # every branch: zero, the expm1 ratio, the top term past 350, overflow, NaN
+    a = np.array([-math.inf, -800.0, -3.0, -1e-12, -0.0, 0.0, 1e-300, 1e-12, 1.0, 349.9, 350.0, 350.5,
+                  400.0, 800.0, math.inf, math.nan])
+    # terms = 3 at 350.5: the top term exp(701) is finite where expm1(1051.5) overflows
+    for terms in (-1, 0, 1, 2, 3, 7, 1000):
+        expected = np.array([oracles.geometric_sum(float(v), terms) for v in a])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = geometric_sum(a, terms)
+        assert np.array_equal(got, expected, equal_nan=True), terms
+        assert np.signbit(got).tolist() == np.signbit(expected).tolist()
+    assert isinstance(geometric_sum(0.5, 3), float)
+
+
+# (params, v_pn, x grid) reaching x = 0, the valid region, each failed
+# hypothesis, log_ratio == 0 at t != 0 (x = 64 below), log_ratio > 350, NaN x,
+# v_pn == 0, a bound that overflows to inf (the third case at x = 16) and
+# r_n - 1 <= 0 (the last two); x = -1e4 is a NaN bound (0 * inf), which the
+# scalar code computed with an invalid-value warning
+KERNEL_CASES = [
+    (PARAMS, 0.1, [0.0, -0.0, 0.5, 10.0, 32.0, 33.0, 63.9, 64.0, 65.0, 100.0, 1200.0, 1300.0, 5000.0,
+                   -10.0, -1e4, math.nan, math.inf, -math.inf]),
+    (PARAMS, 0.0, [0.0, 10.0, 64.0, 1300.0, math.nan]),
+    (BoundParams(c=1.0, sigma2=1e-3, p_n=4, d_n=1.0001, n=64), 0.5, [0.0, 1.0, 16.0, 32.0, 48.0, 60.0, 64.0, 100.0]),
+    (BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=8), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
+    (BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=16), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
+def test_tail_bound_grid_matches_scalar_reference(case):
+    params, v_pn, xs = KERNEL_CASES[case]
+    with np.errstate(invalid="ignore"):
+        refs = [oracles.tail_bound(x, params, v_pn) for x in xs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, t_ok, ratio_ok = _tail_bound_grid(np.array(xs), params, v_pn)
+        points = [tail_bound(x, params, v_pn) for x in xs]
+    assert np.array_equal(value, [r.value for r in refs], equal_nan=True)
+    assert np.signbit(value).tolist() == [math.copysign(1.0, r.value) < 0 for r in refs]
+    assert t_ok.tolist() == ["t_exceeds_block_mgf_threshold" not in r.violated_conditions for r in refs]
+    assert ratio_ok.tolist() == ["series_ratio_not_contracting" not in r.violated_conditions for r in refs]
+    for point, ref in zip(points, refs):
+        assert point.violated_conditions == ref.violated_conditions
+        assert point.value == ref.value or (math.isnan(point.value) and math.isnan(ref.value))
+    if case == 2:
+        assert math.isinf(value[2])
 
 
 # --- bound parameters ------------------------------------------------------

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import warnings
 
+import numpy as np
+import oracles
 import pytest
 
-from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, VerificationReport, model_to_json
+from weakdep import (IID, BoundParams, MovingAverage, Rademacher, UniformOnInterval, VerificationReport,
+                     almost_sure_bound, gamma_sequence, long_run_variance, model_to_json, slln_schedule)
 from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
@@ -49,6 +53,67 @@ def test_grid_parsing():
         with pytest.raises(ConfigError):
             parse_grid(spec)
     assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("spec", [
+    "0:0.3:0.1", "1:1:1", "0:4000:0.1", f"1:{MAX_GRID_POINTS}:1", "0:1:0.1", "0.1:0.7:0.2", "-3:7:0.7",
+    # stop is -0.0: a point clipped to stop keeps its sign as min(x, stop) does
+    "0:-0:1",
+    # start + k*step rounds to start for k < 8192, past any count estimate
+    "1e20:1e20:1",
+])
+def test_grid_matches_loop_reference(spec):
+    start, stop, step = (float(v) for v in spec.split(":"))
+    expected = oracles.parse_grid(start, stop, step, MAX_GRID_POINTS)
+    grid = parse_grid(spec)
+    assert type(grid) is list and all(type(x) is float for x in grid[:3])
+    assert grid == expected
+    assert [math.copysign(1.0, x) for x in grid[:3]] == [math.copysign(1.0, x) for x in expected[:3]]
+
+
+def test_grid_point_limit():
+    assert oracles.parse_grid(1.0, MAX_GRID_POINTS + 1.0, 1.0, MAX_GRID_POINTS) is None
+    with pytest.raises(ConfigError, match="more than 1000000 points"):
+        parse_grid(f"1:{MAX_GRID_POINTS + 1}:1")
+
+
+def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
+    # 11 coefficients: v(p_n) > 0 at n = 64; the grid reaches NaN bounds
+    # (0 * inf) at large negative x, x = 0, both failed hypotheses and
+    # log_ratio > 350, and the scalar code warned on it
+    ma = MovingAverage(coeffs=(1.0,) * 12, law=UniformOnInterval(-1, 1))
+    path = tmp_path / "ma12.json"
+    path.write_text(model_to_json(ma))
+    spec = "-1e7:2e5:1e3"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["bound", "--model", str(path), "--n", "64", f"--x-grid={spec}"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and caught == []
+    c, sigma2 = almost_sure_bound(ma), long_run_variance(ma)
+    sched = slln_schedule(64, 0.55, 2.0, sigma2, c)
+    params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=64)
+    v_pn = gamma_sequence(ma).tail_sum(sched.p_n)
+    lines = ["x,bound,valid"]
+    with np.errstate(invalid="ignore"):
+        for x in parse_grid(spec):
+            ev = oracles.tail_bound(x, params, v_pn)
+            lines.append(f"{x:.17g},{ev.value:.17g},{str(ev.valid).lower()}")
+    assert out == "\n".join(lines) + "\n"
+    assert ",nan," in out and ",true" in out and ",false" in out
+
+
+def test_coeffs_table_matches_per_k_reference(tmp_path):
+    # n_max below, at and beyond the 4 nonzero coefficients
+    ma = MovingAverage(coeffs=(1.0, -0.5, 1.0, 0.25, 2.0), law=UniformOnInterval(-1, 1))
+    path = tmp_path / "ma5.json"
+    path.write_text(model_to_json(ma))
+    gamma = gamma_sequence(ma)
+    for n_max in (1, 3, 4, 9):
+        out = tmp_path / f"coeffs{n_max}.csv"
+        assert run(["coeffs", "--model", str(path), "--n-max", str(n_max), "--out", str(out)]) == 0
+        expected = ["k,gamma,v"] + [f"{k},{gamma.gamma(k):.17g},{gamma.tail_sum(k):.17g}" for k in range(1, n_max + 1)]
+        assert out.read_text() == "\n".join(expected) + "\n"
 
 
 def test_coeffs_table(ma_model, tmp_path):
@@ -131,12 +196,14 @@ def test_usage_errors(iid_model, capsys):
         capsys.readouterr()
         assert run(["verify", "--check", "emp", option, value, "--model", iid_model, "--replicates", "100"]) == 2
         assert capsys.readouterr() == ("", f"error: {option} must lie in [0, 1], got {value}\n")
-    # a malformed list entry names its option; an empty tail grid is no default grid
+    # a malformed list entry or slln grid names its option; an empty tail grid is no default grid
     for argv, line in (
         (["--check", "newman", "--t-grid", "abc"], "--t-grid must be a comma-separated list of floats, got 'abc'"),
         (["--check", "fclt", "--times", "0.5,x"], "--times must be a comma-separated list of floats, got '0.5,x'"),
         (["--check", "slln", "--n-grid", "1e3"], "--n-grid must be a comma-separated list of ints, got '1e3'"),
         (["--check", "tail", "--x-grid", ""], "grid must be start:stop:step, got ''"),
+        (["--check", "slln", "--n-grid", "64,128"], "need at least 3 distinct positive --n-grid points to fit a slope"),
+        (["--check", "slln", "--n-grid", "64,128,64,256"], "--n-grid points must be distinct: 64 repeated"),
     ):
         capsys.readouterr()
         assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
@@ -144,9 +211,9 @@ def test_usage_errors(iid_model, capsys):
     # alpha must be finite and exceed 1, in bound and in the tail check alike
     for argv, line in (
         (["bound", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),
-        (["bound", "--alpha", "1e308"], "d_n must be finite and exceed 1, got inf"),
+        (["bound", "--alpha", "1e308"], "--alpha 1e+308 is too large: d_n overflows"),
         (["verify", "--check", "tail", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),
-        (["verify", "--check", "tail", "--alpha", "1e308"], "d_n must be finite and exceed 1, got inf"),
+        (["verify", "--check", "tail", "--alpha", "1e308"], "--alpha 1e+308 is too large: d_n overflows"),
         (["verify", "--check", "tail", "--alpha", "0.5"], "alpha must be finite and exceed 1, got 0.5"),
     ):
         capsys.readouterr()

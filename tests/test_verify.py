@@ -298,7 +298,7 @@ def test_slln_rate_fit_rejects_repeated_grid_point(tmp_path, capsys):
     model.write_text(model_to_json(MA11_U))
     argv = ["verify", "--check", "slln", "--model", str(model), "--replicates", "500", "--n-grid", "64,128,64,256"]
     assert run(argv) == 2
-    assert capsys.readouterr() == ("", "error: grid points must be distinct: 64 repeated\n")
+    assert capsys.readouterr() == ("", "error: --n-grid points must be distinct: 64 repeated\n")
 
 
 def test_slln_rate_fit_iid_slope_near_half():
