@@ -115,7 +115,7 @@ def parse_grid(spec: str) -> list[float]:
     # falls short when start + k*step rounds (a huge start), so a miss retries at the limit
     span = (stop - start) / step
     guess = int(span) + 2 if span < MAX_GRID_POINTS else MAX_GRID_POINTS + 1
-    for count in dict.fromkeys((guess, MAX_GRID_POINTS + 1)):
+    for count in (guess, MAX_GRID_POINTS + 1):
         x = start + np.arange(count) * step
         beyond = np.flatnonzero(x > stop + 1e-12)
         if beyond.size:
