@@ -78,7 +78,7 @@ def test_grid_matches_loop_reference(spec):
 
 
 def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
-    # 11 coefficients: v(p_n) > 0 at n = 64; the grid reaches NaN bounds
+    # 12 coefficients: v(p_n) > 0 at n = 64 (p_n = 9); the grid reaches NaN bounds
     # (0 * inf) at large negative x, x = 0, both failed hypotheses and
     # log_ratio > 350, and the scalar code warned on it
     ma = MovingAverage(coeffs=(1.0,) * 12, law=UniformOnInterval(-1, 1))
