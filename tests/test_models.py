@@ -394,6 +394,85 @@ def test_model_json_round_trip(model):
     assert model_from_json(model_to_json(model)) == model
 
 
+# one model per model variant, law variant and transform variant, with the
+# exact text model_to_json writes for it (key order and indentation included)
+PINNED_JSON = [
+    (IID(Rademacher()), """{
+  "schema_version": 1,
+  "variant": "iid",
+  "law": {
+    "variant": "rademacher"
+  }
+}"""),
+    (MovingAverage(coeffs=(1.0, -0.5, 0.25), law=TruncatedGaussian(1.5)), """{
+  "schema_version": 1,
+  "variant": "moving_average",
+  "coeffs": [
+    1.0,
+    -0.5,
+    0.25
+  ],
+  "law": {
+    "variant": "truncated_gaussian",
+    "bound": 1.5
+  }
+}"""),
+    (CumSumTransform(coeffs=(0.5, 1.5), transform=Identity(), law=U11), """{
+  "schema_version": 1,
+  "variant": "cumsum_transform",
+  "coeffs": [
+    0.5,
+    1.5
+  ],
+  "transform": {
+    "variant": "identity"
+  },
+  "law": {
+    "variant": "uniform_on_interval",
+    "a": -1.0,
+    "b": 1.0
+  }
+}"""),
+    (CumSumTransform(coeffs=(1.0,), transform=NegExp(), law=Rademacher()), """{
+  "schema_version": 1,
+  "variant": "cumsum_transform",
+  "coeffs": [
+    1.0
+  ],
+  "transform": {
+    "variant": "neg_exp"
+  },
+  "law": {
+    "variant": "rademacher"
+  }
+}"""),
+    (CumSumTransform(coeffs=(2.0, 1.0), transform=GaussBumpPlusX(4.0), law=UniformOnInterval(0.0, 3.0)), """{
+  "schema_version": 1,
+  "variant": "cumsum_transform",
+  "coeffs": [
+    2.0,
+    1.0
+  ],
+  "transform": {
+    "variant": "gauss_bump_plus_x",
+    "beta": 4.0
+  },
+  "law": {
+    "variant": "uniform_on_interval",
+    "a": 0.0,
+    "b": 3.0
+  }
+}"""),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED_JSON)))
+def test_model_json_text_is_pinned(case):
+    model, text = PINNED_JSON[case]
+    assert model_to_json(model) == text
+    assert model_from_json(text) == model
+
+
 def test_model_json_rejects_garbage():
     with pytest.raises(ValueError):
         model_from_json("not json at all {")
