@@ -83,20 +83,24 @@ def geometric_sum(log_ratio, terms: int):
 
 
 def _tail_bound_grid(x, params: BoundParams, v_pn: float):
-    """The bound of tail_bound at every point of x, with its two hypotheses:
-    (value, t below the block-MGF threshold, series ratio contracting)."""
+    """The bound of tail_bound at every point of x, with its hypotheses:
+    (value, {name of the violation: where the hypothesis holds})."""
     if v_pn < 0:
         raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         t = x / (2.0 * params.sigma2 * params.n * params.d_n)
-        # written so that a NaN t fails both hypotheses
-        t_ok = t <= params.mgf_threshold
         ratio_term = 2.0 * t * params.sigma2 * params.d_n - params.c
         gsum = geometric_sum(t * params.p_n * ratio_term, params.r_n - 1)
         first = t * t * np.exp(t * params.c * params.n / 2.0 - t * x) * params.p_n * v_pn * gsum
         second = np.exp(-x * x / (4.0 * params.sigma2 * params.n * params.d_n))
-        return np.where((t == 0.0) | (v_pn == 0.0), 0.0, first) + second, t_ok, ratio_term < 0
+        value = np.where((t == 0.0) | (v_pn == 0.0), 0.0, first) + second
+    # written so that a NaN x or t fails every hypothesis and x = -0.0 passes
+    return value, {
+        "t_exceeds_block_mgf_threshold": t <= params.mgf_threshold,
+        "series_ratio_not_contracting": ratio_term < 0,
+        "negative_deviation": x >= 0.0,
+    }
 
 
 def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
@@ -105,13 +109,13 @@ def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
         t^2 e^{t c n / 2} p_n v(p_n) e^{-t x} sum_{j=0}^{r_n-2} e^{j t p_n (2 t sigma2 d_n - c)}
         + exp(-x^2 / (4 sigma2 n d_n)).
 
-    Valid when t clears the block-MGF threshold and the series ratio is
-    contracting, 2 t sigma2 d_n - c < 0 (equivalently x/n < c).
+    Valid when t clears the block-MGF threshold, the series ratio is
+    contracting, 2 t sigma2 d_n - c < 0 (equivalently x/n < c), and x >= 0:
+    the Markov step P(Z > x) <= e^{-t x} E e^{t Z} needs t >= 0.
     """
-    value, t_ok, ratio_ok = _tail_bound_grid(x, params, v_pn)
-    violated = [name for name, ok in (("t_exceeds_block_mgf_threshold", t_ok),
-                                      ("series_ratio_not_contracting", ratio_ok)) if not ok]
-    return BoundEvaluation(value=float(value), violated_conditions=tuple(violated))
+    value, holds = _tail_bound_grid(x, params, v_pn)
+    violated = tuple(name for name, ok in holds.items() if not ok)
+    return BoundEvaluation(value=float(value), violated_conditions=violated)
 
 
 @dataclass(frozen=True)

@@ -157,10 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="tail bound over an x grid")
     p_bound.add_argument("--model", required=True)
-    p_bound.add_argument("--n", type=int, default=4096)
-    p_bound.add_argument("--theta", type=float, default=0.55)
-    p_bound.add_argument("--alpha", type=float, default=2.0)
-    p_bound.add_argument("--x-grid", default="0:4000:250")
+    # bound evaluates the tail check's bound, so it reads the tail check's options
+    for name, default in _options(_check_tail).items():
+        p_bound.add_argument(_flag(name), type=type(default), default=default)
     p_bound.add_argument("--out")
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -177,17 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cells(col):
+    """The CSV cells of one column, lazily: a float64 or bool array and a range of
+    ints in one map each, a list value by value through _fmt."""
+    if isinstance(col, range):
+        return map(str, col)
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return map(format, col.tolist(), repeat(".17g"))
+    if isinstance(col, np.ndarray) and col.dtype == np.bool_:
+        return map(("false", "true").__getitem__, col.tolist())
+    return map(_fmt, col)
+
+
 def _csv_text(header: Sequence[str], columns: Sequence, footer: Optional[str] = None) -> str:
-    """CSV of equal-length columns; a float64 array is formatted in one map, others by _fmt."""
-    cells = [
-        map(format, col.tolist(), repeat(".17g")) if isinstance(col, np.ndarray) and col.dtype == np.float64
-        else map(_fmt, col.tolist() if isinstance(col, np.ndarray) else col)
-        for col in columns
-    ]
+    """CSV of equal-length columns, each formatted by _cells."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*cells))
+    writer.writerows(zip(*map(_cells, columns)))
     text = buf.getvalue()
     if footer is not None:
         text += footer + "\n"
@@ -239,8 +245,9 @@ def _cmd_bound(args) -> int:
     params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=args.n)
     v_pn = gamma_sequence(model).tail_sum(sched.p_n)
     x = np.array(parse_grid(args.x_grid))
-    value, t_ok, ratio_ok = _tail_bound_grid(x, params, v_pn)
-    _write_or_print(_csv_text(("x", "bound", "valid"), (x, value, t_ok & ratio_ok)), args.out)
+    value, holds = _tail_bound_grid(x, params, v_pn)
+    valid = np.logical_and.reduce(list(holds.values()))
+    _write_or_print(_csv_text(("x", "bound", "valid"), (x, value, valid)), args.out)
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -451,97 +451,63 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
 #                           "law": {...}, "transform": {...}}
 # ---------------------------------------------------------------------------
 
-_LAW_NAMES = {UniformOnInterval: "uniform_on_interval", Rademacher: "rademacher", TruncatedGaussian: "truncated_gaussian"}
-_TRANSFORM_NAMES = {Identity: "identity", NegExp: "neg_exp", GaussBumpPlusX: "gauss_bump_plus_x"}
+_VARIANTS = {
+    "model": {"iid": IID, "moving_average": MovingAverage, "cumsum_transform": CumSumTransform},
+    "law": {
+        "uniform_on_interval": UniformOnInterval, "rademacher": Rademacher, "truncated_gaussian": TruncatedGaussian,
+    },
+    "transform": {"identity": Identity, "neg_exp": NegExp, "gauss_bump_plus_x": GaussBumpPlusX},
+}
 
 
-def law_to_dict(law: InnovationLaw) -> dict:
-    d = {"variant": _LAW_NAMES[type(law)]}
-    d.update(asdict(law))
+def _encode(obj) -> dict:
+    """A model, law or transform as a JSON object: its variant name, then its
+    fields in declaration order; a field named after a kind is encoded the same way."""
+    names = [name for table in _VARIANTS.values() for name, cls in table.items() if cls is type(obj)]
+    if not names:
+        raise TypeError(f"unknown model type {type(obj).__name__}")
+    d = {"variant": names[0]}
+    for field in fields(obj):
+        value = getattr(obj, field.name)
+        d[field.name] = _encode(value) if field.name in _VARIANTS else value
     return d
 
 
-def law_from_dict(d: dict) -> InnovationLaw:
-    names = {v: k for k, v in _LAW_NAMES.items()}
+def _decode(kind: str, d):
+    """Build a model, law or transform from its JSON object, which must carry
+    exactly the variant's fields; a field named after a kind is decoded the
+    same way.  Any malformed object raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(d).__name__}")
+    table, variant = _VARIANTS[kind], d.get("variant")
+    if not isinstance(variant, str) or variant not in table:
+        raise ValueError(f"unknown {kind} variant {variant!r}")
+    cls = table[variant]
+    names = [field.name for field in fields(cls)]
+    if unknown := [key for key in d if key != "variant" and key not in names]:
+        raise ValueError(f"{kind} variant {variant!r} has no field {unknown[0]!r}")
+    if missing := [name for name in names if name not in d]:
+        raise ValueError(f"{kind} is missing field {missing[0]!r}")
+    kwargs = {name: _decode(name, d[name]) if name in _VARIANTS else d[name] for name in names}
     try:
-        cls = names[d["variant"]]
-    except KeyError:
-        raise ValueError(f"unknown law variant {d.get('variant')!r}") from None
-    kwargs = {k: v for k, v in d.items() if k != "variant"}
-    return cls(**kwargs)
-
-
-def transform_to_dict(transform: Transform) -> dict:
-    d = {"variant": _TRANSFORM_NAMES[type(transform)]}
-    d.update(asdict(transform))
-    return d
-
-
-def transform_from_dict(d: dict) -> Transform:
-    names = {v: k for k, v in _TRANSFORM_NAMES.items()}
-    try:
-        cls = names[d["variant"]]
-    except KeyError:
-        raise ValueError(f"unknown transform variant {d.get('variant')!r}") from None
-    kwargs = {k: v for k, v in d.items() if k != "variant"}
-    return cls(**kwargs)
-
-
-def model_to_dict(model: ModelSpec) -> dict:
-    if isinstance(model, IID):
-        return {"schema_version": SCHEMA_VERSION, "variant": "iid", "law": law_to_dict(model.law)}
-    if isinstance(model, MovingAverage):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "variant": "moving_average",
-            "coeffs": list(model.coeffs),
-            "law": law_to_dict(model.law),
-        }
-    if isinstance(model, CumSumTransform):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "variant": "cumsum_transform",
-            "coeffs": list(model.coeffs),
-            "transform": transform_to_dict(model.transform),
-            "law": law_to_dict(model.law),
-        }
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def model_from_dict(d: dict) -> ModelSpec:
-    """Build a model from its JSON document; any malformed document raises
-    ValueError (a missing field, an unknown or mistyped parameter)."""
-    version = d.get("schema_version", 1)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version {version}")
-    variant = d.get("variant")
-    try:
-        if variant == "iid":
-            return IID(law=law_from_dict(d["law"]))
-        if variant == "moving_average":
-            return MovingAverage(coeffs=tuple(d["coeffs"]), law=law_from_dict(d["law"]))
-        if variant == "cumsum_transform":
-            return CumSumTransform(
-                coeffs=tuple(d["coeffs"]),
-                transform=transform_from_dict(d["transform"]),
-                law=law_from_dict(d["law"]),
-            )
-    except KeyError as exc:
-        raise ValueError(f"model is missing field {exc}") from None
+        return cls(**kwargs)
     except TypeError as exc:
-        raise ValueError(f"malformed model: {exc}") from None
-    raise ValueError(f"unknown model variant {variant!r}")
+        raise ValueError(f"malformed {kind}: {exc}") from None
 
 
 def model_to_json(model: ModelSpec) -> str:
-    return json.dumps(model_to_dict(model), indent=2)
+    return json.dumps({"schema_version": SCHEMA_VERSION, **_encode(model)}, indent=2)
 
 
 def model_from_json(text: str) -> ModelSpec:
+    """Build a model from its JSON document; any malformed document raises ValueError."""
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed model JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise ValueError("model JSON must be an object")
-    return model_from_dict(d)
+    version = d.pop("schema_version", 1)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported model schema version {version}")
+    return _decode("model", d)

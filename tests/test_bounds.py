@@ -52,10 +52,11 @@ def test_geometric_sum_elementwise_matches_scalar_reference():
 # hypothesis, log_ratio == 0 at t != 0 (x = 64 below), log_ratio > 350, NaN x,
 # v_pn == 0, a bound that overflows to inf (the third case at x = 16) and
 # r_n - 1 <= 0 (the last two); x = -1e4 is a NaN bound (0 * inf), which the
-# scalar code computed with an invalid-value warning
+# scalar code computed with an invalid-value warning; every x < 0 fails only
+# the sign hypothesis, which the scalar code did not have
 KERNEL_CASES = [
     (PARAMS, 0.1, [0.0, -0.0, 0.5, 10.0, 32.0, 33.0, 63.9, 64.0, 65.0, 100.0, 1200.0, 1300.0, 5000.0,
-                   -10.0, -1e4, math.nan, math.inf, -math.inf]),
+                   -1e-300, -10.0, -1e4, math.nan, math.inf, -math.inf]),
     (PARAMS, 0.0, [0.0, 10.0, 64.0, 1300.0, math.nan]),
     (BoundParams(c=1.0, sigma2=1e-3, p_n=4, d_n=1.0001, n=64), 0.5, [0.0, 1.0, 16.0, 32.0, 48.0, 60.0, 64.0, 100.0]),
     (BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=8), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
@@ -70,14 +71,18 @@ def test_tail_bound_grid_matches_scalar_reference(case):
         refs = [oracles.tail_bound(x, params, v_pn) for x in xs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, t_ok, ratio_ok = _tail_bound_grid(np.array(xs), params, v_pn)
+        value, holds = _tail_bound_grid(np.array(xs), params, v_pn)
         points = [tail_bound(x, params, v_pn) for x in xs]
     assert np.array_equal(value, [r.value for r in refs], equal_nan=True)
     assert np.signbit(value).tolist() == [math.copysign(1.0, r.value) < 0 for r in refs]
-    assert t_ok.tolist() == ["t_exceeds_block_mgf_threshold" not in r.violated_conditions for r in refs]
-    assert ratio_ok.tolist() == ["series_ratio_not_contracting" not in r.violated_conditions for r in refs]
-    for point, ref in zip(points, refs):
-        assert point.violated_conditions == ref.violated_conditions
+    assert list(holds) == ["t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation"]
+    for name in ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting"):
+        assert holds[name].tolist() == [name not in r.violated_conditions for r in refs]
+    # the reference has no sign hypothesis: x >= 0, failed by NaN, passed by -0.0
+    nonnegative = [not x < 0 and not math.isnan(x) for x in xs]
+    assert holds["negative_deviation"].tolist() == nonnegative
+    for point, ref, ok in zip(points, refs, nonnegative):
+        assert point.violated_conditions == ref.violated_conditions + (() if ok else ("negative_deviation",))
         assert point.value == ref.value or (math.isnan(point.value) and math.isnan(ref.value))
     if case == 2:
         assert math.isinf(value[2])
@@ -128,7 +133,9 @@ def test_tail_bound_invalid_when_deviation_reaches_bound_scale():
 def test_tail_bound_nan_point_is_invalid():
     ev = tail_bound(math.nan, PARAMS, 0.1)
     assert not ev.valid
-    assert ev.violated_conditions == ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting")
+    assert ev.violated_conditions == (
+        "t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation",
+    )
 
 
 def test_tail_bound_full_hand_evaluation():

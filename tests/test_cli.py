@@ -79,8 +79,9 @@ def test_grid_matches_loop_reference(spec):
 
 def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
     # 12 coefficients: v(p_n) > 0 at n = 64 (p_n = 9); the grid reaches NaN bounds
-    # (0 * inf) at large negative x, x = 0, both failed hypotheses and
-    # log_ratio > 350, and the scalar code warned on it
+    # (0 * inf) at large negative x, x = 0, both failed hypotheses of the reference and
+    # log_ratio > 350, and the scalar code warned on it; the reference has no sign
+    # hypothesis, so valid is also false at every x < 0
     ma = MovingAverage(coeffs=(1.0,) * 12, law=UniformOnInterval(-1, 1))
     path = tmp_path / "ma12.json"
     path.write_text(model_to_json(ma))
@@ -98,7 +99,7 @@ def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
     with np.errstate(invalid="ignore"):
         for x in parse_grid(spec):
             ev = oracles.tail_bound(x, params, v_pn)
-            lines.append(f"{x:.17g},{ev.value:.17g},{str(ev.valid).lower()}")
+            lines.append(f"{x:.17g},{ev.value:.17g},{str(ev.valid and x >= 0).lower()}")
     assert out == "\n".join(lines) + "\n"
     assert ",nan," in out and ",true" in out and ",false" in out
 
@@ -261,6 +262,10 @@ def test_malformed_model_json(tmp_path, capsys):
         (json.dumps({**cumsum, "coeffs": [1000.0, 1.0], "transform": {"variant": "neg_exp"}}), decompose, "coeffs"),
         (json.dumps({**cumsum, "coeffs": [700.0, 700.0], "transform": {"variant": "neg_exp"}}), decompose, "coeffs"),
         (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": 1e-9}}), decompose, "beta"),
+        # a field of another variant, which used to be dropped
+        (json.dumps({"variant": "iid", "coeffs": [1.0, 1.0], "law": law}), ["coeffs"], "coeffs"),
+        (json.dumps({"variant": "moving_average", "coeffs": [1.0], "transform": {"variant": "neg_exp"}, "law": law}),
+         ["coeffs"], "transform"),
     ]
     bad = tmp_path / "bad.json"
     for doc, argv, word in cases:
@@ -376,6 +381,19 @@ def test_verify_cov_tail_fclt_slln(tmp_path):
          "--n-grid", "64,64,64"]
     ) == 2
     assert run(["bound", "--model", str(model), "--x-grid", "0:inf:1"]) == 2
+
+
+def test_tail_at_negative_deviation_is_bound_invalid(tmp_path, capsys):
+    # the Markov step of the bound needs t >= 0; at x < 0 the count exceeds the
+    # bound, which used to read VIOLATED with valid=true
+    model = tmp_path / "ma11.json"
+    model.write_text(MA11_JSON)
+    argv = ["verify", "--check", "tail", "--model", str(model), "--n", "1024", "--replicates", "200"]
+    assert run([*argv, "--x-grid=-500:0:250"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert [(r[1], r[5], r[6]) for r in rows] == [
+        ("x=-500", "false", "BOUND_INVALID"), ("x=-250", "false", "BOUND_INVALID"), ("x=0", "true", "DOMINATED"),
+    ]
 
 
 def test_verify_fails_closed(tmp_path, iid_model):

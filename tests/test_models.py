@@ -482,3 +482,21 @@ def test_model_json_rejects_garbage():
         model_from_json('{"schema_version": 99, "variant": "iid"}')
     with pytest.raises(ValueError):
         model_from_json("[1, 2, 3]")
+
+
+def test_model_json_accepts_only_the_variant_fields():
+    law = '{"variant": "rademacher"}'
+    assert model_from_json('{"schema_version": 1, "variant": "iid", "law": %s}' % law) == IID(Rademacher())
+    with pytest.raises(ValueError, match="model is missing field 'law'"):
+        model_from_json('{"variant": "iid"}')
+    # schema_version is a top-level key only
+    with pytest.raises(ValueError, match="law variant 'rademacher' has no field 'schema_version'"):
+        model_from_json('{"variant": "iid", "law": {"variant": "rademacher", "schema_version": 1}}')
+    with pytest.raises(ValueError, match="model variant 'iid' has no field 'note'"):
+        model_from_json('{"variant": "iid", "note": "", "law": %s}' % law)
+    with pytest.raises(ValueError, match="transform variant 'neg_exp' has no field 'beta'"):
+        model_from_json('{"variant": "cumsum_transform", "coeffs": [1], "transform": {"variant": "neg_exp", "beta": 1},'
+                        ' "law": %s}' % law)
+    for bad in ('"rademacher"', "[]", "null", '{"variant": ["rademacher"]}', '{"variant": "iid"}'):
+        with pytest.raises(ValueError, match="law"):
+            model_from_json('{"variant": "iid", "law": %s}' % bad)
