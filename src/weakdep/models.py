@@ -476,7 +476,8 @@ def _encode(obj) -> dict:
 def _decode(kind: str, d):
     """Build a model, law or transform from its JSON object, which must carry
     exactly the variant's fields; a field named after a kind is decoded the
-    same way.  Any malformed object raises ValueError."""
+    same way, and every other field must be a JSON number (coeffs a list of
+    them).  Any malformed object raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(d).__name__}")
     table, variant = _VARIANTS[kind], d.get("variant")
@@ -488,11 +489,18 @@ def _decode(kind: str, d):
         raise ValueError(f"{kind} variant {variant!r} has no field {unknown[0]!r}")
     if missing := [name for name in names if name not in d]:
         raise ValueError(f"{kind} is missing field {missing[0]!r}")
-    kwargs = {name: _decode(name, d[name]) if name in _VARIANTS else d[name] for name in names}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"malformed {kind}: {exc}") from None
+    for name in names:
+        if name not in _VARIANTS and not _numeric(name, d[name]):
+            raise ValueError(f"{kind} field {name!r} must be {'a list of numbers' if name == 'coeffs' else 'a number'}")
+    return cls(**{name: _decode(name, d[name]) if name in _VARIANTS else d[name] for name in names})
+
+
+def _numeric(name: str, value) -> bool:
+    """Whether a field's JSON value has its field's shape: coeffs a list of
+    numbers, any other field a number; a JSON true or false is no number."""
+    if name == "coeffs":
+        return isinstance(value, list) and all(_numeric("", v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def model_to_json(model: ModelSpec) -> str:

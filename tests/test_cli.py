@@ -267,6 +267,19 @@ def test_malformed_model_json(tmp_path, capsys):
         (json.dumps({"variant": "moving_average", "coeffs": [1.0], "transform": {"variant": "neg_exp"}, "law": law}),
          ["coeffs"], "transform"),
     ]
+    # a parameter that is not a JSON number, which used to load and then run or end in a traceback
+    strings = json.dumps({"variant": "iid", "law": {**law, "a": "1", "b": "2"}})
+    cases += [(strings, argv, "law field 'a' must be a number")
+              for argv in (["coeffs"], ["bound"], ["decompose", "--n", "8", "--p", "2"])]
+    cases += [
+        (json.dumps({"variant": "iid", "law": {**law, "a": True, "b": 2.0}}), ["coeffs"], "field 'a' must be a number"),
+        (json.dumps({"variant": "moving_average", "coeffs": "12", "law": law}), ["coeffs"], "'coeffs' must be a list"),
+        (json.dumps({"variant": "moving_average", "coeffs": ["1", "2"], "law": law}), ["coeffs"], "'coeffs' must be"),
+        (json.dumps({"variant": "moving_average", "coeffs": [1.0, False], "law": law}), ["coeffs"], "'coeffs'"),
+        (json.dumps({**cumsum, "transform": {"variant": "gauss_bump_plus_x", "beta": None}}), decompose, "'beta'"),
+        (json.dumps({"variant": "iid", "law": {"variant": "truncated_gaussian", "bound": [1.5]}}), ["coeffs"],
+         "'bound'"),
+    ]
     bad = tmp_path / "bad.json"
     for doc, argv, word in cases:
         bad.write_text(doc)
