@@ -132,6 +132,14 @@ def _binomial_lower(count: int, total: int, mult: float) -> float:
     return float(beta_dist.ppf(alpha_low, count, total - count + 1))
 
 
+def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Sample covariance of paired draws and its SE from the per-draw influence values."""
+    am, bm = a.mean(), b.mean()
+    cov = float(np.mean(a * b) - am * bm)
+    infl = (a - am) * (b - bm) - cov
+    return cov, float(infl.std(ddof=1) / math.sqrt(len(a)))
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear test functions
 # ---------------------------------------------------------------------------
@@ -226,12 +234,7 @@ def check_lipschitz_cov(
     x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
     if x.shape != (cfg.replicates, n):
         raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {x.shape}")
-    a = f_spec(x[:, np.asarray(I) - 1].sum(axis=1))
-    b = g_spec(x[:, np.asarray(J) - 1].sum(axis=1))
-    am, bm = a.mean(), b.mean()
-    cov = float(np.mean(a * b) - am * bm)
-    infl = (a - am) * (b - bm) - cov
-    se = float(infl.std(ddof=1) / math.sqrt(len(a)))
+    cov, se = _cov_se(f_spec(x[:, np.asarray(I) - 1].sum(axis=1)), g_spec(x[:, np.asarray(J) - 1].sum(axis=1)))
     low = abs(cov) - ERROR_MULTIPLIER * se
     return make_report("cov", f"I={I},J={J}", abs(cov), se, bound, low <= bound, cfg)
 
@@ -526,11 +529,7 @@ def fclt_increment_check(
         reports.append(make_report("fclt", f"var({lo:g},{u[s]:g}]", var_hat, se, target, ok, cfg, valid))
     for s1 in range(len(u)):
         for s2 in range(s1 + 1, len(u)):
-            a, b = incs[:, s1], incs[:, s2]
-            am, bm = a.mean(), b.mean()
-            cov = float(np.mean(a * b) - am * bm)
-            infl = (a - am) * (b - bm) - cov
-            se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
+            cov, se = _cov_se(incs[:, s1], incs[:, s2])
             ok = abs(cov) <= ERROR_MULTIPLIER * se + allowance
             reports.append(make_report("fclt", f"cov({u[s1]:g},{u[s2]:g})", cov, se, 0.0, ok, cfg, valid))
     return reports
