@@ -6,8 +6,8 @@ report behavior across the validity boundary.  No unspecified constants
 are materialized anywhere: the bound is the fully explicit pre-constant
 form of the odd-block tail inequality, the Markov bound on the block-MGF
 of the odd-block sum at the optimized exponent.  The formula lives in one
-kernel over an array of x, which the bound command calls once per grid;
-tail_bound is its one-point case.
+kernel over an array of x, which the bound command and the tail check call
+once per grid; tail_bound is its one-point case.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -27,10 +28,8 @@ import numpy as np
 
 from . import __version__
 from .blocks import block_scheme, decompose
-from .bounds import BoundParams, _tail_bound_grid, slln_schedule
-from .coefficients import gamma_sequence, long_run_variance
-from .models import (IID, ModelSpec, QuadratureError, UniformOnInterval, almost_sure_bound, model_from_json,
-                     replicate_paths, sample_path)
+from .coefficients import gamma_sequence
+from .models import IID, ModelSpec, QuadratureError, UniformOnInterval, model_from_json, replicate_paths, sample_path
 from .verify import (
     ERROR_MULTIPLIER,
     VIOLATED,
@@ -47,6 +46,7 @@ from .verify import (
     fclt_increment_check,
     make_report,
     _slln_grid,
+    _tail_bound_table,
     slln_rate_fit,
 )
 
@@ -234,19 +234,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    model = _load_model(args.model)
-    c = almost_sure_bound(model)
-    if c is None:
-        raise ConfigError("bound evaluation needs a bounded model")
-    sigma2 = long_run_variance(model)
-    sched = slln_schedule(args.n, args.theta, args.alpha, sigma2, c)
-    if math.isinf(sched.d_n):
-        raise ConfigError(_D_N_OVERFLOW.format(args.alpha))
-    params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=args.n)
-    v_pn = gamma_sequence(model).tail_sum(sched.p_n)
-    x = np.array(parse_grid(args.x_grid))
-    value, holds = _tail_bound_grid(x, params, v_pn)
-    valid = np.logical_and.reduce(list(holds.values()))
+    x, value, valid = _tail(_tail_bound_table, _load_model(args.model), args.n, args.theta, args.alpha, args.x_grid)
     _write_or_print(_csv_text(("x", "bound", "valid"), (x, value, valid)), args.out)
     return 0
 
@@ -288,15 +276,21 @@ def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[Verif
     ]
 
 
-def _check_tail(model: ModelSpec, cfg: MCConfig, *, n=4096, theta=0.55, alpha=2.0,
-                x_grid="0:4000:250") -> list[VerificationReport]:
+def _tail(evaluate, model: ModelSpec, n: int, theta: float, alpha: float, x_grid: str):
+    """evaluate(model, scheme, x grid, alpha=alpha) on the tail bound's block
+    scheme p_n = floor(n^theta), theta in (1/2, 1); a d_n overflow is a usage error."""
     if not 0.5 < theta < 1.0:
         raise ConfigError(f"theta must lie in (1/2, 1), got {theta}")
     scheme = block_scheme(n, max(1, math.floor(n ** theta)))
     try:
-        return check_tail_domination(model, scheme, parse_grid(x_grid), cfg, alpha=alpha)
+        return evaluate(model, scheme, parse_grid(x_grid), alpha=alpha)
     except OverflowError:
         raise ConfigError(_D_N_OVERFLOW.format(alpha)) from None
+
+
+def _check_tail(model: ModelSpec, cfg: MCConfig, *, n=4096, theta=0.55, alpha=2.0,
+                x_grid="0:4000:250") -> list[VerificationReport]:
+    return _tail(partial(check_tail_domination, cfg=cfg), model, n, theta, alpha, x_grid)
 
 
 def _check_newman(model: ModelSpec, cfg: MCConfig, *, n=8, t_grid="0.25,0.5,1") -> list[VerificationReport]:

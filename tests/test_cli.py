@@ -7,8 +7,8 @@ import numpy as np
 import oracles
 import pytest
 
-from weakdep import (IID, BoundParams, MovingAverage, Rademacher, UniformOnInterval, VerificationReport,
-                     almost_sure_bound, gamma_sequence, long_run_variance, model_to_json, slln_schedule)
+from weakdep import (IID, BoundParams, CumSumTransform, MovingAverage, NegExp, Rademacher, UniformOnInterval,
+                     VerificationReport, almost_sure_bound, gamma_sequence, long_run_variance, model_to_json)
 from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
@@ -92,9 +92,11 @@ def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == "" and caught == []
     c, sigma2 = almost_sure_bound(ma), long_run_variance(ma)
-    sched = slln_schedule(64, 0.55, 2.0, sigma2, c)
-    params = BoundParams(c=c, sigma2=sigma2, p_n=sched.p_n, d_n=sched.d_n, n=64)
-    v_pn = gamma_sequence(ma).tail_sum(sched.p_n)
+    # p_n = floor(64^0.55) = 9; d_n is the bounded-case schedule at theta_eff = log p_n / log n
+    theta_eff = math.log(9) / math.log(64)
+    d_n = (4.0 * 2.0 * c * c / sigma2) * 64 ** (2.0 * theta_eff - 1.0) * math.log(64)
+    params = BoundParams(c=c, sigma2=sigma2, p_n=9, d_n=d_n, n=64)
+    v_pn = gamma_sequence(ma).tail_sum(9)
     lines = ["x,bound,valid"]
     with np.errstate(invalid="ignore"):
         for x in parse_grid(spec):
@@ -166,6 +168,39 @@ def test_bound_grid_output(ma_model, tmp_path):
 
 def test_bound_rejects_bad_theta(ma_model):
     assert run(["bound", "--model", ma_model, "--theta", "1.2"]) == 2
+
+
+@pytest.mark.parametrize("model_json", [MA11_JSON, MA_JSON], ids=["ma11", "ma3"])
+@pytest.mark.parametrize("n, theta, grid", [
+    (4096, 0.55, "0:4000:250"), (64, 0.55, "0:200:10"), (1024, 0.7, "0:1000:50"), (16, 0.55, "0:16:1"),
+])
+def test_bound_prints_the_tail_check_bound_columns(model_json, n, theta, grid, tmp_path, capsys):
+    # bound and the tail check build the bound at the same theta_eff, bit for bit
+    path = tmp_path / "model.json"
+    path.write_text(model_json)
+    options = ["--model", str(path), "--n", str(n), "--theta", str(theta), f"--x-grid={grid}"]
+    assert run(["bound", *options]) == 0
+    bound = [row[1:] for row in csv.reader(capsys.readouterr().out.splitlines()[1:])]
+    assert run(["verify", "--check", "tail", "--replicates", "200", *options]) in (0, 1)
+    tail = [row[4:6] for row in csv.reader(capsys.readouterr().out.splitlines()[1:])]
+    assert len(bound) == len(parse_grid(grid)) and bound == tail
+
+
+def test_bound_and_tail_print_the_same_error(tmp_path, capsys):
+    cumsum = tmp_path / "cumsum.json"
+    cumsum.write_text(model_to_json(CumSumTransform(coeffs=(1.0,) * 8, transform=NegExp(),
+                                                    law=UniformOnInterval(-1, 1))))
+    ma11 = tmp_path / "ma11.json"
+    ma11.write_text(MA11_JSON)
+    for model, options in ((cumsum, []), (ma11, ["--theta", "1.2"]), (ma11, ["--alpha", "0.5"]),
+                           (ma11, ["--alpha", "1e308"])):
+        errors = []
+        for command in (["bound"], ["verify", "--check", "tail", "--replicates", "200"]):
+            assert run([*command, "--model", str(model), *options]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            errors.append(err)
+        assert errors[0] == errors[1], errors
 
 
 def test_usage_errors(iid_model, capsys):

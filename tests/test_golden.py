@@ -44,12 +44,12 @@ CASES = {
     ),
     "bound": (
         "ma11", "bound --n 4096 --x-grid 0:4000:250", 0,
-        "f82216c36ef0c23ee3761378d1aa0c9e75f733df991b94edc4534e01ad2d0ed2",
+        "a93ab43296916063190e66fa6a912f2e633c7a0bf1c854a8699b681657baaa2e",
     ),
     # a dense grid whose upper end crosses x/n >= c: valid=false rows
     "bound-dense": (
         "ma3", "bound --n 64 --x-grid 0:2000:0.5", 0,
-        "e18db2275ba692124bfcd3bcd85e8d572386cd6e749641481cca71d71f5f4a9f",
+        "2a85a26e701beb1df0f5fa9d64b02cbd7f7b73c25763ce4d0104e0394078f93a",
     ),
     # n_max no larger than the number of nonzero coefficients
     "coeffs-short": (
