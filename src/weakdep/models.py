@@ -490,16 +490,15 @@ def _decode(kind: str, d):
     if missing := [name for name in names if name not in d]:
         raise ValueError(f"{kind} is missing field {missing[0]!r}")
     for name in names:
-        if name not in _VARIANTS and not _numeric(name, d[name]):
-            raise ValueError(f"{kind} field {name!r} must be {'a list of numbers' if name == 'coeffs' else 'a number'}")
+        if name == "coeffs" and not (isinstance(d[name], list) and all(map(_is_number, d[name]))):
+            raise ValueError(f"{kind} field 'coeffs' must be a list of numbers")
+        if name not in _VARIANTS and name != "coeffs" and not _is_number(d[name]):
+            raise ValueError(f"{kind} field {name!r} must be a number")
     return cls(**{name: _decode(name, d[name]) if name in _VARIANTS else d[name] for name in names})
 
 
-def _numeric(name: str, value) -> bool:
-    """Whether a field's JSON value has its field's shape: coeffs a list of
-    numbers, any other field a number; a JSON true or false is no number."""
-    if name == "coeffs":
-        return isinstance(value, list) and all(_numeric("", v) for v in value)
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not true or false."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
