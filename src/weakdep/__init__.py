@@ -10,7 +10,7 @@ acceptance criteria call.  Everything else is in the submodules.
 __version__ = "0.1.0"
 
 from .blocks import block_scheme, decompose
-from .bounds import BoundParams, LaplaceCondition, named_inequalities, slln_schedule, tail_bound, unbounded_schedule
+from .bounds import LaplaceCondition, named_inequalities, slln_schedule, tail_bound, unbounded_schedule
 from .coefficients import gamma_sequence, long_run_variance
 from .models import (
     IID,

@@ -1,67 +1,26 @@
-"""The closed-form tail-bound evaluator and the strong-law rate schedules.
+"""The explicit tail bound of the odd-block sum and the strong-law rate schedules.
 
-tail_bound returns the bound value together with an explicit list of
-violated hypotheses instead of erroring, so the verification harness can
-report behavior across the validity boundary.  No unspecified constants
-are materialized anywhere: the bound is the fully explicit pre-constant
-form of the odd-block tail inequality, the Markov bound on the block-MGF
-of the odd-block sum at the optimized exponent.  The formula lives in one
-kernel over an array of x, which the bound command and the tail check call
-once per grid; tail_bound is its one-point case.
+tail_bound derives the bound's inputs from a bounded model and a block
+scheme and returns, at each point of an x grid, the bound value together
+with whether its hypotheses hold instead of erroring, so the verification
+harness can report behavior across the validity boundary.  No unspecified
+constants are materialized anywhere: the bound is the fully explicit
+pre-constant form of the odd-block tail inequality, the Markov bound on the
+block-MGF of the odd-block sum at the optimized exponent.  The bound command
+and the tail check both read it from tail_bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the tail bound.
-
-    c is the almost-sure bound on the variables, sigma2 the long-run
-    variance, p_n the block length, d_n > 1 the finite slack sequence, n the
-    sample size.  r_n = floor(n / 2 p_n) block pairs.
-    """
-
-    c: float
-    sigma2: float
-    p_n: int
-    d_n: float
-    n: int
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"almost-sure bound c must be positive, got {self.c}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if not 1 < self.d_n < math.inf:
-            raise ValueError(f"d_n must be finite and exceed 1, got {self.d_n}")
-        if not 1 <= self.p_n <= self.n / 2:
-            raise ValueError(f"need 1 <= p_n <= n/2, got p_n={self.p_n}, n={self.n}")
-
-    @property
-    def r_n(self) -> int:
-        return self.n // (2 * self.p_n)
-
-    @property
-    def mgf_threshold(self) -> float:
-        """Largest admissible t for the single-block MGF bound."""
-        return (self.d_n - 1.0) / self.d_n / (self.c * self.p_n)
-
-
-@dataclass(frozen=True)
-class BoundEvaluation:
-    value: float
-    violated_conditions: tuple[str, ...] = ()
-
-    @property
-    def valid(self) -> bool:
-        return not self.violated_conditions
+from .blocks import BlockScheme
+from .coefficients import gamma_sequence, long_run_variance
+from .models import ModelSpec, almost_sure_bound
 
 
 def geometric_sum(log_ratio, terms: int):
@@ -82,40 +41,65 @@ def geometric_sum(log_ratio, terms: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _tail_bound_grid(x, params: BoundParams, v_pn: float):
-    """The bound of tail_bound at every point of x, with its hypotheses:
-    (value, {name of the violation: where the hypothesis holds})."""
-    if v_pn < 0:
-        raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
+def _tail_bound_grid(x, scheme: BlockScheme, c: float, sigma2: float, d_n: float, v_pn: float):
+    """The tail bound at every point of x, with its hypotheses:
+    (value, {name of the violation: where the hypothesis holds}).
+
+    c is the almost-sure bound on the variables, sigma2 the long-run
+    variance, d_n > 1 the finite slack sequence and v_pn >= 0 the
+    coefficient tail sum at the scheme's block length p_n; r_n = floor(n /
+    2 p_n) block pairs.  At the optimized t = x / (2 sigma2 n d_n):
+
+        t^2 e^{t c n / 2} p_n v(p_n) e^{-t x} sum_{j=0}^{r_n-2} e^{j t p_n (2 t sigma2 d_n - c)}
+        + exp(-x^2 / (4 sigma2 n d_n)).
+
+    Valid when t clears the block-MGF threshold ((d_n - 1)/d_n) / (c p_n),
+    the series ratio is contracting, 2 t sigma2 d_n - c < 0 (equivalently
+    x/n < c), and x >= 0: the Markov step P(Z > x) <= e^{-t x} E e^{t Z}
+    needs t >= 0.
+    """
+    n, p_n = scheme.n, scheme.p_n
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        t = x / (2.0 * params.sigma2 * params.n * params.d_n)
-        ratio_term = 2.0 * t * params.sigma2 * params.d_n - params.c
-        gsum = geometric_sum(t * params.p_n * ratio_term, params.r_n - 1)
-        first = t * t * np.exp(t * params.c * params.n / 2.0 - t * x) * params.p_n * v_pn * gsum
-        second = np.exp(-x * x / (4.0 * params.sigma2 * params.n * params.d_n))
+        t = x / (2.0 * sigma2 * n * d_n)
+        ratio_term = 2.0 * t * sigma2 * d_n - c
+        gsum = geometric_sum(t * p_n * ratio_term, scheme.r_n - 1)
+        first = t * t * np.exp(t * c * n / 2.0 - t * x) * p_n * v_pn * gsum
+        second = np.exp(-x * x / (4.0 * sigma2 * n * d_n))
         value = np.where((t == 0.0) | (v_pn == 0.0), 0.0, first) + second
     # written so that a NaN x or t fails every hypothesis and x = -0.0 passes
     return value, {
-        "t_exceeds_block_mgf_threshold": t <= params.mgf_threshold,
+        "t_exceeds_block_mgf_threshold": t <= (d_n - 1.0) / d_n / (c * p_n),
         "series_ratio_not_contracting": ratio_term < 0,
         "negative_deviation": x >= 0.0,
     }
 
 
-def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
-    """Explicit tail bound on P(Z_odd > x) at the optimized t = x / (2 sigma2 n d_n):
+def tail_bound(model: ModelSpec, scheme: BlockScheme, x_grid: Sequence[float], alpha: float):
+    """The explicit tail bound of P(Z_odd > x) over an x grid, as arrays (x, bound, valid).
 
-        t^2 e^{t c n / 2} p_n v(p_n) e^{-t x} sum_{j=0}^{r_n-2} e^{j t p_n (2 t sigma2 d_n - c)}
-        + exp(-x^2 / (4 sigma2 n d_n)).
-
-    Valid when t clears the block-MGF threshold, the series ratio is
-    contracting, 2 t sigma2 d_n - c < 0 (equivalently x/n < c), and x >= 0:
-    the Markov step P(Z > x) <= e^{-t x} E e^{t Z} needs t >= 0.
+    Requires a bounded model (compact-support law, i.i.d. or moving
+    average).  c is its almost-sure bound, sigma2 its long-run variance,
+    v(p_n) its coefficient tail sum at the block length, and d_n the
+    bounded-case schedule evaluated at the scheme's effective theta = log
+    p_n / log n; alpha must be finite and exceed 1, as for the schedule.
+    OverflowError is raised when d_n is infinite, ValueError when it does
+    not exceed 1.
     """
-    value, holds = _tail_bound_grid(x, params, v_pn)
-    violated = tuple(name for name, ok in holds.items() if not ok)
-    return BoundEvaluation(value=float(value), violated_conditions=violated)
+    _check_alpha(alpha)
+    c = almost_sure_bound(model)
+    if c is None:
+        raise ValueError("the tail bound needs a bounded model")
+    sigma2 = long_run_variance(model)
+    v_pn = gamma_sequence(model).tail_sum(scheme.p_n)
+    d_n = _d_n(scheme.n, math.log(scheme.p_n) / math.log(scheme.n), alpha, sigma2, c)
+    if math.isinf(d_n):
+        raise OverflowError(f"d_n overflows at alpha = {alpha:g}")
+    if not d_n > 1:
+        raise ValueError(f"d_n must be finite and exceed 1, got {d_n}")
+    x = np.asarray(x_grid, dtype=float)
+    value, holds = _tail_bound_grid(x, scheme, c, sigma2, d_n, v_pn)
+    return x, value, np.logical_and.reduce(list(holds.values()))
 
 
 @dataclass(frozen=True)
@@ -151,7 +135,6 @@ class RateSchedule:
     epsilon_n: float
     bound_level: float
     sigma2: float
-    d_constant: float
     rate_exponent: float
     c_n: Optional[float] = None
     t_markov: Optional[float] = None
@@ -165,6 +148,11 @@ class RateSchedule:
 def _check_alpha(alpha: float):
     if not 1.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
+
+
+def _d_n(n: int, theta: float, alpha: float, sigma2: float, c: float) -> float:
+    """The bounded-case slack d_n = (4 alpha c^2 / sigma2) n^{2 theta - 1} log n."""
+    return 4.0 * alpha * c * c / sigma2 * n ** (2.0 * theta - 1.0) * math.log(n)
 
 
 def _check_theta_alpha(theta: float, alpha: float):
@@ -189,8 +177,7 @@ def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -
         raise ValueError(f"need n >= 2, got {n}")
     logn = math.log(n)
     p_n = max(1, math.floor(n ** theta))
-    d_constant = 4.0 * alpha * c * c / sigma2
-    d_n = d_constant * n ** (2.0 * theta - 1.0) * logn
+    d_n = _d_n(n, theta, alpha, sigma2, c)
     epsilon_n = math.sqrt(4.0 * sigma2 * alpha * d_n * logn / n)
     return RateSchedule(
         theta=theta,
@@ -201,7 +188,6 @@ def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -
         epsilon_n=epsilon_n,
         bound_level=c,
         sigma2=sigma2,
-        d_constant=d_constant,
         rate_exponent=1.0 - theta,
     )
 
@@ -233,8 +219,7 @@ def unbounded_schedule(
     logn = math.log(n)
     c_n = logn
     p_n = max(1, math.floor(n ** theta))
-    d_constant = alpha / sigma2
-    d_n = d_constant * n ** (2.0 * theta - 1.0) * c_n * c_n * logn
+    d_n = alpha / sigma2 * n ** (2.0 * theta - 1.0) * c_n * c_n * logn
     epsilon_n = 4.0 * alpha * alpha * n ** (theta - 1.0) * c_n * math.sqrt(logn)
     tail_term = 2.0 * n * cond.U / (t_markov * t_markov * epsilon_n * epsilon_n) * math.exp(-t_markov * c_n)
     return RateSchedule(
@@ -246,7 +231,6 @@ def unbounded_schedule(
         epsilon_n=epsilon_n,
         bound_level=c_n,
         sigma2=sigma2,
-        d_constant=d_constant,
         rate_exponent=1.0 - theta,
         c_n=c_n,
         t_markov=t_markov,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .blocks import block_scheme, decompose
+from .bounds import tail_bound
 from .coefficients import gamma_sequence
 from .models import IID, ModelSpec, QuadratureError, UniformOnInterval, model_from_json, replicate_paths, sample_path
 from .verify import (
@@ -46,7 +47,6 @@ from .verify import (
     fclt_increment_check,
     make_report,
     _slln_grid,
-    _tail_bound_table,
     slln_rate_fit,
 )
 
@@ -234,7 +234,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    x, value, valid = _tail(_tail_bound_table, _load_model(args.model), args.n, args.theta, args.alpha, args.x_grid)
+    x, value, valid = _tail(tail_bound, _load_model(args.model), args.n, args.theta, args.alpha, args.x_grid)
     _write_or_print(_csv_text(("x", "bound", "valid"), (x, value, valid)), args.out)
     return 0
 

@@ -476,8 +476,8 @@ def _encode(obj) -> dict:
 def _decode(kind: str, d):
     """Build a model, law or transform from its JSON object, which must carry
     exactly the variant's fields; a field named after a kind is decoded the
-    same way, and every other field must be a JSON number (coeffs a list of
-    them).  Any malformed object raises ValueError."""
+    same way, and every other field must be a finite JSON number (coeffs a
+    list of them).  Any malformed object raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"{kind} must be a JSON object, got {type(d).__name__}")
     table, variant = _VARIANTS[kind], d.get("variant")
@@ -491,15 +491,18 @@ def _decode(kind: str, d):
         raise ValueError(f"{kind} is missing field {missing[0]!r}")
     for name in names:
         if name == "coeffs" and not (isinstance(d[name], list) and all(map(_is_number, d[name]))):
-            raise ValueError(f"{kind} field 'coeffs' must be a list of numbers")
+            raise ValueError(f"{kind} field 'coeffs' must be a list of finite numbers")
         if name not in _VARIANTS and name != "coeffs" and not _is_number(d[name]):
-            raise ValueError(f"{kind} field {name!r} must be a number")
+            raise ValueError(f"{kind} field {name!r} must be a finite number")
     return cls(**{name: _decode(name, d[name]) if name in _VARIANTS else d[name] for name in names})
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an int or a float, not true or false."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number, not true or false, finite as a float (an int too large for a float is not)."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def model_to_json(model: ModelSpec) -> str:

@@ -4,7 +4,6 @@ from typing import Optional
 
 import numpy as np
 
-from weakdep.bounds import BoundEvaluation, BoundParams
 from weakdep.models import IID, ModelSpec, MovingAverage
 
 
@@ -41,29 +40,28 @@ def geometric_sum(log_ratio: float, terms: int) -> float:
         return float(np.expm1(terms * log_ratio) / np.expm1(log_ratio))
 
 
-def tail_bound(x: float, params: BoundParams, v_pn: float) -> BoundEvaluation:
+def tail_bound(x: float, scheme, c: float, sigma2: float, d_n: float, v_pn: float) -> tuple[float, tuple[str, ...]]:
     """The one-point tail bound that bounds._tail_bound_grid replaced, kept as the bit-for-bit
-    reference of the grid kernel."""
+    reference of the grid kernel: (value, names of the violated hypotheses)."""
     if v_pn < 0:
         raise ValueError(f"coefficient tail sum must be >= 0, got {v_pn}")
-    t = x / (2.0 * params.sigma2 * params.n * params.d_n)
+    n, p_n = scheme.n, scheme.p_n
+    t = x / (2.0 * sigma2 * n * d_n)
     violated = []
-    if not t <= params.mgf_threshold:
+    if not t <= (d_n - 1.0) / d_n / (c * p_n):
         violated.append("t_exceeds_block_mgf_threshold")
-    ratio_term = 2.0 * t * params.sigma2 * params.d_n - params.c
+    ratio_term = 2.0 * t * sigma2 * d_n - c
     if not ratio_term < 0:
         violated.append("series_ratio_not_contracting")
-    log_ratio = t * params.p_n * ratio_term
-    gsum = geometric_sum(log_ratio, params.r_n - 1)
+    log_ratio = t * p_n * ratio_term
+    gsum = geometric_sum(log_ratio, scheme.r_n - 1)
     with np.errstate(over="ignore"):
         if v_pn == 0.0 or t == 0.0:
             first = 0.0
         else:
-            first = float(
-                t * t * np.exp(t * params.c * params.n / 2.0 - t * x) * params.p_n * v_pn * gsum
-            )
-        second = float(np.exp(-x * x / (4.0 * params.sigma2 * params.n * params.d_n)))
-    return BoundEvaluation(value=first + second, violated_conditions=tuple(violated))
+            first = float(t * t * np.exp(t * c * n / 2.0 - t * x) * p_n * v_pn * gsum)
+        second = float(np.exp(-x * x / (4.0 * sigma2 * n * d_n)))
+    return first + second, tuple(violated)
 
 
 def parse_grid(start: float, stop: float, step: float, max_points: int) -> list[float]:

@@ -208,8 +208,7 @@ def test_criterion_8_quasi_association_counterexample():
         [float(a) for a in range(1, 51)], 1.0, U11, cfg
     )
     found = rep.estimate
-    # DOMINATED: a failing scale was found, and weak dependence survives
-    # the transform at every scanned scale
+    # DOMINATED: a failing scale was found
     ok = rep.verdict == DOMINATED and 1.0 <= found <= 50.0
     if ok:
         # independent recomputation of both sides at the found scale by

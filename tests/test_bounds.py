@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakdep import BoundParams, LaplaceCondition, named_inequalities, slln_schedule, tail_bound, unbounded_schedule
+from weakdep import (LaplaceCondition, MCConfig, MovingAverage, UniformOnInterval, block_scheme, check_tail_domination,
+                     named_inequalities, slln_schedule, tail_bound, unbounded_schedule)
 from weakdep.bounds import _tail_bound_grid, geometric_sum
 
-PARAMS = BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
+# the kernel's inputs after x: (scheme, c, sigma2, d_n)
+PARAMS = (block_scheme(64, 4), 1.0, 1.0, 2.0)
 
 
 # --- geometric sum helper --------------------------------------------------
@@ -48,7 +50,7 @@ def test_geometric_sum_elementwise_matches_scalar_reference():
     assert isinstance(geometric_sum(0.5, 3), float)
 
 
-# (params, v_pn, x grid) reaching x = 0, the valid region, each failed
+# (scheme, c, sigma2, d_n), v_pn and an x grid reaching x = 0, the valid region, each failed
 # hypothesis, log_ratio == 0 at t != 0 (x = 64 below), log_ratio > 350, NaN x,
 # v_pn == 0, a bound that overflows to inf (the third case at x = 16) and
 # r_n - 1 <= 0 (the last two); x = -1e4 is a NaN bound (0 * inf), which the
@@ -58,118 +60,116 @@ KERNEL_CASES = [
     (PARAMS, 0.1, [0.0, -0.0, 0.5, 10.0, 32.0, 33.0, 63.9, 64.0, 65.0, 100.0, 1200.0, 1300.0, 5000.0,
                    -1e-300, -10.0, -1e4, math.nan, math.inf, -math.inf]),
     (PARAMS, 0.0, [0.0, 10.0, 64.0, 1300.0, math.nan]),
-    (BoundParams(c=1.0, sigma2=1e-3, p_n=4, d_n=1.0001, n=64), 0.5, [0.0, 1.0, 16.0, 32.0, 48.0, 60.0, 64.0, 100.0]),
-    (BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=8), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
-    (BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=2.0, n=16), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
+    ((block_scheme(64, 4), 1.0, 1e-3, 1.0001), 0.5, [0.0, 1.0, 16.0, 32.0, 48.0, 60.0, 64.0, 100.0]),
+    ((block_scheme(8, 4), 1.0, 1.0, 2.0), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
+    ((block_scheme(16, 4), 1.0, 1.0, 2.0), 0.1, [0.0, 1.0, 8.0, 100.0, math.nan]),
 ]
+
+
+def _point(x, params, v_pn):
+    """The kernel at one point: (value, names of the violated hypotheses)."""
+    value, holds = _tail_bound_grid(x, *params, v_pn)
+    return float(value), tuple(name for name, ok in holds.items() if not ok)
 
 
 @pytest.mark.parametrize("case", range(len(KERNEL_CASES)))
 def test_tail_bound_grid_matches_scalar_reference(case):
     params, v_pn, xs = KERNEL_CASES[case]
     with np.errstate(invalid="ignore"):
-        refs = [oracles.tail_bound(x, params, v_pn) for x in xs]
+        refs = [oracles.tail_bound(x, *params, v_pn) for x in xs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, holds = _tail_bound_grid(np.array(xs), params, v_pn)
-        points = [tail_bound(x, params, v_pn) for x in xs]
-    assert np.array_equal(value, [r.value for r in refs], equal_nan=True)
-    assert np.signbit(value).tolist() == [math.copysign(1.0, r.value) < 0 for r in refs]
+        value, holds = _tail_bound_grid(np.array(xs), *params, v_pn)
+        points = [_point(x, params, v_pn) for x in xs]
+    assert np.array_equal(value, [v for v, _ in refs], equal_nan=True)
+    assert np.signbit(value).tolist() == [math.copysign(1.0, v) < 0 for v, _ in refs]
     assert list(holds) == ["t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation"]
     for name in ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting"):
-        assert holds[name].tolist() == [name not in r.violated_conditions for r in refs]
+        assert holds[name].tolist() == [name not in violated for _, violated in refs]
     # the reference has no sign hypothesis: x >= 0, failed by NaN, passed by -0.0
     nonnegative = [not x < 0 and not math.isnan(x) for x in xs]
     assert holds["negative_deviation"].tolist() == nonnegative
-    for point, ref, ok in zip(points, refs, nonnegative):
-        assert point.violated_conditions == ref.violated_conditions + (() if ok else ("negative_deviation",))
-        assert point.value == ref.value or (math.isnan(point.value) and math.isnan(ref.value))
+    for (point, violated), (ref, ref_violated), ok in zip(points, refs, nonnegative):
+        assert violated == ref_violated + (() if ok else ("negative_deviation",))
+        assert point == ref or (math.isnan(point) and math.isnan(ref))
     if case == 2:
         assert math.isinf(value[2])
-
-
-# --- bound parameters ------------------------------------------------------
-
-
-def test_bound_params_validation():
-    with pytest.raises(ValueError):
-        BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=1.0, n=64)  # d must exceed 1
-    with pytest.raises(ValueError):
-        BoundParams(c=1.0, sigma2=1.0, p_n=40, d_n=2.0, n=64)  # p > n/2
-    with pytest.raises(ValueError):
-        BoundParams(c=-1.0, sigma2=1.0, p_n=4, d_n=2.0, n=64)
-    for d_n in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            BoundParams(c=1.0, sigma2=1.0, p_n=4, d_n=d_n, n=64)
 
 
 # --- tail bound ------------------------------------------------------------
 
 
+def test_tail_bound_d_n_guard():
+    # the derived d_n must be finite and exceed 1: on ma11 (c = 2, sigma2 = 4/3) a block
+    # length of 1 or 2 at n = 4096 gives d_n = 0.0487 or 0.195, and alpha = 1e308 overflows it;
+    # p_n > n/2 is block_scheme's check
+    ma11 = MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1))
+    cfg = MCConfig(replicates=100, seed=0)
+    for p_n, d_n in ((1, "0.0487"), (2, "0.1949")):
+        scheme = block_scheme(4096, p_n)
+        with pytest.raises(ValueError, match=f"d_n must be finite and exceed 1, got {d_n}"):
+            tail_bound(ma11, scheme, [0.0, 100.0], alpha=2.0)
+        with pytest.raises(ValueError, match=f"d_n must be finite and exceed 1, got {d_n}"):
+            check_tail_domination(ma11, scheme, [0.0, 100.0], cfg)
+        with pytest.raises(OverflowError):
+            tail_bound(ma11, scheme, [0.0, 100.0], alpha=1e308)
+        with pytest.raises(OverflowError):
+            check_tail_domination(ma11, scheme, [0.0, 100.0], cfg, alpha=1e308)
+
+
 def test_tail_bound_gaussian_term_only():
     x = 3.0
-    ev = tail_bound(x, PARAMS, 0.0)
-    assert ev.value == pytest.approx(
-        math.exp(-x * x / (4 * PARAMS.sigma2 * PARAMS.n * PARAMS.d_n)), rel=1e-12
-    )
+    value, _ = _point(x, PARAMS, 0.0)
+    scheme, _, sigma2, d_n = PARAMS
+    assert value == pytest.approx(math.exp(-x * x / (4 * sigma2 * scheme.n * d_n)), rel=1e-12)
 
 
 def test_tail_bound_vacuous_at_zero():
-    ev = tail_bound(0.0, PARAMS, 0.3)
-    assert ev.value == pytest.approx(1.0)
+    value, _ = _point(0.0, PARAMS, 0.3)
+    assert value == pytest.approx(1.0)
 
 
 def test_tail_bound_invalid_when_deviation_reaches_bound_scale():
     # x = n * eps with eps >= c makes the series ratio nonnegative
-    ev = tail_bound(PARAMS.n * PARAMS.c, PARAMS, 0.1)
-    assert not ev.valid
-    assert "series_ratio_not_contracting" in ev.violated_conditions
+    scheme, c, _, _ = PARAMS
+    _, violated = _point(scheme.n * c, PARAMS, 0.1)
+    assert "series_ratio_not_contracting" in violated
     # t = 40/256 exceeds (d-1)/d / (c p) = 0.125, while 4t - 1 < 0 keeps the ratio contracting
-    ev = tail_bound(40.0, PARAMS, 0.1)
-    assert ev.violated_conditions == ("t_exceeds_block_mgf_threshold",)
-    assert 0.0 < ev.value < math.inf
+    value, violated = _point(40.0, PARAMS, 0.1)
+    assert violated == ("t_exceeds_block_mgf_threshold",)
+    assert 0.0 < value < math.inf
 
 
 def test_tail_bound_nan_point_is_invalid():
-    ev = tail_bound(math.nan, PARAMS, 0.1)
-    assert not ev.valid
-    assert ev.violated_conditions == (
-        "t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation",
-    )
+    _, violated = _point(math.nan, PARAMS, 0.1)
+    assert violated == ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation")
 
 
 def test_tail_bound_full_hand_evaluation():
     x, v = 5.0, 0.2
-    t = x / (2 * PARAMS.sigma2 * PARAMS.n * PARAMS.d_n)
-    r = PARAMS.n // (2 * PARAMS.p_n)
-    gsum = sum(
-        math.exp(j * t * PARAMS.p_n * (2 * t * PARAMS.sigma2 * PARAMS.d_n - PARAMS.c))
-        for j in range(r - 1)
-    )
-    oracle = (
-        t * t * math.exp(t * PARAMS.c * PARAMS.n / 2 - t * x) * PARAMS.p_n * v * gsum
-        + math.exp(-x * x / (4 * PARAMS.sigma2 * PARAMS.n * PARAMS.d_n))
-    )
-    ev = tail_bound(x, PARAMS, v)
-    assert ev.valid
-    assert ev.value == pytest.approx(oracle, rel=1e-12)
+    scheme, c, sigma2, d_n = PARAMS
+    n, p = scheme.n, scheme.p_n
+    t = x / (2 * sigma2 * n * d_n)
+    r = n // (2 * p)
+    gsum = sum(math.exp(j * t * p * (2 * t * sigma2 * d_n - c)) for j in range(r - 1))
+    oracle = t * t * math.exp(t * c * n / 2 - t * x) * p * v * gsum + math.exp(-x * x / (4 * sigma2 * n * d_n))
+    value, violated = _point(x, PARAMS, v)
+    assert violated == ()
+    assert value == pytest.approx(oracle, rel=1e-12)
 
 
 def test_tail_bound_monotone_on_valid_grid():
-    params = BoundParams(c=2.0, sigma2=4.0 / 3.0, p_n=97, d_n=458.0, n=4096)
-    xs = np.linspace(0.0, 4000.0, 41)
+    params = (block_scheme(4096, 97), 2.0, 4.0 / 3.0, 458.0)
     vals = []
-    for x in xs:
-        ev = tail_bound(float(x), params, 1.0 / 3.0)
-        assert ev.valid
-        vals.append(ev.value)
+    for x in np.linspace(0.0, 4000.0, 41):
+        value, violated = _point(float(x), params, 1.0 / 3.0)
+        assert violated == ()
+        vals.append(value)
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_bound_evaluators_are_pure():
-    a = tail_bound(2.5, PARAMS, 0.1)
-    b = tail_bound(2.5, PARAMS, 0.1)
-    assert a == b
+    assert _point(2.5, PARAMS, 0.1) == _point(2.5, PARAMS, 0.1)
 
 
 # --- bounded-case schedule -------------------------------------------------

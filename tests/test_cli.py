@@ -7,8 +7,9 @@ import numpy as np
 import oracles
 import pytest
 
-from weakdep import (IID, BoundParams, CumSumTransform, MovingAverage, NegExp, Rademacher, UniformOnInterval,
-                     VerificationReport, almost_sure_bound, gamma_sequence, long_run_variance, model_to_json)
+from weakdep import (IID, CumSumTransform, MovingAverage, NegExp, Rademacher, UniformOnInterval,
+                     VerificationReport, almost_sure_bound, block_scheme, gamma_sequence, long_run_variance,
+                     model_to_json)
 from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
@@ -95,13 +96,12 @@ def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
     # p_n = floor(64^0.55) = 9; d_n is the bounded-case schedule at theta_eff = log p_n / log n
     theta_eff = math.log(9) / math.log(64)
     d_n = (4.0 * 2.0 * c * c / sigma2) * 64 ** (2.0 * theta_eff - 1.0) * math.log(64)
-    params = BoundParams(c=c, sigma2=sigma2, p_n=9, d_n=d_n, n=64)
     v_pn = gamma_sequence(ma).tail_sum(9)
     lines = ["x,bound,valid"]
     with np.errstate(invalid="ignore"):
         for x in parse_grid(spec):
-            ev = oracles.tail_bound(x, params, v_pn)
-            lines.append(f"{x:.17g},{ev.value:.17g},{str(ev.valid and x >= 0).lower()}")
+            value, violated = oracles.tail_bound(x, block_scheme(64, 9), c, sigma2, d_n, v_pn)
+            lines.append(f"{x:.17g},{value:.17g},{str(not violated and x >= 0).lower()}")
     assert out == "\n".join(lines) + "\n"
     assert ",nan," in out and ",true" in out and ",false" in out
 
@@ -304,10 +304,10 @@ def test_malformed_model_json(tmp_path, capsys):
     ]
     # a parameter that is not a JSON number, which used to load and then run or end in a traceback
     strings = json.dumps({"variant": "iid", "law": {**law, "a": "1", "b": "2"}})
-    cases += [(strings, argv, "law field 'a' must be a number")
+    cases += [(strings, argv, "law field 'a' must be a finite number")
               for argv in (["coeffs"], ["bound"], ["decompose", "--n", "8", "--p", "2"])]
     cases += [
-        (json.dumps({"variant": "iid", "law": {**law, "a": True, "b": 2.0}}), ["coeffs"], "field 'a' must be a number"),
+        (json.dumps({"variant": "iid", "law": {**law, "a": True, "b": 2.0}}), ["coeffs"], "field 'a' must be a finite number"),
         (json.dumps({"variant": "moving_average", "coeffs": "12", "law": law}), ["coeffs"], "'coeffs' must be a list"),
         (json.dumps({"variant": "moving_average", "coeffs": ["1", "2"], "law": law}), ["coeffs"], "'coeffs' must be"),
         (json.dumps({"variant": "moving_average", "coeffs": [1.0, False], "law": law}), ["coeffs"], "'coeffs'"),
@@ -315,6 +315,24 @@ def test_malformed_model_json(tmp_path, capsys):
         (json.dumps({"variant": "iid", "law": {"variant": "truncated_gaussian", "bound": [1.5]}}), ["coeffs"],
          "'bound'"),
     ]
+    # a parameter that is not finite as a float (1e400 parses to inf; an int beyond the float range),
+    # which used to run with NaN block sums, blame an option or end in a traceback
+    huge = "1" + "0" * 400
+    uniform_b = '{"variant": "iid", "law": {"variant": "uniform_on_interval", "a": 0, "b": %s}}'
+    gaussian = '{"variant": "iid", "law": {"variant": "truncated_gaussian", "bound": %s}}'
+    bump = '{"variant": "cumsum_transform", "coeffs": [1.0, 1.0], "law": %s, "transform": %s}' % (
+        json.dumps(law), '{"variant": "gauss_bump_plus_x", "beta": 1e400}')
+    cases += [(uniform_b % "1e400", argv, "law field 'b' must be a finite number")
+              for argv in (["decompose", "--n", "8", "--p", "2"], ["verify", "--check", "quasi"])]
+    cases += [
+        (uniform_b % huge, ["bound"], "law field 'b' must be a finite number"),
+        (gaussian % "1e400", ["decompose", "--n", "8", "--p", "2"], "law field 'bound' must be a finite number"),
+        (gaussian % "1e400", ["verify", "--check", "cov"], "law field 'bound' must be a finite number"),
+        (gaussian % huge, ["decompose", "--n", "8", "--p", "2"], "law field 'bound' must be a finite number"),
+        (bump, decompose, "transform field 'beta' must be a finite number"),
+    ]
+    cases += [('{"variant": "moving_average", "coeffs": [%s, 1], "law": %s}' % (huge, json.dumps(law)), argv,
+               "model field 'coeffs' must be a list of finite numbers") for argv in (["coeffs"], ["bound"], decompose)]
     bad = tmp_path / "bad.json"
     for doc, argv, word in cases:
         bad.write_text(doc)

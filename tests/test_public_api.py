@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # acceptance criteria import; everything else lives in the submodules
 PUBLIC = {
     "BOUND_INVALID", "DOMINATED", "VIOLATED",
-    "BoundParams", "LaplaceCondition", "named_inequalities", "slln_schedule", "tail_bound", "unbounded_schedule",
+    "LaplaceCondition", "named_inequalities", "slln_schedule", "tail_bound", "unbounded_schedule",
     "block_scheme", "decompose",
     "gamma_sequence", "long_run_variance",
     "IID", "MovingAverage", "CumSumTransform", "ModelSpec",
