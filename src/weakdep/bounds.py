@@ -135,7 +135,6 @@ class RateSchedule:
     epsilon_n: float
     bound_level: float
     sigma2: float
-    rate_exponent: float
     c_n: Optional[float] = None
     t_markov: Optional[float] = None
     tail_term: Optional[float] = None
@@ -188,7 +187,6 @@ def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -
         epsilon_n=epsilon_n,
         bound_level=c,
         sigma2=sigma2,
-        rate_exponent=1.0 - theta,
     )
 
 
@@ -231,7 +229,6 @@ def unbounded_schedule(
         epsilon_n=epsilon_n,
         bound_level=c_n,
         sigma2=sigma2,
-        rate_exponent=1.0 - theta,
         c_n=c_n,
         t_markov=t_markov,
         tail_term=tail_term,

@@ -7,14 +7,18 @@ and their JSON schema.  Every generated variable is centered; paths are
 arrays, deterministic functions of (model, n, seed) and prefix-consistent
 in n.  replicate_paths is the one producer of replicate paths: it draws
 them in chunks of max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major,
-from one generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)).
+from one generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)),
+on a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
+serial draw; its reduce must therefore be thread-safe.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
@@ -29,6 +33,10 @@ QUAD_REL_TOL = 1e-10
 
 # largest number of path values replicate_paths builds at once
 REPLICATE_BLOCK_VALUES = 2**16
+
+# threads that draw the chunks of one replicate_paths call, the caller
+# included; fixed by the host, never by an option or an input
+_WORKERS = min(2, os.cpu_count() or 1)
 
 
 class QuadratureError(RuntimeError):
@@ -91,16 +99,11 @@ class UniformOnInterval:
         h = self.halfwidth
         return np.clip((np.asarray(x, dtype=float) + h) / (2.0 * h), 0.0, 1.0)
 
-    def pdf(self, x):
-        h = self.halfwidth
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= h, 1.0 / (2.0 * h), 0.0)
-
-    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]], out=None) -> np.ndarray:
         # rng.uniform(-h, h, size) bit for bit, low + range * u, but scaled
         # in place: numpy's broadcasting uniform loop is the slower one
         h = self.halfwidth
-        u = rng.random(size)
+        u = rng.random(size, out=out)
         u *= h - (-h)
         u += -h
         return u
@@ -124,8 +127,10 @@ class Rademacher:
     def chf(self, t):
         return np.cos(np.asarray(t, dtype=float))
 
-    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
-        return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]], out=None) -> np.ndarray:
+        signs = np.multiply(rng.integers(0, 2, size), 2.0, out=out)
+        signs -= 1.0
+        return signs
 
 
 @lru_cache(maxsize=1)
@@ -185,16 +190,12 @@ class TruncatedGaussian:
         x = np.clip(np.asarray(x, dtype=float), -self.bound, self.bound)
         return (ndtr(x) - ndtr(-self.bound)) / self._mass
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / self._mass
-        return np.where(np.abs(x) <= self.bound, dens, 0.0)
-
-    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]]) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]], out=None) -> np.ndarray:
         # inverse-cdf on one uniform per draw keeps paths prefix-consistent
-        lo = ndtr(-self.bound)
-        u = rng.random(size)
-        return ndtri(lo + u * self._mass)
+        u = rng.random(size, out=out)
+        u *= self._mass
+        u += ndtr(-self.bound)
+        return ndtri(u, out=u)
 
 
 InnovationLaw = Union[UniformOnInterval, Rademacher, TruncatedGaussian]
@@ -363,7 +364,15 @@ def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
     return tuple(means)
 
 
-def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator) -> np.ndarray:
+def _buffer(scratch: dict, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """The array scratch[name], allocated on first use; a scratch dict serves one shape of chunk."""
+    array = scratch.get(name)
+    if array is None:
+        array = scratch[name] = np.empty(shape)
+    return array
+
+
+def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scratch: dict) -> np.ndarray:
     """width paths of length n from one generator, as a (width, n) array.
 
     The innovations are drawn time-major, an (n + p - 1, width) array for
@@ -372,29 +381,37 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator) -> np
     larger n.  The moving average is a sum of shifted slices accumulated
     in the order of np.convolve, a[p-1] eps[0:n] first, so width 1 gives
     the full convolution cut to its n complete terms bit for bit; each term
-    is formed in one scratch array.
+    is formed in one scratch array.  The innovations, the filter output and
+    the transposed copy live in scratch and are overwritten by the next
+    call with the same scratch, which must not happen while the result is
+    still read.
     """
     if isinstance(model, IID):
-        values = model.law.sample(rng, (n, width))
+        values = model.law.sample(rng, (n, width), out=_buffer(scratch, "eps", (n, width)))
     elif isinstance(model, MovingAverage):
         a, p = model.coeffs, model.order
-        eps = model.law.sample(rng, (n + p - 1, width))
-        values = a[p - 1] * eps[:n]
-        term = np.empty_like(values)
+        eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
+        values = np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
+        # the term borrows the memory of the transposed copy, written only after the filter
+        term = _buffer(scratch, "paths", (width, n)).reshape(n, width)
         for j in range(p - 2, -1, -1):
             values += np.multiply(a[j], eps[p - 1 - j : p - 1 - j + n], out=term)
-        del term  # freed before the transposed copy below, which sets the peak memory
     elif isinstance(model, CumSumTransform):
         if n > len(model.coeffs):
             raise ValueError(
                 f"cumulative-sum model defines {len(model.coeffs)} coefficients, cannot generate {n} points"
             )
-        eps = model.law.sample(rng, (n, width))
-        sums = np.cumsum(np.asarray(model.coeffs[:n])[:, np.newaxis] * eps, axis=0)
+        sums = model.law.sample(rng, (n, width), out=_buffer(scratch, "eps", (n, width)))
+        sums *= np.asarray(model.coeffs[:n])[:, np.newaxis]
+        np.cumsum(sums, axis=0, out=sums)
         values = model.transform(sums) - np.asarray(_cumsum_means(model, n))[:, np.newaxis]
     else:
         raise TypeError(f"unknown model type {type(model).__name__}")
-    return np.ascontiguousarray(values.T)
+    if width == 1:
+        return values.T  # one path is contiguous already
+    paths = _buffer(scratch, "paths", (width, n))
+    paths[...] = values.T
+    return paths
 
 
 def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
@@ -408,7 +425,7 @@ def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
-    return _paths(model, n, 1, np.random.default_rng(seed))[0]
+    return _paths(model, n, 1, np.random.default_rng(seed), {})[0]
 
 
 def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce=None) -> np.ndarray:
@@ -424,6 +441,14 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     into one preallocated output; reduce None returns the (replicates, n)
     path matrix.
 
+    Chunks are drawn on a fixed number of threads, min(2, os.cpu_count()):
+    the calling thread takes chunks 0, W, 2W, ... and one pool thread
+    chunks 1, W + 1, ...  Each chunk fills only its own rows from its own
+    generator, so every row is bit for bit the same as in a serial draw.
+    reduce may run on either thread and must therefore be thread-safe
+    (pure numpy on its block is).  An exception from reduce or the filter
+    is raised here once both threads have stopped.
+
     >>> m = IID(Rademacher())
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
     True
@@ -433,16 +458,34 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     width = max(1, REPLICATE_BLOCK_VALUES // n)
-    out = None
-    for chunk, start in enumerate(range(0, replicates, width)):
+    chunks = -(-replicates // width)
+    workers = min(_WORKERS, chunks)
+
+    def draw(chunk: int, scratch: dict) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        block = _paths(model, n, width, rng)[: replicates - start]
+        block = _paths(model, n, width, rng, scratch)[: replicates - chunk * width]
         part = block if reduce is None else np.asarray(reduce(block))
         if part.shape[:1] != block.shape[:1]:
             raise ValueError(f"reduce must return one row per path, got shape {part.shape}")
-        if out is None:
-            out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
-        out[start : start + len(block)] = part
+        return part
+
+    def draw_from(first: int, scratch: dict) -> None:
+        # a worker's scratch is reused chunk after chunk: a pool thread that
+        # freed its arrays instead would fault their pages in again each time
+        for chunk in range(first, chunks, workers):
+            out[chunk * width : (chunk + 1) * width] = draw(chunk, scratch)
+
+    # chunk 0 first, on this thread: it gives the output's shape and dtype and
+    # fills _cumsum_means' cache, whose quadrature is not thread-safe
+    scratch = {}
+    part = draw(0, scratch)
+    out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
+    out[: len(part)] = part
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(draw_from, worker, {}) for worker in range(1, workers)]
+        draw_from(workers, scratch)
+        for future in futures:
+            future.result()
     return out
 
 

@@ -188,7 +188,6 @@ def test_slln_schedule_hand_epsilon():
     assert sched.epsilon_n == pytest.approx(eps_sqrt, rel=1e-12)
     assert sched.epsilon_n == pytest.approx(eps_closed, rel=1e-12)
     assert sched.p_n == math.floor(n**theta)
-    assert sched.rate_exponent == pytest.approx(1 - theta)
 
 
 def test_slln_schedule_rate_ratio_bounded():

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -62,6 +64,14 @@ def test_uniform_sample_matches_generator_uniform(a, b, size):
     assert np.array_equal(x, np.random.default_rng(41).uniform(-h, h, size))
 
 
+def density(law):
+    """The density of a continuous law on its support, for the quadrature oracles."""
+    if isinstance(law, UniformOnInterval):
+        return lambda x: 1.0 / (law.b - law.a)
+    mass = erf(law.bound / math.sqrt(2.0))
+    return lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / mass
+
+
 @pytest.mark.parametrize("law", [U11, Rademacher(), TruncatedGaussian(1.5)])
 @pytest.mark.parametrize("t", [-2.0, -0.5, 0.0, 0.3, 1.7])
 def test_mgf_matches_quadrature_oracle(law, t):
@@ -69,7 +79,8 @@ def test_mgf_matches_quadrature_oracle(law, t):
         expected = 0.5 * (math.exp(t) + math.exp(-t))
     else:
         lo, hi = law.support
-        expected, _ = integrate.quad(lambda x: math.exp(t * x) * float(law.pdf(x)), lo, hi)
+        pdf = density(law)
+        expected, _ = integrate.quad(lambda x: math.exp(t * x) * pdf(x), lo, hi)
     assert law.mgf(t) == pytest.approx(expected, rel=1e-9)
 
 
@@ -207,12 +218,17 @@ def chunk_reference(model, n, replicates, seed):
 @pytest.mark.parametrize(
     "model, n, replicates",
     [
-        # 65, 13 and 1638 paths per chunk: each run ends in a partial chunk
+        # 65, 13, 1638, 1, 2730, 8192 and 1 paths per chunk: a run of more
+        # paths than one chunk holds ends in a partial chunk, every law and
+        # model kind has a run of at least 3 chunks, so that both threads
+        # draw, and the last run is the slln shape
         (IID(U11), 1000, 150),
         (MovingAverage(coeffs=(1.0, -0.5, 1.0), law=TruncatedGaussian(1.5)), 5000, 30),
         (CumSumTransform(coeffs=(0.5,) * 40, transform=NegExp(), law=U11), 40, 1700),
-        # a chunk holds one path
         (MovingAverage(coeffs=(1.0, 1.0), law=Rademacher()), REPLICATE_BLOCK_VALUES, 3),
+        (IID(Rademacher()), 24, 8200),
+        (CumSumTransform(coeffs=(0.25,) * 8, transform=Identity(), law=TruncatedGaussian(1.5)), 8, 16400),
+        (MovingAverage(coeffs=(1.0, 1.0), law=U11), REPLICATE_BLOCK_VALUES, 5),
     ],
 )
 def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
@@ -224,6 +240,67 @@ def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
 
     expected = np.array([[row.sum(), np.cumsum(row)[n // 2]] for row in reference])
     assert np.array_equal(replicate_paths(model, n, replicates, 31, reduce), expected)
+    # a view of the block: a reused chunk buffer must not show through
+    assert np.array_equal(replicate_paths(model, n, replicates, 31, lambda x: x[:, ::2]), reference[:, ::2])
+
+
+def test_replicate_paths_error_on_pool_thread(monkeypatch):
+    # a reduce that fails only on the pool thread's chunks: the error reaches
+    # the caller and the pool's thread is gone
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    caller = threading.current_thread()
+
+    def reduce(x):
+        if threading.current_thread() is not caller:
+            raise ValueError("pool chunk")
+        return x.sum(axis=1)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="pool chunk"):
+        replicate_paths(IID(U11), 1000, 300, 0, reduce)
+    assert threading.active_count() == before
+
+
+def test_replicate_paths_from_concurrent_callers(monkeypatch):
+    # more callers than cores, switching often: each result is its own
+    # chunk_reference, so no call shares a buffer with another
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    cases = [
+        (MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11), 4096, 70, 1),
+        (MovingAverage(coeffs=(1.0, 1.0), law=U11), 4096, 70, 2),
+        (IID(TruncatedGaussian(1.5)), 1000, 200, 3),
+        (MovingAverage(coeffs=(1.0, 1.0), law=Rademacher()), 24, 9000, 4),
+    ]
+    results = [None] * len(cases)
+    start = threading.Barrier(len(cases))
+
+    def run(i, model, n, replicates, seed):
+        start.wait(timeout=30)
+        results[i] = replicate_paths(model, n, replicates, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i, *case)) for i, case in enumerate(cases)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result, (model, n, replicates, seed) in zip(results, cases):
+        assert np.array_equal(result, chunk_reference(model, n, replicates, seed))
+
+
+def test_replicate_paths_fills_cumsum_means_once(monkeypatch):
+    # the quadrature of the means runs once, on the caller, before the pool
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    model = CumSumTransform(coeffs=(0.4,) * 12, transform=GaussBumpPlusX(2.0), law=U11)
+    _cumsum_means.cache_clear()
+    paths = replicate_paths(model, 12, 11_000, 6)
+    assert _cumsum_means.cache_info().misses == 1
+    assert np.array_equal(paths, chunk_reference(model, 12, 11_000, 6))
 
 
 @pytest.mark.parametrize("n", [24, 5000])
@@ -359,7 +436,7 @@ def test_negexp_variance_vanishes_for_nonnegative_shift():
 @pytest.mark.parametrize("m", [1, 2])
 def test_cumsum_means_gauss_bump_exact(law, coeffs, beta, m):
     # the Fourier quadrature through chf against E g(c . xi) taken directly:
-    # the exact 2^m-point sum for Rademacher, quad/dblquad of g(c . x) pdf else
+    # the exact 2^m-point sum for Rademacher, quad/dblquad of g(c . x) against the density else
     model = CumSumTransform(coeffs=coeffs, transform=GaussBumpPlusX(beta), law=law)
     c = coeffs[:m]
     g = lambda s: math.exp(-s * s / beta) + s
@@ -367,7 +444,7 @@ def test_cumsum_means_gauss_bump_exact(law, coeffs, beta, m):
         oracle = np.mean([g(np.dot(c, signs)) for signs in itertools.product((-1.0, 1.0), repeat=m)])
     else:
         lo, hi = law.support
-        pdf = lambda x: float(law.pdf(x))
+        pdf = density(law)
         tol = dict(epsabs=1e-14, epsrel=1e-13)
         if m == 1:
             oracle, _ = integrate.quad(lambda x: g(c[0] * x) * pdf(x), lo, hi, **tol)
