@@ -441,13 +441,13 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     into one preallocated output; reduce None returns the (replicates, n)
     path matrix.
 
-    Chunks are drawn on a fixed number of threads, min(2, os.cpu_count()):
-    the calling thread takes chunks 0, W, 2W, ... and one pool thread
-    chunks 1, W + 1, ...  Each chunk fills only its own rows from its own
-    generator, so every row is bit for bit the same as in a serial draw.
-    reduce may run on either thread and must therefore be thread-safe
-    (pure numpy on its block is).  An exception from reduce or the filter
-    is raised here once both threads have stopped.
+    Chunks are drawn on W = min(2, os.cpu_count()) threads, a number no
+    input sets: the calling thread takes chunks 0, W, 2W, ... and one
+    pool thread chunks 1, W + 1, ...  Each chunk fills only its own rows
+    from its own generator, so every row is bit for bit the same as in a
+    serial draw.  reduce may run on either thread and must therefore be
+    thread-safe (pure numpy on its block is).  An exception from reduce
+    or the filter is raised here once both threads have stopped.
 
     >>> m = IID(Rademacher())
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
