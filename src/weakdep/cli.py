@@ -262,10 +262,14 @@ def random_cov_cases(model: ModelSpec, n: int, cases: int, seed: int):
 
 
 def _list(spec: str, kind: type, option: str) -> list:
+    """The comma-separated entries of spec as kind; a float entry must be finite."""
     try:
-        return [kind(v) for v in spec.split(",") if v]
+        values = [kind(v) for v in spec.split(",") if v]
     except ValueError:
         raise ConfigError(f"{option} must be a comma-separated list of {kind.__name__}s, got {spec!r}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ConfigError(f"{option} entries must be finite, got {spec!r}")
+    return values
 
 
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:

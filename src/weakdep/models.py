@@ -10,6 +10,11 @@ them in chunks of max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major,
 from one generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)),
 on a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
 serial draw; its reduce must therefore be thread-safe.
+
+scipy is imported inside the functions that call it (the quadrature and
+the truncated-Gaussian law), not at the top: importing scipy.integrate and
+scipy.special costs about half a second, which a command on a uniform or
+Rademacher model would otherwise pay without using them.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +47,8 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(fn, lo, hi):
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -158,6 +163,8 @@ class TruncatedGaussian:
 
     @property
     def _mass(self) -> float:
+        from scipy.special import ndtr
+
         return 2.0 * ndtr(self.bound) - 1.0
 
     @property
@@ -171,6 +178,8 @@ class TruncatedGaussian:
         return (-self.bound, self.bound)
 
     def mgf(self, t: float) -> float:
+        from scipy.special import ndtr
+
         b = self.bound
         return math.exp(0.5 * t * t) * (ndtr(b - t) - ndtr(-b - t)) / self._mass
 
@@ -187,10 +196,14 @@ class TruncatedGaussian:
         return vals if vals.size > 1 else float(vals[0])
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x = np.clip(np.asarray(x, dtype=float), -self.bound, self.bound)
         return (ndtr(x) - ndtr(-self.bound)) / self._mass
 
     def sample(self, rng: np.random.Generator, size: Union[int, tuple[int, ...]], out=None) -> np.ndarray:
+        from scipy.special import ndtr, ndtri
+
         # inverse-cdf on one uniform per draw keeps paths prefix-consistent
         u = rng.random(size, out=out)
         u *= self._mass

@@ -12,6 +12,10 @@ The empirical-process helpers return plain values: marginal_transform the
 distribution function that maps a path to uniform marginals,
 empirical_process_path the array of zeta_n values on a grid, and
 estimate_gamma_operator an estimate and its SE.
+
+scipy is imported inside the functions that call it (the exact binomial
+limit and the KS distance), not at the top: importing scipy.stats costs
+about half a second, which every other check would otherwise pay at start.
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import beta as beta_dist
-from scipy.stats import kstest
 
 from .blocks import BlockScheme, decompose
 from .bounds import tail_bound
@@ -127,6 +128,9 @@ def _binomial_lower(count: int, total: int, mult: float) -> float:
     if count >= 10:
         se = math.sqrt(p_hat * (1.0 - p_hat) / total)
         return p_hat - mult * se
+    from scipy.special import ndtr
+    from scipy.stats import beta as beta_dist
+
     alpha_low = 1.0 - ndtr(mult)
     return float(beta_dist.ppf(alpha_low, count, total - count + 1))
 
@@ -448,6 +452,8 @@ def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> list[Verificatio
     1.358 / sqrt(replicates) (the 5% KS critical value) plus the finite-n
     allowance b(n).
     """
+    from scipy.stats import kstest
+
     sigma = math.sqrt(long_run_variance(model))
     vals = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1)) / math.sqrt(n)
     ks = float(kstest(vals, "norm", args=(0.0, sigma)).statistic)

@@ -7,9 +7,9 @@ import numpy as np
 import oracles
 import pytest
 
-from weakdep import (IID, CumSumTransform, MovingAverage, NegExp, Rademacher, UniformOnInterval,
-                     VerificationReport, almost_sure_bound, block_scheme, gamma_sequence, long_run_variance,
-                     model_to_json)
+from weakdep import (IID, CumSumTransform, MCConfig, MovingAverage, NegExp, Rademacher, UniformOnInterval,
+                     VerificationReport, almost_sure_bound, block_scheme, check_newman, gamma_sequence,
+                     long_run_variance, model_to_json)
 from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
@@ -236,6 +236,10 @@ def test_usage_errors(iid_model, capsys):
     for argv, line in (
         (["--check", "newman", "--t-grid", "abc"], "--t-grid must be a comma-separated list of floats, got 'abc'"),
         (["--check", "fclt", "--times", "0.5,x"], "--times must be a comma-separated list of floats, got '0.5,x'"),
+        (["--check", "newman", "--t-grid", "nan"], "--t-grid entries must be finite, got 'nan'"),
+        (["--check", "newman", "--t-grid", "0.5,inf"], "--t-grid entries must be finite, got '0.5,inf'"),
+        (["--check", "fclt", "--times", "nan"], "--times entries must be finite, got 'nan'"),
+        (["--check", "fclt", "--times", "0.5,-inf"], "--times entries must be finite, got '0.5,-inf'"),
         (["--check", "slln", "--n-grid", "1e3"], "--n-grid must be a comma-separated list of ints, got '1e3'"),
         (["--check", "tail", "--x-grid", ""], "grid must be start:stop:step, got ''"),
         (["--check", "slln", "--n-grid", "64,128"], "need at least 3 distinct positive --n-grid points to fit a slope"),
@@ -463,14 +467,12 @@ def test_tail_at_negative_deviation_is_bound_invalid(tmp_path, capsys):
 
 
 def test_verify_fails_closed(tmp_path, iid_model):
-    # a NaN estimate and bound never pass
-    out = tmp_path / "nan.csv"
-    code = run(
-        ["verify", "--check", "newman", "--model", iid_model, "--replicates", "100",
-         "--t-grid", "nan", "--out", str(out)]
-    )
-    assert code == 1
-    assert [r[6] for r in read_csv(out)[1:]] == ["VIOLATED"]
+    # a NaN estimate and bound never pass; the CLI no longer reaches one, as a
+    # non-finite --t-grid entry is a usage error
+    [rep] = check_newman(IID(UniformOnInterval(-1, 1)), 8, [math.nan], MCConfig(replicates=100, seed=0))
+    assert rep.verdict == "VIOLATED"
+    argv = ["verify", "--check", "newman", "--model", iid_model, "--replicates", "100", "--t-grid", "nan"]
+    assert run(argv) == 2
     # emp has no gamma(s,t) target for a moving average: no pass, no failure
     model = tmp_path / "ma11.json"
     model.write_text(MA11_JSON)

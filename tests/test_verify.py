@@ -31,7 +31,7 @@ from weakdep import (
     slln_rate_fit,
 )
 from weakdep.cli import run
-from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, _partial_sums, marginal_transform
+from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _partial_sums, marginal_transform
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -258,6 +258,17 @@ def test_quasi_rows_match_quadrature_oracle():
     # a grid that stops short of the crossing finds no scale
     [miss] = check_quasi_association_counterexample([2.0, 9.0], 1.0, U11, cfg)
     assert miss.verdict == VIOLATED and math.isnan(miss.estimate)
+
+
+def test_binomial_lower_limit():
+    # no count: 0; one count: the exact Clopper-Pearson limit, the Beta(1, N)
+    # quantile 1 - (1 - q)^(1/N); ten or more: the Wald limit
+    total, mult = 2500, 3.0
+    assert _binomial_lower(0, total, mult) == 0.0
+    q = 0.5 * math.erfc(mult / math.sqrt(2.0))
+    assert _binomial_lower(1, total, mult) == pytest.approx(1.0 - (1.0 - q) ** (1.0 / total), rel=1e-12)
+    p = 10 / total
+    assert _binomial_lower(10, total, mult) == p - mult * math.sqrt(p * (1.0 - p) / total)
 
 
 def test_quasi_rejects_nonfinite_scales():
