@@ -466,13 +466,11 @@ def test_tail_at_negative_deviation_is_bound_invalid(tmp_path, capsys):
     ]
 
 
-def test_verify_fails_closed(tmp_path, iid_model):
-    # a NaN estimate and bound never pass; the CLI no longer reaches one, as a
-    # non-finite --t-grid entry is a usage error
+def test_verify_fails_closed(tmp_path):
+    # a NaN estimate and bound never pass (the CLI exits 2 on --t-grid nan
+    # before reaching one: test_usage_errors)
     [rep] = check_newman(IID(UniformOnInterval(-1, 1)), 8, [math.nan], MCConfig(replicates=100, seed=0))
     assert rep.verdict == "VIOLATED"
-    argv = ["verify", "--check", "newman", "--model", iid_model, "--replicates", "100", "--t-grid", "nan"]
-    assert run(argv) == 2
     # emp has no gamma(s,t) target for a moving average: no pass, no failure
     model = tmp_path / "ma11.json"
     model.write_text(MA11_JSON)
