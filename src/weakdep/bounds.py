@@ -3,7 +3,9 @@
 tail_bound derives the bound's inputs from a bounded model and a block
 scheme and returns, at each point of an x grid, the bound value together
 with whether its hypotheses hold instead of erroring, so the verification
-harness can report behavior across the validity boundary.  No unspecified
+harness can report behavior across the validity boundary.  A hypothesis is
+named after what it asserts and is True where it holds; the block-MGF
+threshold, which the rate schedules share, is written once.  No unspecified
 constants are materialized anywhere: the bound is the fully explicit
 pre-constant form of the odd-block tail inequality, the Markov bound on the
 block-MGF of the odd-block sum at the optimized exponent.  The bound command
@@ -41,9 +43,15 @@ def geometric_sum(log_ratio, terms: int):
     return float(out) if out.ndim == 0 else out
 
 
+def _block_mgf_threshold(t, d, level: float, p_n: int):
+    """The block-MGF hypothesis t <= ((d - 1)/d) / (level p_n), elementwise; level is the
+    almost-sure bound c or the truncation level c_n, and a NaN t fails it."""
+    return t <= (d - 1.0) / d / (level * p_n)
+
+
 def _tail_bound_grid(x, scheme: BlockScheme, c: float, sigma2: float, d_n: float, v_pn: float):
     """The tail bound at every point of x, with its hypotheses:
-    (value, {name of the violation: where the hypothesis holds}).
+    (value, {name of the hypothesis: where it holds}).
 
     c is the almost-sure bound on the variables, sigma2 the long-run
     variance, d_n > 1 the finite slack sequence and v_pn >= 0 the
@@ -53,10 +61,10 @@ def _tail_bound_grid(x, scheme: BlockScheme, c: float, sigma2: float, d_n: float
         t^2 e^{t c n / 2} p_n v(p_n) e^{-t x} sum_{j=0}^{r_n-2} e^{j t p_n (2 t sigma2 d_n - c)}
         + exp(-x^2 / (4 sigma2 n d_n)).
 
-    Valid when t clears the block-MGF threshold ((d_n - 1)/d_n) / (c p_n),
-    the series ratio is contracting, 2 t sigma2 d_n - c < 0 (equivalently
-    x/n < c), and x >= 0: the Markov step P(Z > x) <= e^{-t x} E e^{t Z}
-    needs t >= 0.
+    Valid when its three hypotheses hold: block_mgf_threshold at level c,
+    series_ratio_contracting, 2 t sigma2 d_n - c < 0 (equivalently x/n < c),
+    and nonnegative_deviation, x >= 0: the Markov step
+    P(Z > x) <= e^{-t x} E e^{t Z} needs t >= 0.
     """
     n, p_n = scheme.n, scheme.p_n
     x = np.asarray(x, dtype=float)
@@ -69,9 +77,9 @@ def _tail_bound_grid(x, scheme: BlockScheme, c: float, sigma2: float, d_n: float
         value = np.where((t == 0.0) | (v_pn == 0.0), 0.0, first) + second
     # written so that a NaN x or t fails every hypothesis and x = -0.0 passes
     return value, {
-        "t_exceeds_block_mgf_threshold": t <= (d_n - 1.0) / d_n / (c * p_n),
-        "series_ratio_not_contracting": ratio_term < 0,
-        "negative_deviation": x >= 0.0,
+        "block_mgf_threshold": _block_mgf_threshold(t, d_n, c, p_n),
+        "series_ratio_contracting": ratio_term < 0,
+        "nonnegative_deviation": x >= 0.0,
     }
 
 
@@ -118,7 +126,7 @@ class LaplaceCondition:
 
 @dataclass(frozen=True)
 class RateSchedule:
-    """Coupled sequences (p_n, d_n, epsilon_n, c_n) driving the strong-law rates.
+    """Coupled sequences (p_n, d_n, epsilon_n, bound_level) driving the strong-law rates.
 
     bound_level is the level entering the block-MGF threshold (the
     almost-sure bound c in the bounded case, the truncation level c_n in
@@ -135,7 +143,6 @@ class RateSchedule:
     epsilon_n: float
     bound_level: float
     sigma2: float
-    c_n: Optional[float] = None
     t_markov: Optional[float] = None
     tail_term: Optional[float] = None
 
@@ -229,25 +236,18 @@ def unbounded_schedule(
         epsilon_n=epsilon_n,
         bound_level=c_n,
         sigma2=sigma2,
-        c_n=c_n,
         t_markov=t_markov,
         tail_term=tail_term,
     )
 
 
 def named_inequalities(schedule: RateSchedule, cond: Optional[LaplaceCondition] = None) -> dict[str, bool]:
-    """The admissibility inequalities a schedule must satisfy, by name.
+    """The admissibility inequalities a schedule must satisfy, by name: True where one holds.
 
     block_mgf_threshold:  t <= ((d_n - 1)/d_n) / (bound_level * p_n)
-    tcp_le_half_d:        t * bound_level * p_n <= d_n / 2
     t_below_tau:          t_markov < tau  (unbounded schedules only)
     """
-    t = schedule.t
-    tcp = t * schedule.bound_level * schedule.p_n
-    out = {
-        "block_mgf_threshold": t <= (schedule.d_n - 1.0) / schedule.d_n / (schedule.bound_level * schedule.p_n),
-        "tcp_le_half_d": tcp <= schedule.d_n / 2.0,
-    }
+    out = {"block_mgf_threshold": _block_mgf_threshold(schedule.t, schedule.d_n, schedule.bound_level, schedule.p_n)}
     if schedule.t_markov is not None:
         if cond is None:
             raise ValueError("unbounded schedule needs the exponential-moment condition for t < tau")

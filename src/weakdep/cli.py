@@ -399,7 +399,7 @@ def run(argv: Sequence[str]) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ValueError, ArithmeticError, QuadratureError, OSError) as exc:
+    except (ConfigError, ValueError, ArithmeticError, QuadratureError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -128,11 +128,10 @@ def _binomial_lower(count: int, total: int, mult: float) -> float:
     if count >= 10:
         se = math.sqrt(p_hat * (1.0 - p_hat) / total)
         return p_hat - mult * se
-    from scipy.special import ndtr
-    from scipy.stats import beta as beta_dist
+    from scipy.special import betaincinv, ndtr
 
     alpha_low = 1.0 - ndtr(mult)
-    return float(beta_dist.ppf(alpha_low, count, total - count + 1))
+    return float(betaincinv(count, total - count + 1, alpha_low))
 
 
 def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -49,10 +49,10 @@ def tail_bound(x: float, scheme, c: float, sigma2: float, d_n: float, v_pn: floa
     t = x / (2.0 * sigma2 * n * d_n)
     violated = []
     if not t <= (d_n - 1.0) / d_n / (c * p_n):
-        violated.append("t_exceeds_block_mgf_threshold")
+        violated.append("block_mgf_threshold")
     ratio_term = 2.0 * t * sigma2 * d_n - c
     if not ratio_term < 0:
-        violated.append("series_ratio_not_contracting")
+        violated.append("series_ratio_contracting")
     log_ratio = t * p_n * ratio_term
     gsum = geometric_sum(log_ratio, scheme.r_n - 1)
     with np.errstate(over="ignore"):

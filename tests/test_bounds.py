@@ -83,14 +83,14 @@ def test_tail_bound_grid_matches_scalar_reference(case):
         points = [_point(x, params, v_pn) for x in xs]
     assert np.array_equal(value, [v for v, _ in refs], equal_nan=True)
     assert np.signbit(value).tolist() == [math.copysign(1.0, v) < 0 for v, _ in refs]
-    assert list(holds) == ["t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation"]
-    for name in ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting"):
+    assert list(holds) == ["block_mgf_threshold", "series_ratio_contracting", "nonnegative_deviation"]
+    for name in ("block_mgf_threshold", "series_ratio_contracting"):
         assert holds[name].tolist() == [name not in violated for _, violated in refs]
     # the reference has no sign hypothesis: x >= 0, failed by NaN, passed by -0.0
     nonnegative = [not x < 0 and not math.isnan(x) for x in xs]
-    assert holds["negative_deviation"].tolist() == nonnegative
+    assert holds["nonnegative_deviation"].tolist() == nonnegative
     for (point, violated), (ref, ref_violated), ok in zip(points, refs, nonnegative):
-        assert violated == ref_violated + (() if ok else ("negative_deviation",))
+        assert violated == ref_violated + (() if ok else ("nonnegative_deviation",))
         assert point == ref or (math.isnan(point) and math.isnan(ref))
     if case == 2:
         assert math.isinf(value[2])
@@ -133,16 +133,16 @@ def test_tail_bound_invalid_when_deviation_reaches_bound_scale():
     # x = n * eps with eps >= c makes the series ratio nonnegative
     scheme, c, _, _ = PARAMS
     _, violated = _point(scheme.n * c, PARAMS, 0.1)
-    assert "series_ratio_not_contracting" in violated
+    assert "series_ratio_contracting" in violated
     # t = 40/256 exceeds (d-1)/d / (c p) = 0.125, while 4t - 1 < 0 keeps the ratio contracting
     value, violated = _point(40.0, PARAMS, 0.1)
-    assert violated == ("t_exceeds_block_mgf_threshold",)
+    assert violated == ("block_mgf_threshold",)
     assert 0.0 < value < math.inf
 
 
 def test_tail_bound_nan_point_is_invalid():
     _, violated = _point(math.nan, PARAMS, 0.1)
-    assert violated == ("t_exceeds_block_mgf_threshold", "series_ratio_not_contracting", "negative_deviation")
+    assert violated == ("block_mgf_threshold", "series_ratio_contracting", "nonnegative_deviation")
 
 
 def test_tail_bound_full_hand_evaluation():
@@ -205,10 +205,25 @@ def test_slln_schedule_admissibility_scan():
     grid = [2**k for k in range(8, 21)]
     for n in grid:
         sched = slln_schedule(n, 0.55, 1.5, 4.0 / 3.0, 2.0)
-        checks = named_inequalities(sched)
-        assert checks["block_mgf_threshold"] and checks["tcp_le_half_d"]
+        assert named_inequalities(sched)["block_mgf_threshold"]
         # the constant pins t c p_n <= 1/2 <= d_n / 2
         assert sched.t * sched.bound_level * sched.p_n <= 0.5 + 1e-12
+
+
+@given(st.integers(2, 2**30), st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(1.0, 10.0, exclude_min=True), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+@settings(max_examples=300)
+def test_block_mgf_threshold_is_the_one_hypothesis(n, theta, alpha, sigma2, c):
+    # where it holds, t c p_n <= (d_n - 1)/d_n < d_n / 2, for d/2 - (d - 1)/d = ((d - 1)^2 + 1)/(2d) > 0:
+    # a clause t c p_n <= d_n / 2 beside it could never fail alone
+    sched = slln_schedule(n, theta, alpha, sigma2, c)
+    holds = named_inequalities(sched)["block_mgf_threshold"]
+    if holds:
+        assert sched.t * sched.bound_level * sched.p_n <= sched.d_n / 2.0
+    # the tail kernel reads the same hypothesis: at x = n epsilon_n its t is the schedule's
+    if 2 * sched.p_n <= n:
+        _, kernel = _tail_bound_grid(n * sched.epsilon_n, block_scheme(n, sched.p_n), c, sigma2, sched.d_n, 0.1)
+        assert bool(kernel["block_mgf_threshold"]) == holds
 
 
 def test_slln_schedule_rejects_bad_theta():
@@ -236,7 +251,7 @@ def test_unbounded_schedule_hand_evaluation():
     eps_hand = 4 * alpha * alpha * n ** (theta - 1) * c_hand * math.sqrt(logn)
     t_hand = alpha + 1 + 2 * (1 - theta)
     tail_hand = 2 * n * COND.U / (t_hand * t_hand * eps_hand * eps_hand) * math.exp(-t_hand * c_hand)
-    assert sched.c_n == pytest.approx(c_hand, rel=1e-12)
+    assert sched.bound_level == pytest.approx(c_hand, rel=1e-12)
     assert sched.p_n == p_hand
     assert sched.d_n == pytest.approx(d_hand, rel=1e-12)
     assert sched.epsilon_n == pytest.approx(eps_hand, rel=1e-12)

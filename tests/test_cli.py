@@ -248,6 +248,14 @@ def test_usage_errors(iid_model, capsys):
         capsys.readouterr()
         assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
         assert capsys.readouterr() == ("", f"error: {line}\n")
+    # a size whose arrays exceed the address space fails at once, whatever the
+    # host's overcommit setting, and is a usage error rather than a failed check
+    for argv in (["coeffs", "--n-max", "100000000000000"], ["decompose", "--n", "100000000000000", "--p", "1"],
+                 ["verify", "--check", "clt", "--n", "64", "--replicates", "100000000000000"]):
+        capsys.readouterr()
+        assert run([*argv, "--model", iid_model]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
     # alpha must be finite and exceed 1, in bound and in the tail check alike
     for argv, line in (
         (["bound", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),

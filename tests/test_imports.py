@@ -72,3 +72,16 @@ def test_deferred_scipy_imports_run_cold(tmp_path):
         assert not after_import and needs <= set(after_run), case
     # the bump model's commands never need scipy.stats
     assert "scipy.stats" not in after_run
+
+
+def test_exact_binomial_limit_loads_no_scipy_stats(tmp_path):
+    # x = 60 counts 5 of 500 replicates, below the ten where the Wald limit takes over,
+    # so the row takes the exact limit, which needs scipy.special only
+    model, out = tmp_path / "ma11.json", tmp_path / "tail.csv"
+    model.write_text(model_to_json(MODELS["ma11"]))
+    result = run_fresh([["verify", "--check", "tail", "--n", "1024", "--x-grid", "0:200:20", "--replicates", "500",
+                         "--model", str(model), "--out", str(out)]])
+    assert result["codes"] == [0]
+    assert "tail,x=60,0.01," in out.read_text()
+    after_import, after_run = result["loaded"]
+    assert not after_import and "scipy.special" in after_run and "scipy.stats" not in after_run

@@ -3,6 +3,8 @@ import types
 from pathlib import Path
 
 import weakdep as wd
+from weakdep import block_scheme
+from weakdep.bounds import _tail_bound_grid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +35,11 @@ def test_public_surface_is_the_documented_one():
     example = README.read_text().split("## Library example", 1)[1]
     used = re.findall(r"\bwd\.(\w+)", example)
     assert used and all(hasattr(wd, name) for name in used)
+
+
+def test_readme_names_the_tail_bound_hypotheses():
+    # the kernel's keys, in order, are the names the BOUND_INVALID bullet gives
+    bullet = " ".join(README.read_text().split("- `BOUND_INVALID`:", 1)[1].split("\n\n", 1)[0].split())
+    sentence = bullet.split("The tail bound has three, in this order:", 1)[1].split(".", 1)[0]
+    _, holds = _tail_bound_grid(1.0, block_scheme(64, 4), 1.0, 1.0, 2.0, 0.1)
+    assert re.findall(r"`(\w+)`", sentence) == list(holds)

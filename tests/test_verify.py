@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import ndtr
+from scipy.stats import beta
 
 from weakdep import (
     IID,
@@ -269,6 +271,12 @@ def test_binomial_lower_limit():
     assert _binomial_lower(1, total, mult) == pytest.approx(1.0 - (1.0 - q) ** (1.0 / total), rel=1e-12)
     p = 10 / total
     assert _binomial_lower(10, total, mult) == p - mult * math.sqrt(p * (1.0 - p) / total)
+    # below ten counts the limit is the Beta(k, N - k + 1) quantile, bit for bit scipy.stats' beta.ppf
+    for total in (100, 2500, 20000, 100000):
+        for mult in (1.0, 2.0, 2.5, 3.0):
+            for count in range(1, 10):
+                expected = float(beta.ppf(1.0 - ndtr(mult), count, total - count + 1))
+                assert _binomial_lower(count, total, mult) == expected, (count, total, mult)
 
 
 def test_quasi_rejects_nonfinite_scales():
