@@ -31,10 +31,7 @@ class BlockScheme:
 
 def block_scheme(n: int, p_n: int) -> BlockScheme:
     """Validated scheme with r_n = floor(n / (2 p_n)) >= 1."""
-    scheme = BlockScheme(n=n, p_n=p_n)
-    if scheme.r_n < 1:
-        raise ValueError(f"scheme with n={n}, p={p_n} has no complete block pair")
-    return scheme
+    return BlockScheme(n=n, p_n=p_n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +43,6 @@ class BlockDecomposition:
     z_odd: float
     z_even: float
     remainder: float
-    scheme: BlockScheme
 
 
 def decompose(path, scheme: BlockScheme) -> BlockDecomposition:
@@ -63,5 +59,4 @@ def decompose(path, scheme: BlockScheme) -> BlockDecomposition:
         z_odd=blocks[..., 0::2].sum(axis=-1),
         z_even=blocks[..., 1::2].sum(axis=-1),
         remainder=values[..., 2 * r * p :].sum(axis=-1),
-        scheme=scheme,
     )

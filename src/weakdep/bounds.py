@@ -91,8 +91,9 @@ def tail_bound(model: ModelSpec, scheme: BlockScheme, x_grid: Sequence[float], a
     v(p_n) its coefficient tail sum at the block length, and d_n the
     bounded-case schedule evaluated at the scheme's effective theta = log
     p_n / log n; alpha must be finite and exceed 1, as for the schedule.
-    OverflowError is raised when d_n is infinite, ValueError when it does
-    not exceed 1.
+    OverflowError is raised when d_n is infinite at this alpha but finite at
+    alpha = 1, ValueError when it is infinite even there (c^2 / sigma2
+    overflows) or does not exceed 1.
     """
     _check_alpha(alpha)
     c = almost_sure_bound(model)
@@ -100,8 +101,12 @@ def tail_bound(model: ModelSpec, scheme: BlockScheme, x_grid: Sequence[float], a
         raise ValueError("the tail bound needs a bounded model")
     sigma2 = long_run_variance(model)
     v_pn = gamma_sequence(model).tail_sum(scheme.p_n)
-    d_n = _d_n(scheme.n, math.log(scheme.p_n) / math.log(scheme.n), alpha, sigma2, c)
+    theta = math.log(scheme.p_n) / math.log(scheme.n)
+    d_n = _d_n(scheme.n, theta, alpha, sigma2, c)
     if math.isinf(d_n):
+        # d_n grows with alpha: infinite at alpha = 1 too, the model is at fault
+        if math.isinf(_d_n(scheme.n, theta, 1.0, sigma2, c)):
+            raise ValueError(f"d_n overflows at every alpha: model c = {c:g} is too large for sigma^2 = {sigma2:g}")
         raise OverflowError(f"d_n overflows at alpha = {alpha:g}")
     if not d_n > 1:
         raise ValueError(f"d_n must be finite and exceed 1, got {d_n}")
@@ -135,9 +140,6 @@ class RateSchedule:
     unbounded schedule.
     """
 
-    theta: float
-    alpha: float
-    n: int
     p_n: int
     d_n: float
     epsilon_n: float
@@ -185,16 +187,7 @@ def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -
     p_n = max(1, math.floor(n ** theta))
     d_n = _d_n(n, theta, alpha, sigma2, c)
     epsilon_n = math.sqrt(4.0 * sigma2 * alpha * d_n * logn / n)
-    return RateSchedule(
-        theta=theta,
-        alpha=alpha,
-        n=n,
-        p_n=p_n,
-        d_n=d_n,
-        epsilon_n=epsilon_n,
-        bound_level=c,
-        sigma2=sigma2,
-    )
+    return RateSchedule(p_n=p_n, d_n=d_n, epsilon_n=epsilon_n, bound_level=c, sigma2=sigma2)
 
 
 def unbounded_schedule(
@@ -228,16 +221,7 @@ def unbounded_schedule(
     epsilon_n = 4.0 * alpha * alpha * n ** (theta - 1.0) * c_n * math.sqrt(logn)
     tail_term = 2.0 * n * cond.U / (t_markov * t_markov * epsilon_n * epsilon_n) * math.exp(-t_markov * c_n)
     return RateSchedule(
-        theta=theta,
-        alpha=alpha,
-        n=n,
-        p_n=p_n,
-        d_n=d_n,
-        epsilon_n=epsilon_n,
-        bound_level=c_n,
-        sigma2=sigma2,
-        t_markov=t_markov,
-        tail_term=tail_term,
+        p_n=p_n, d_n=d_n, epsilon_n=epsilon_n, bound_level=c_n, sigma2=sigma2, t_markov=t_markov, tail_term=tail_term
     )
 
 

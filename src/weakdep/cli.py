@@ -30,22 +30,19 @@ from . import __version__
 from .blocks import block_scheme, decompose
 from .bounds import tail_bound
 from .coefficients import gamma_sequence
-from .models import IID, ModelSpec, QuadratureError, UniformOnInterval, model_from_json, replicate_paths, sample_path
+from .models import ModelSpec, QuadratureError, model_from_json, replicate_paths, sample_path
 from .verify import (
-    ERROR_MULTIPLIER,
     VIOLATED,
     MCConfig,
     PiecewiseLinear,
     VerificationReport,
+    check_empirical_process,
     check_lipschitz_cov,
     check_newman,
     check_quasi_association_counterexample,
     check_tail_domination,
     clt_ks_distance,
-    empirical_process_path,
-    estimate_gamma_operator,
     fclt_increment_check,
-    make_report,
     _slln_grid,
     slln_rate_fit,
 )
@@ -302,8 +299,6 @@ def _check_newman(model: ModelSpec, cfg: MCConfig, *, n=8, t_grid="0.25,0.5,1") 
 
 
 def _check_quasi(model: ModelSpec, cfg: MCConfig, *, alpha1_grid="1:50:1", alpha2=1.0) -> list[VerificationReport]:
-    if not isinstance(model.law, UniformOnInterval):
-        raise ConfigError("quasi check needs a model with a uniform innovation law")
     grid = parse_grid(alpha1_grid)
     try:
         return check_quasi_association_counterexample(grid, alpha2, model.law, cfg)
@@ -332,18 +327,7 @@ def _check_emp(model: ModelSpec, cfg: MCConfig, *, n=4096, s=0.3, t=0.7) -> list
     for option, value in (("--s", s), ("--t", t)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{option} must lie in [0, 1], got {value:g}")
-    zeta = empirical_process_path(model, n, [0.0, 1.0], cfg.seed)
-    reports = [
-        make_report("emp", label, value, 0.0, 0.0, value == 0.0, cfg)
-        for label, value in zip(("zeta(0)", "zeta(1)"), zeta)
-    ]
-    est, se = estimate_gamma_operator(model, s, t, cfg)
-    # the limit covariance min(s, t) - s t is known only for the i.i.d. baseline
-    iid = isinstance(model, IID)
-    target = min(s, t) - s * t if iid else float("nan")
-    ok = abs(est - target) <= ERROR_MULTIPLIER * se
-    reports.append(make_report("emp", f"gamma({s:g},{t:g})", est, se, target, ok, cfg, valid=iid))
-    return reports
+    return check_empirical_process(model, n, s, t, cfg)
 
 
 # verify checks by name, in --list-checks order

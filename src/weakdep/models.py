@@ -160,6 +160,10 @@ class TruncatedGaussian:
     def __post_init__(self):
         if not self.bound > 0:
             raise ValueError(f"truncation bound must be positive, got {self.bound}")
+        # the mass 2 ndtr(bound) - 1 rounds to 0 below about 1.4e-16: exactly where ndtr's own
+        # 0.5 + erf(bound / sqrt 2) / 2 rounds to 0.5, which math.erf decides without scipy
+        if not 0.5 + 0.5 * math.erf(self.bound * math.sqrt(0.5)) > 0.5:
+            raise ValueError(f"truncation bound {self.bound:g} is too small: its mass 2 Phi(bound) - 1 rounds to 0")
 
     @property
     def _mass(self) -> float:
@@ -169,9 +173,12 @@ class TruncatedGaussian:
 
     @property
     def variance(self) -> float:
-        b = self.bound
-        phi_b = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
-        return 1.0 - 2.0 * b * phi_b / self._mass
+        # E[Z^2 | |Z| <= b] = P(3/2, b^2/2) / P(1/2, b^2/2), free of the
+        # cancellation in 1 - 2 b phi(b) / mass as b -> 0
+        from scipy.special import gammainc
+
+        half_b2 = 0.5 * self.bound * self.bound
+        return float(gammainc(1.5, half_b2) / gammainc(0.5, half_b2))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -251,21 +258,18 @@ class GaussBumpPlusX:
 Transform = Union[Identity, NegExp, GaussBumpPlusX]
 
 
-def nonneg_shift_mgf(law: InnovationLaw, t: float) -> float:
-    """MGF of the law's nonnegative representation xi - inf(support).
+def nonneg_shift_mgf(law: UniformOnInterval, t: float) -> float:
+    """MGF of the uniform law's nonnegative representation xi + h, uniform on [0, b - a].
 
-    Shifting a compact-support law onto [0, width] preserves its variance
-    but moves exp(-scale xi) from exploding to vanishing variance as the
-    scale grows, which is what the association counterexamples need.
+    Shifting the law onto [0, width] preserves its variance but moves
+    exp(-scale xi) from exploding to vanishing variance as the scale grows,
+    which is what the association counterexamples need.
     """
-    if isinstance(law, UniformOnInterval):
-        # uniform on [0, width]: expm1(t w)/(t w), stable for large |t|
-        x = t * (law.b - law.a)
-        if abs(x) < 1e-6:
-            return 1.0 + x / 2.0 + x * x / 6.0
-        return math.expm1(x) / x
-    lo = law.support[0]
-    return math.exp(-t * lo) * law.mgf(t)
+    # expm1(t w)/(t w), stable for large |t|
+    x = t * (law.b - law.a)
+    if abs(x) < 1e-6:
+        return 1.0 + x / 2.0 + x * x / 6.0
+    return math.expm1(x) / x
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +298,6 @@ class MovingAverage:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError("moving-average coefficients must be finite")
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
 
 @dataclass(frozen=True)
 class CumSumTransform:
@@ -321,10 +321,6 @@ class CumSumTransform:
 
 
 ModelSpec = Union[IID, MovingAverage, CumSumTransform]
-
-
-def is_stationary(model: ModelSpec) -> bool:
-    return isinstance(model, (IID, MovingAverage))
 
 
 def almost_sure_bound(model: ModelSpec) -> Optional[float]:
@@ -402,7 +398,7 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     if isinstance(model, IID):
         values = model.law.sample(rng, (n, width), out=_buffer(scratch, "eps", (n, width)))
     elif isinstance(model, MovingAverage):
-        a, p = model.coeffs, model.order
+        a, p = model.coeffs, len(model.coeffs)
         eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
         values = np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
         # the term borrows the memory of the transposed copy, written only after the filter
@@ -432,9 +428,9 @@ def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     identical (model, n, seed) reproduce it bit for bit.
 
     The generator streams innovations in a fixed order, so the path for n
-    is a prefix of the path for any larger n at the same seed.  Moving
-    averages burn in `order` pre-sample innovations so index 1 already has
-    the stationary law.
+    is a prefix of the path for any larger n at the same seed.  A moving
+    average of order p burns in p - 1 pre-sample innovations so index 1
+    already has the stationary law.
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")

@@ -11,11 +11,13 @@ verdict is assigned; the pass rule of each check lives with the check.
 The empirical-process helpers return plain values: marginal_transform the
 distribution function that maps a path to uniform marginals,
 empirical_process_path the array of zeta_n values on a grid, and
-estimate_gamma_operator an estimate and its SE.
+estimate_gamma_operator an estimate and its SE; check_empirical_process
+builds the emp rows from them.
 
-scipy is imported inside the functions that call it (the exact binomial
-limit and the KS distance), not at the top: importing scipy.stats costs
-about half a second, which every other check would otherwise pay at start.
+scipy is imported inside the functions that call it, not at the top: the
+KS distance imports scipy.stats, which costs about half a second, and the
+exact binomial limit only scipy.special; every other check would otherwise
+pay for them at start.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .models import (
     MovingAverage,
     Rademacher,
     UniformOnInterval,
-    is_stationary,
     nonneg_shift_mgf,
     replicate_paths,
     sample_path,
@@ -346,7 +347,7 @@ def check_quasi_association_counterexample(
     OverflowError is raised when ||f||^2 is not a finite float.
     """
     if not isinstance(law, UniformOnInterval):
-        raise ValueError("counterexample check needs a uniform innovation law")
+        raise ValueError("quasi check needs a model with a uniform innovation law")
     grid = sorted(float(a) for a in alpha1_grid)
     alpha2 = float(alpha2)
     if not grid or not all(0.0 < a < math.inf for a in (*grid, alpha2)):
@@ -408,9 +409,7 @@ def slln_rate_fit(
     SLLN_SLOPE_WINDOW; it passes when the slope lies in the window.  A
     repeated grid point is an error: it is no independent observation.
     """
-    if not is_stationary(model):
-        raise ValueError("rate fit requires a stationary model")
-    long_run_variance(model)  # raises on degenerate models
+    long_run_variance(model)  # raises on nonstationary and degenerate models
     grid = _slln_grid(n_grid)
     n_max = grid[-1]
     idx = np.asarray(grid) - 1
@@ -570,8 +569,8 @@ def estimate_gamma_operator(model: ModelSpec, s: float, t: float, cfg: MCConfig)
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("arguments must lie in [0, 1]")
-    support = len(gamma_sequence(model).values) if is_stationary(model) else 0
-    u = replicate_paths(model, support + 5, cfg.replicates, cfg.seed, marginal_transform(model))
+    transform = marginal_transform(model)
+    u = replicate_paths(model, len(gamma_sequence(model).values) + 5, cfg.replicates, cfg.seed, transform)
     a, b = (u[:, 0] <= s).astype(float), (u <= t).astype(float)
     am = a.mean()
     bm = b.mean(axis=0)
@@ -580,3 +579,25 @@ def estimate_gamma_operator(model: ModelSpec, s: float, t: float, cfg: MCConfig)
     infl = ((a - am)[:, None] * (b - bm) - covs).sum(axis=1)
     se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
     return estimate, se
+
+
+def check_empirical_process(model: ModelSpec, n: int, s: float, t: float, cfg: MCConfig) -> list[VerificationReport]:
+    """The empirical process at its ends and its covariance operator.
+
+    Rows zeta(0) and zeta(1) of the path at seed cfg.seed pass when the
+    value is exactly 0, as the exact marginal makes it.  Row gamma(s,t)
+    compares the operator estimate with the limit covariance min(s, t) - s t
+    within ERROR_MULTIPLIER standard errors; the limit is known only for
+    the i.i.d. baseline, so for any other model the row is BOUND_INVALID.
+    """
+    zeta = empirical_process_path(model, n, [0.0, 1.0], cfg.seed)
+    reports = [
+        make_report("emp", label, value, 0.0, 0.0, value == 0.0, cfg)
+        for label, value in zip(("zeta(0)", "zeta(1)"), zeta)
+    ]
+    est, se = estimate_gamma_operator(model, s, t, cfg)
+    iid = isinstance(model, IID)
+    target = min(s, t) - s * t if iid else math.nan
+    ok = abs(est - target) <= ERROR_MULTIPLIER * se
+    reports.append(make_report("emp", f"gamma({s:g},{t:g})", est, se, target, ok, cfg, valid=iid))
+    return reports

@@ -22,15 +22,25 @@ def test_scheme_rejects_oversized_blocks():
         block_scheme(10, 0)
 
 
+@given(st.integers(-4, 200), st.integers(-4, 120))
+def test_scheme_has_a_block_pair_exactly_when_p_fits(n, p):
+    # 1 <= p <= n/2 gives 2p <= n, so r_n = floor(n / 2p) >= 1: no further check is needed
+    if 1 <= p <= n / 2:
+        assert block_scheme(n, p).r_n >= 1
+    else:
+        with pytest.raises(ValueError):
+            block_scheme(n, p)
+
+
 def test_decompose_constant_path():
     d = decompose(np.ones(6), block_scheme(6, 1))
-    assert d.scheme.r_n == 3
+    assert len(d.blocks) == 2 * 3
     assert d.z_odd == 3.0 and d.z_even == 3.0 and d.remainder == 0.0
 
 
 def test_decompose_hand_example():
     d = decompose(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), block_scheme(5, 1))
-    assert d.scheme.r_n == 2
+    assert len(d.blocks) == 2 * 2
     assert d.z_odd == 4.0  # 1 + 3
     assert d.z_even == 6.0  # 2 + 4
     assert d.remainder == 5.0

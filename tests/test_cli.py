@@ -7,8 +7,8 @@ import numpy as np
 import oracles
 import pytest
 
-from weakdep import (IID, CumSumTransform, MCConfig, MovingAverage, NegExp, Rademacher, UniformOnInterval,
-                     VerificationReport, almost_sure_bound, block_scheme, check_newman, gamma_sequence,
+from weakdep import (IID, CumSumTransform, GaussBumpPlusX, MCConfig, MovingAverage, NegExp, Rademacher,
+                     TruncatedGaussian, UniformOnInterval, VerificationReport, almost_sure_bound, block_scheme, check_newman, gamma_sequence,
                      long_run_variance, model_to_json)
 from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
 
@@ -345,6 +345,10 @@ def test_malformed_model_json(tmp_path, capsys):
     ]
     cases += [('{"variant": "moving_average", "coeffs": [%s, 1], "law": %s}' % (huge, json.dumps(law)), argv,
                "model field 'coeffs' must be a list of finite numbers") for argv in (["coeffs"], ["bound"], decompose)]
+    # a truncation bound whose mass 2 Phi(b) - 1 rounds to 0, which used to warn and then report on
+    # all-zero paths; a bound whose c^2 overflows d_n at every alpha, which used to blame --alpha
+    cases += [(gaussian % "1e-17", argv, "truncation bound 1e-17") for argv in (["bound"], ["verify", "--check", "emp"])]
+    cases += [(gaussian % "1e300", argv, "model c = 1e+300") for argv in (["bound"], ["verify", "--check", "tail"])]
     bad = tmp_path / "bad.json"
     for doc, argv, word in cases:
         bad.write_text(doc)
@@ -352,6 +356,7 @@ def test_malformed_model_json(tmp_path, capsys):
         assert run([*argv, "--model", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+        assert "--alpha" not in err, err
 
 
 def test_version_and_list_checks(capsys):
@@ -472,6 +477,22 @@ def test_tail_at_negative_deviation_is_bound_invalid(tmp_path, capsys):
     assert [(r[1], r[5], r[6]) for r in rows] == [
         ("x=-500", "false", "BOUND_INVALID"), ("x=-250", "false", "BOUND_INVALID"), ("x=0", "true", "DOMINATED"),
     ]
+
+
+def test_check_on_a_model_it_cannot_take_names_the_model(tmp_path, capsys):
+    # slln says what clt and fclt say of a cumulative-sum model; quasi needs a uniform law
+    bump = tmp_path / "bump.json"
+    bump.write_text(model_to_json(CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0),
+                                                  law=TruncatedGaussian(1.5))))
+    rademacher = tmp_path / "rademacher.json"
+    rademacher.write_text(IID_RADEMACHER_JSON)
+    nonstationary = "error: cumulative-sum models are nonstationary; no long-run variance\n"
+    for check, model, err in (("slln", bump, nonstationary), ("clt", bump, nonstationary),
+                              ("fclt", bump, nonstationary),
+                              ("quasi", rademacher, "error: quasi check needs a model with a uniform innovation law\n")):
+        capsys.readouterr()
+        assert run(["verify", "--check", check, "--model", str(model), "--replicates", "100"]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_verify_fails_closed(tmp_path):

@@ -21,13 +21,14 @@ from weakdep import (
     TruncatedGaussian,
     UniformOnInterval,
     almost_sure_bound,
+    long_run_variance,
     model_from_json,
     model_to_json,
     replicate_paths,
     sample_path,
 )
 from weakdep.models import (
-    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, is_stationary, nonneg_shift_mgf,
+    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, nonneg_shift_mgf,
 )
 
 from oracles import analytic_covariance
@@ -117,11 +118,23 @@ def test_truncated_gaussian_variance_below_one():
     assert TruncatedGaussian(8.0).variance == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("bound", [1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
+def test_truncated_gaussian_variance_at_small_bounds(bound):
+    # E[Z^2 | |Z| <= b] = b^2/3 - 2b^4/45 + 2b^6/945 - ..., where 1 - 2 b phi(b) / mass cancels
+    b2 = bound * bound
+    series = b2 / 3.0 - 2.0 * b2 * b2 / 45.0 + 2.0 * b2 ** 3 / 945.0
+    assert TruncatedGaussian(bound).variance == pytest.approx(series, rel=1e-12)
+
+
 def test_law_validation():
     with pytest.raises(ValueError):
         UniformOnInterval(1.0, 1.0)
     with pytest.raises(ValueError):
         TruncatedGaussian(0.0)
+    # 2 Phi(b) - 1 rounds to 0 below about 1.4e-16: no law to sample or transform
+    with pytest.raises(ValueError, match="bound"):
+        TruncatedGaussian(1e-17)
+    assert TruncatedGaussian(1.4e-16).variance > 0.0
 
 
 # --- sample paths ----------------------------------------------------------
@@ -411,8 +424,9 @@ def test_almost_sure_bound_and_stationarity():
     assert almost_sure_bound(IID(U11)) == 1.0
     assert almost_sure_bound(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)) == 2.5
     assert almost_sure_bound(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11)) is None
-    assert is_stationary(IID(U11))
-    assert not is_stationary(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
+    assert long_run_variance(IID(U11)) == pytest.approx(1.0 / 3.0)
+    with pytest.raises(ValueError, match="nonstationary"):
+        long_run_variance(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
 
 
 # --- cumulative-sum means ---------------------------------------------------
