@@ -51,6 +51,15 @@ CASES = {
         "ma3", "bound --n 64 --x-grid 0:2000:0.5", 0,
         "2a85a26e701beb1df0f5fa9d64b02cbd7f7b73c25763ce4d0104e0394078f93a",
     ),
+    # the benchmark's analytic tables: 40,001 and 100,000 rows through the CSV writer
+    "bound-analytic": (
+        "ma11", "bound --n 4096 --theta 0.55 --alpha 2 --x-grid 0:4000:0.1", 0,
+        "15d8341f759f165254281cf5bda1985e7a7548117358df67af4d8c63bdea051c",
+    ),
+    "coeffs-analytic": (
+        "ma11", "coeffs --n-max 100000", 0,
+        "ca7fb174171c0d7f45840008897fc214a8e317645f87f9052ff1aedb1a1ab324",
+    ),
     # n_max no larger than the number of nonzero coefficients
     "coeffs-short": (
         "ma3", "coeffs --n-max 2", 0,
