@@ -11,17 +11,15 @@ so a parse-back reproduces them exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import inspect
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 from functools import partial
-from itertools import repeat
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,24 +172,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cells(col):
-    """The CSV cells of one column, lazily: a float64 or bool array and a range of
-    ints in one map each, a list value by value through _fmt."""
+    """The printf spec and the cells of one column: a float64 array as Python
+    floats for %.17g, a range of ints for %d, a bool array as true/false and a
+    list value by value through _fmt and _quote, both for %s."""
     if isinstance(col, range):
-        return map(str, col)
+        return "%d", col
     if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return map(format, col.tolist(), repeat(".17g"))
+        return "%.17g", col.tolist()
     if isinstance(col, np.ndarray) and col.dtype == np.bool_:
-        return map(("false", "true").__getitem__, col.tolist())
-    return map(_fmt, col)
+        return "%s", map(("false", "true").__getitem__, col.tolist())
+    return "%s", map(_quote, map(_fmt, col))
+
+
+def _quote(cell: str) -> str:
+    """cell as the csv module's minimal quoting writes it: in double quotes, each
+    one doubled, when it holds a comma, a double quote or a newline."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _csv_text(header: Sequence[str], columns: Sequence, footer: Optional[str] = None) -> str:
-    """CSV of equal-length columns, each formatted by _cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*map(_cells, columns)))
-    text = buf.getvalue()
+    """CSV of two or more equal-length columns, the bytes csv.writer writes for the
+    cells of _cells with a newline line terminator.  All rows are one printf
+    template, the columns' specs repeated once per row, filled by one % over the
+    cells in row order.  (csv writes an empty cell as "" when it is the only
+    field of its row; no report has a single column.)
+    """
+    specs, cells = zip(*map(_cells, columns))
+    template = (",".join(specs) + "\n") * len(columns[0])
+    text = ",".join(map(_quote, header)) + "\n" + template % tuple(chain.from_iterable(zip(*cells)))
     if footer is not None:
         text += footer + "\n"
     return text
@@ -382,6 +392,9 @@ def run(argv: Sequence[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        # past an index numpy and float arithmetic fail naming no option, and below 0 n ** theta is complex
+        if getattr(args, "n", None) is not None and not 1 <= args.n <= sys.maxsize:
+            raise ConfigError(f"--n must lie in [1, {sys.maxsize}]")
         return args.func(args)
     except (ConfigError, ValueError, ArithmeticError, QuadratureError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

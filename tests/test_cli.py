@@ -1,16 +1,20 @@
 import csv
+import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakdep import (IID, CumSumTransform, GaussBumpPlusX, MCConfig, MovingAverage, NegExp, Rademacher,
                      TruncatedGaussian, UniformOnInterval, VerificationReport, almost_sure_bound, block_scheme, check_newman, gamma_sequence,
                      long_run_variance, model_to_json)
-from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _options, emit_report, parse_grid, run
+from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _csv_text, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
 MA11_JSON = model_to_json(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
@@ -256,6 +260,15 @@ def test_usage_errors(iid_model, capsys):
         assert run([*argv, "--model", iid_model]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+    # an --n that no index can hold, or below 1, names --n; numpy and float arithmetic
+    # named no option, and bound --n -5 raised a TypeError
+    for argv in (["bound"], ["verify", "--check", "tail"], ["verify", "--check", "fclt"],
+                 ["verify", "--check", "clt"], ["verify", "--check", "emp"], ["verify", "--check", "cov"],
+                 ["decompose", "--p", "1"]):
+        for n in ("1" + "0" * 400, "-5"):
+            capsys.readouterr()
+            assert run([*argv, "--n", n, "--model", iid_model]) == 2
+            assert capsys.readouterr() == ("", f"error: --n must lie in [1, {sys.maxsize}]\n")
     # alpha must be finite and exceed 1, in bound and in the tail check alike
     for argv, line in (
         (["bound", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),
@@ -511,6 +524,52 @@ def test_verify_fails_closed(tmp_path):
     assert code == 0
     row = read_csv(out)[-1]
     assert row[1] == "gamma(0.3,0.7)" and row[5] == "false" and row[6] == "BOUND_INVALID"
+
+
+def _csv_module_text(header, columns, footer):
+    """The reference writer: csv.writer over each cell as the report format
+    renders it (17 significant digits, lower-case booleans)."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*([cell(v) for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+                           for col in columns)))
+    return buf.getvalue() + ("" if footer is None else footer + "\n")
+
+
+# text made of the characters csv quoting turns on, and of some it does not
+_TEXT = st.text(alphabet=',"\n\r x1', max_size=6)
+_EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225e-308, 1e308, -1.7976931348623157e308])
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 8))
+
+    def sized(elements):
+        return st.lists(elements, min_size=rows, max_size=rows)
+
+    column = st.one_of(
+        sized(st.floats() | _EDGE_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
+        sized(st.booleans()).map(lambda v: np.array(v, dtype=np.bool_)),
+        st.integers(-5, 5).map(lambda start: range(start, start + rows)),
+        sized(st.one_of(st.floats() | _EDGE_FLOATS, st.integers(), st.booleans(), _TEXT)),
+    )
+    # every report has two columns or more
+    columns = draw(st.lists(column, min_size=2, max_size=5))
+    header = draw(st.lists(_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns, draw(st.none() | st.just("# z_odd=1 z_even=-0 remainder=0"))
+
+
+@given(_tables())
+@settings(max_examples=300, deadline=None)
+def test_csv_text_is_what_the_csv_module_writes(table):
+    assert _csv_text(*table) == _csv_module_text(*table)
 
 
 def test_report_round_trip_exact(tmp_path):
