@@ -163,10 +163,12 @@ def _d_n(n: int, theta: float, alpha: float, sigma2: float, c: float) -> float:
     return 4.0 * alpha * c * c / sigma2 * n ** (2.0 * theta - 1.0) * math.log(n)
 
 
-def _check_theta_alpha(theta: float, alpha: float):
+def _block_length(n: int, theta: float) -> int:
+    """The block length p_n = max(1, floor(n^theta)) of the tail bound and both rate
+    schedules, theta in (1/2, 1); n must not be negative, where n^theta is complex."""
     if not 0.5 < theta < 1.0:
         raise ValueError(f"theta must lie in (1/2, 1), got {theta}")
-    _check_alpha(alpha)
+    return max(1, math.floor(n ** theta))
 
 
 def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -> RateSchedule:
@@ -178,13 +180,13 @@ def slln_schedule(n: int, theta: float, alpha: float, sigma2: float, c: float) -
     d_n log n / n) = 4 alpha c n^{theta-1} log n, giving the rate exponent
     1 - theta.
     """
-    _check_theta_alpha(theta, alpha)
-    if not sigma2 > 0 or not c > 0:
-        raise ValueError("sigma2 and c must be positive")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    p_n = _block_length(n, theta)
+    _check_alpha(alpha)
+    if not sigma2 > 0 or not c > 0:
+        raise ValueError("sigma2 and c must be positive")
     logn = math.log(n)
-    p_n = max(1, math.floor(n ** theta))
     d_n = _d_n(n, theta, alpha, sigma2, c)
     epsilon_n = math.sqrt(4.0 * sigma2 * alpha * d_n * logn / n)
     return RateSchedule(p_n=p_n, d_n=d_n, epsilon_n=epsilon_n, bound_level=c, sigma2=sigma2)
@@ -204,11 +206,12 @@ def unbounded_schedule(
 
     equals a constant times n^{-alpha} (log n)^{-3} exactly.
     """
-    _check_theta_alpha(theta, alpha)
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if n < 3:
         raise ValueError(f"need n >= 3 so that c_n = log n exceeds 1, got {n}")
+    p_n = _block_length(n, theta)
+    _check_alpha(alpha)
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
     t_markov = alpha + 1.0 + 2.0 * (1.0 - theta)
     if not cond.tau > t_markov:
         raise ValueError(
@@ -216,7 +219,6 @@ def unbounded_schedule(
         )
     logn = math.log(n)
     c_n = logn
-    p_n = max(1, math.floor(n ** theta))
     d_n = alpha / sigma2 * n ** (2.0 * theta - 1.0) * c_n * c_n * logn
     epsilon_n = 4.0 * alpha * alpha * n ** (theta - 1.0) * c_n * math.sqrt(logn)
     tail_term = 2.0 * n * cond.U / (t_markov * t_markov * epsilon_n * epsilon_n) * math.exp(-t_markov * c_n)

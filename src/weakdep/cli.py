@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .blocks import block_scheme, decompose
-from .bounds import tail_bound
+from .bounds import _block_length, tail_bound
 from .coefficients import gamma_sequence
 from .models import ModelSpec, QuadratureError, model_from_json, replicate_paths, sample_path
 from .verify import (
@@ -63,6 +63,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weakdep-", suffix=".tmp")
@@ -80,13 +84,15 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str, path: Optional[
     """Write verification reports as CSV or JSON.
 
     CSV columns are exactly check,param,estimate,se,bound,valid,verdict,
-    seed,replicates; JSON is the same records as an array.  path None
-    writes to stdout.
+    seed,replicates; JSON is the same records as an array, with a float
+    that is not finite written as the string its CSV cell holds ("nan",
+    "inf", "-inf"): JSON has no such number.  path None writes to stdout.
     """
     if fmt == "csv":
         text = _csv_text(REPORT_COLUMNS, [[getattr(rep, name) for rep in reports] for name in REPORT_COLUMNS])
     elif fmt == "json":
-        text = json.dumps([dataclasses.asdict(rep) for rep in reports], indent=2) + "\n"
+        records = [{name: _json_value(getattr(rep, name)) for name in REPORT_COLUMNS} for rep in reports]
+        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
     _write_or_print(text, path)
@@ -216,8 +222,6 @@ def _write_or_print(text: str, path: Optional[str]) -> None:
 
 def _cmd_coeffs(args) -> int:
     model = _load_model(args.model)
-    if args.n_max < 1:
-        raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     gamma = gamma_sequence(model)
     # gamma_k and v(k) are 0 beyond the last nonzero coefficient
     known = min(len(gamma.values), args.n_max)
@@ -288,11 +292,9 @@ def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[Verif
 
 
 def _tail(evaluate, model: ModelSpec, n: int, theta: float, alpha: float, x_grid: str):
-    """evaluate(model, scheme, x grid, alpha=alpha) on the tail bound's block
-    scheme p_n = floor(n^theta), theta in (1/2, 1); a d_n overflow is a usage error."""
-    if not 0.5 < theta < 1.0:
-        raise ConfigError(f"theta must lie in (1/2, 1), got {theta}")
-    scheme = block_scheme(n, max(1, math.floor(n ** theta)))
+    """evaluate(model, scheme, x grid, alpha=alpha) on blocks of the rate schedules'
+    length p_n = floor(n^theta); a d_n overflow is a usage error."""
+    scheme = block_scheme(n, _block_length(n, theta))
     try:
         return evaluate(model, scheme, parse_grid(x_grid), alpha=alpha)
     except OverflowError:
@@ -377,6 +379,24 @@ def _cmd_verify(args) -> int:
     return 1 if any(rep.verdict == VIOLATED for rep in reports) else 0
 
 
+# the options that size an array, a loop or a list, each with its upper limit: past an index
+# numpy and float arithmetic fail naming no option, below 0 n ** theta is complex, and
+# random_cov_cases builds its whole case list before it checks the first case
+_SIZE_LIMITS = {"n": sys.maxsize, "n_max": sys.maxsize, "replicates": sys.maxsize, "cases": MAX_GRID_POINTS,
+                "n_grid": sys.maxsize}
+
+
+def _check_sizes(args) -> None:
+    """Every size option given lies in [1, its limit], and so does each --n-grid entry."""
+    for name, limit in _SIZE_LIMITS.items():
+        value = getattr(args, name, None)
+        if isinstance(value, str):  # --n-grid, a list of sizes
+            if not all(1 <= v <= limit for v in _list(value, int, _flag(name))):
+                raise ConfigError(f"{_flag(name)} entries must lie in [1, {limit}]")
+        elif value is not None and not 1 <= value <= limit:
+            raise ConfigError(f"{_flag(name)} must lie in [1, {limit}]")
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
@@ -392,9 +412,7 @@ def run(argv: Sequence[str]) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        # past an index numpy and float arithmetic fail naming no option, and below 0 n ** theta is complex
-        if getattr(args, "n", None) is not None and not 1 <= args.n <= sys.maxsize:
-            raise ConfigError(f"--n must lie in [1, {sys.maxsize}]")
+        _check_sizes(args)
         return args.func(args)
     except (ConfigError, ValueError, ArithmeticError, QuadratureError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ The coefficients gamma_k bound |Cov(f(X_I), g(X_J))| by
 disjoint index sets.  For a moving average the exact envelope is the
 absolute-coefficient convolution through the shared innovations; raw
 signed covariances can understate the supremum, the envelope cannot.
+An i.i.d. model is the order-one moving average (IID.coeffs is (1.0,)),
+so one formula serves both.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import IID, CumSumTransform, ModelSpec, MovingAverage
+from .models import CumSumTransform, ModelSpec
 
 
 @dataclass(frozen=True)
@@ -48,19 +50,18 @@ def gamma_sequence(model: ModelSpec) -> FiniteGamma:
 
     Moving average with coefficients a_1..a_p:
         gamma_k = sigma_xi^2 * sum_j |a_j a_{j+k}|,  1 <= k <= p-1,
-    zero beyond; the i.i.d. case is the empty sequence.
+    zero beyond; the i.i.d. model, the order-one moving average, has the
+    empty sequence.
     """
-    if isinstance(model, IID):
-        return FiniteGamma(values=())
-    if isinstance(model, MovingAverage):
-        a = model.coeffs
-        p = len(a)
-        s2 = model.law.variance
-        values = tuple(
-            s2 * sum(abs(a[j] * a[j + k]) for j in range(p - k)) for k in range(1, p)
-        )
-        return FiniteGamma(values=values)
-    raise ValueError("cumulative-sum models have no stationary coefficient sequence")
+    if isinstance(model, CumSumTransform):
+        raise ValueError("cumulative-sum models have no stationary coefficient sequence")
+    a = model.coeffs
+    p = len(a)
+    s2 = model.law.variance
+    values = tuple(
+        s2 * sum(abs(a[j] * a[j + k]) for j in range(p - k)) for k in range(1, p)
+    )
+    return FiniteGamma(values=values)
 
 
 def newman_discrepancy_bound(gamma: FiniteGamma, n: int, t: float) -> float:
@@ -73,17 +74,14 @@ def newman_discrepancy_bound(gamma: FiniteGamma, n: int, t: float) -> float:
 
 def long_run_variance(model: ModelSpec) -> float:
     """Long-run variance sigma^2 = lim E S_n^2 / n of a stationary model,
-    sigma_xi^2 (sum_j a_j)^2 for a moving average and sigma_xi^2 for i.i.d.
+    sigma_xi^2 (sum_j a_j)^2 for a moving average, so sigma_xi^2 for i.i.d.
 
     A value that is not finite and positive is an error, not a value.
     """
     if isinstance(model, CumSumTransform):
         raise ValueError("cumulative-sum models are nonstationary; no long-run variance")
-    if isinstance(model, IID):
-        sigma2 = model.law.variance
-    else:
-        total = sum(model.coeffs)
-        sigma2 = model.law.variance * total * total
+    total = sum(model.coeffs)
+    sigma2 = model.law.variance * total * total
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"degenerate model: long-run variance {sigma2} is not in (0, inf)")
     return sigma2

@@ -3,12 +3,15 @@
 Three compact-support innovation laws (uniform, Rademacher, truncated
 Gaussian), three model families built on them (i.i.d. baseline, finite
 moving average, cumulative sums pushed through a pointwise transform)
-and their JSON schema.  Every generated variable is centered; paths are
-arrays, deterministic functions of (model, n, seed) and prefix-consistent
-in n.  replicate_paths is the one producer of replicate paths: it draws
-them in chunks of max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major,
-from one generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)),
-on a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
+and their JSON schema.  The i.i.d. model is the order-one moving average
+X_t = 1 xi_t: one filter draws both, and one formula gives their
+coefficients and bounds.  Every generated variable is centered; paths
+are arrays, deterministic functions of (model, n, seed) and
+prefix-consistent in n.  replicate_paths is the one producer of
+replicate paths: it draws them in chunks of
+max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major, from one
+generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)), on
+a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
 serial draw; its reduce must therefore be thread-safe.
 
 scipy is imported inside the functions that call it (the quadrature and
@@ -279,9 +282,11 @@ def nonneg_shift_mgf(law: UniformOnInterval, t: float) -> float:
 
 @dataclass(frozen=True)
 class IID:
-    """Independent draws of the (centered) innovation law."""
+    """Independent draws of the (centered) innovation law: the moving average
+    X_t = 1 xi_t, whose coeffs is a class attribute and not a model-file field."""
 
     law: InnovationLaw
+    coeffs = (1.0,)
 
 
 @dataclass(frozen=True)
@@ -325,13 +330,10 @@ ModelSpec = Union[IID, MovingAverage, CumSumTransform]
 
 def almost_sure_bound(model: ModelSpec) -> Optional[float]:
     """Almost-sure bound c with |X_t| <= c, or None when no uniform bound exists."""
+    if isinstance(model, CumSumTransform):
+        return None
     lo, hi = model.law.support
-    h = max(abs(lo), abs(hi))
-    if isinstance(model, IID):
-        return h
-    if isinstance(model, MovingAverage):
-        return h * sum(abs(c) for c in model.coeffs)
-    return None
+    return max(abs(lo), abs(hi)) * sum(abs(c) for c in model.coeffs)
 
 
 @lru_cache(maxsize=64)
@@ -385,27 +387,17 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     """width paths of length n from one generator, as a (width, n) array.
 
     The innovations are drawn time-major, an (n + p - 1, width) array for
-    a moving average of order p, so path w takes every width-th draw of
-    the stream from index w on and is a prefix of the same path for any
-    larger n.  The moving average is a sum of shifted slices accumulated
-    in the order of np.convolve, a[p-1] eps[0:n] first, so width 1 gives
-    the full convolution cut to its n complete terms bit for bit; each term
-    is formed in one scratch array.  The innovations, the filter output and
+    a moving average of order p (1 for an i.i.d. model), so path w takes
+    every width-th draw of the stream from index w on and is a prefix of
+    the same path for any larger n.  The moving average is a sum of
+    shifted slices accumulated in the order of np.convolve, a[p-1] eps[0:n]
+    first, so width 1 gives the full convolution cut to its n complete
+    terms bit for bit; each term is formed in one scratch array.  The innovations, the filter output and
     the transposed copy live in scratch and are overwritten by the next
     call with the same scratch, which must not happen while the result is
     still read.
     """
-    if isinstance(model, IID):
-        values = model.law.sample(rng, (n, width), out=_buffer(scratch, "eps", (n, width)))
-    elif isinstance(model, MovingAverage):
-        a, p = model.coeffs, len(model.coeffs)
-        eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
-        values = np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
-        # the term borrows the memory of the transposed copy, written only after the filter
-        term = _buffer(scratch, "paths", (width, n)).reshape(n, width)
-        for j in range(p - 2, -1, -1):
-            values += np.multiply(a[j], eps[p - 1 - j : p - 1 - j + n], out=term)
-    elif isinstance(model, CumSumTransform):
+    if isinstance(model, CumSumTransform):
         if n > len(model.coeffs):
             raise ValueError(
                 f"cumulative-sum model defines {len(model.coeffs)} coefficients, cannot generate {n} points"
@@ -415,7 +407,13 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
         np.cumsum(sums, axis=0, out=sums)
         values = model.transform(sums) - np.asarray(_cumsum_means(model, n))[:, np.newaxis]
     else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+        a, p = model.coeffs, len(model.coeffs)
+        eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
+        values = np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
+        # the term borrows the memory of the transposed copy, written only after the filter
+        term = _buffer(scratch, "paths", (width, n)).reshape(n, width)
+        for j in range(p - 2, -1, -1):
+            values += np.multiply(a[j], eps[p - 1 - j : p - 1 - j + n], out=term)
     if width == 1:
         return values.T  # one path is contiguous already
     paths = _buffer(scratch, "paths", (width, n))

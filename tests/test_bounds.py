@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from weakdep import (LaplaceCondition, MCConfig, MovingAverage, UniformOnInterval, block_scheme, check_tail_domination,
                      named_inequalities, slln_schedule, tail_bound, unbounded_schedule)
 from weakdep.bounds import _tail_bound_grid, geometric_sum
+from weakdep.cli import _tail
 
 # the kernel's inputs after x: (scheme, c, sigma2, d_n)
 PARAMS = (block_scheme(64, 4), 1.0, 1.0, 2.0)
@@ -234,6 +235,37 @@ def test_slln_schedule_rejects_bad_theta():
     for alpha in (1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="alpha must be finite and exceed 1"):
             slln_schedule(1024, 0.7, alpha, 1.0, 1.0)
+
+
+def test_schedules_check_n_before_the_block_length():
+    # n ** theta is complex below 0: a negative n is a ValueError naming n, not a TypeError
+    with pytest.raises(ValueError, match="need n >= 2"):
+        slln_schedule(-5, 0.55, 2.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="need n >= 3"):
+        unbounded_schedule(-5, 0.55, 2.0, 1.0, LaplaceCondition(tau=5.0, U=2.0))
+    # theta is checked before alpha
+    for schedule in (slln_schedule, unbounded_schedule):
+        last = 1.0 if schedule is slln_schedule else LaplaceCondition(tau=5.0, U=2.0)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            schedule(1024, 0.3, 0.5, 1.0, last)
+
+
+def test_one_block_length_for_bound_and_both_schedules():
+    # bound and verify --check tail cut blocks of the length both rate schedules use
+    def block_length(model, scheme, x_grid, alpha):
+        return scheme.p_n
+
+    cond = LaplaceCondition(tau=10.0, U=1.0)
+    sizes = [*range(3, 1025), *(2**k + d for k in range(11, 21) for d in (-1, 0, 1))]
+    for theta in (0.501, 0.55, 0.6, 2.0 / 3.0, 0.75, 0.9, 0.999):
+        for n in sizes:
+            p_n = slln_schedule(n, theta, 2.0, 1.0, 1.0).p_n
+            assert unbounded_schedule(n, theta, 2.0, 1.0, cond).p_n == p_n
+            if 2 * p_n <= n:
+                assert _tail(block_length, None, n, theta, 2.0, "0:0:1") == p_n
+            else:
+                with pytest.raises(ValueError, match="block length must satisfy"):
+                    _tail(block_length, None, n, theta, 2.0, "0:0:1")
 
 
 # --- unbounded-case schedule -----------------------------------------------

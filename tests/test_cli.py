@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from weakdep import (IID, CumSumTransform, GaussBumpPlusX, MCConfig, MovingAverage, NegExp, Rademacher,
                      TruncatedGaussian, UniformOnInterval, VerificationReport, almost_sure_bound, block_scheme, check_newman, gamma_sequence,
                      long_run_variance, model_to_json)
-from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _csv_text, _options, emit_report, parse_grid, run
+from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _csv_text, _fmt, _options, emit_report, parse_grid, run
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
 MA11_JSON = model_to_json(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
@@ -214,12 +214,9 @@ def test_usage_errors(iid_model, capsys):
     assert run(["coeffs", "--model", "/nonexistent/model.json"]) == 2
     assert run(["verify", "--check", "clt", "--model", iid_model, "--replicates", "100", "--n", "0"]) == 2
     # a run that checks nothing writes no header-only report
-    for argv in (["--check", "cov", "--cases", "0"], ["--check", "cov", "--cases", "-3"],
-                 ["--check", "newman", "--t-grid", ","]):
-        capsys.readouterr()
-        assert run(["verify", *argv, "--model", iid_model, "--replicates", "100"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    capsys.readouterr()
+    assert run(["verify", "--check", "newman", "--t-grid", ",", "--model", iid_model, "--replicates", "100"]) == 2
+    assert capsys.readouterr() == ("", "error: verify --check newman has no rows to report with these arguments\n")
     # quasi scales that overflow ||f|| or its square name both options; a
     # non-finite --alpha2 is a usage error, not a verdict
     overflow = ("--alpha1-grid", "--alpha2")
@@ -269,6 +266,25 @@ def test_usage_errors(iid_model, capsys):
             capsys.readouterr()
             assert run([*argv, "--n", n, "--model", iid_model]) == 2
             assert capsys.readouterr() == ("", f"error: --n must lie in [1, {sys.maxsize}]\n")
+    # so does every other size option: numpy named none of them past an index, and --cases,
+    # whose case list is built in full before any check, stops at the row limit of a grid
+    huge, limit, cases = "1" + "0" * 400, f"[1, {sys.maxsize}]", f"--cases must lie in [1, {MAX_GRID_POINTS}]"
+    for argv, line in (
+        (["coeffs", "--n-max", huge], f"--n-max must lie in {limit}"),
+        (["coeffs", "--n-max", "0"], f"--n-max must lie in {limit}"),
+        (["verify", "--check", "clt", "--replicates", huge], f"--replicates must lie in {limit}"),
+        (["verify", "--check", "clt", "--replicates", "0"], f"--replicates must lie in {limit}"),
+        (["verify", "--check", "clt", "--replicates", "99"], "need at least 100 replicates, got 99"),
+        (["verify", "--check", "slln", "--n-grid", f"64,128,{huge}"], f"--n-grid entries must lie in {limit}"),
+        (["verify", "--check", "slln", "--n-grid", "0,64,128"], f"--n-grid entries must lie in {limit}"),
+        (["verify", "--check", "cov", "--cases", huge], cases),
+        (["verify", "--check", "cov", "--cases", str(MAX_GRID_POINTS + 1)], cases),
+        (["verify", "--check", "cov", "--cases", "0"], cases),
+        (["verify", "--check", "cov", "--cases", "-3"], cases),
+    ):
+        capsys.readouterr()
+        assert run([*argv, "--model", iid_model]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
     # alpha must be finite and exceed 1, in bound and in the tail check alike
     for argv, line in (
         (["bound", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),
@@ -606,6 +622,49 @@ def test_emit_report_empty_and_atomic(tmp_path):
     assert csv_path.read_text().strip() == "check,param,estimate,se,bound,valid,verdict,seed,replicates"
     # no temp droppings left behind
     assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
+
+
+# every check at a small scale on the uniform MA(1,1), which has no gamma(s,t) target
+# (emp's bound is nan), and a quasi scan that finds no scale (its estimate is nan)
+JSON_RUNS = {
+    "cov": ["--n", "24", "--cases", "3"],
+    "tail": ["--n", "1024", "--x-grid", "0:1000:250"],
+    "newman": ["--n", "8"],
+    "quasi": [],
+    "slln": ["--n-grid", "64,128,256"],
+    "clt": ["--n", "256"],
+    "fclt": ["--n", "256"],
+    "emp": ["--n", "256"],
+}
+JSON_NON_FINITE = {"emp": ("bound", "nan"), "quasi-miss": ("estimate", "nan")}
+
+
+def _bare_constant(token):
+    raise ValueError(f"{token} is not a JSON token")
+
+
+@pytest.mark.parametrize("case, argv", [
+    *((check, ["--check", check, *argv]) for check, argv in JSON_RUNS.items()),
+    ("quasi-miss", ["--check", "quasi", "--alpha1-grid", "0.01:0.02:0.01"]),
+])
+def test_json_report_is_json_and_holds_its_csv_rows(case, argv, tmp_path):
+    # a non-finite float is the string of its CSV cell, so float() reads both formats alike
+    model = tmp_path / "ma11.json"
+    model.write_text(MA11_JSON)
+    base = ["verify", *argv, "--model", str(model), "--replicates", "200"]
+    code = run([*base, "--out", str(tmp_path / "r.csv")])
+    assert code in (0, 1) and run([*base, "--out", str(tmp_path / "r.json")]) == code
+    records = json.loads((tmp_path / "r.json").read_text(), parse_constant=_bare_constant)
+    header, *rows = read_csv(tmp_path / "r.csv")
+    assert len(records) == len(rows) > 0
+    for record, row in zip(records, rows):
+        assert list(record) == header and [_fmt(value) for value in record.values()] == row
+        for name in ("estimate", "se", "bound"):
+            value, cell = float(record[name]), float(row[header.index(name)])
+            assert value == cell or (math.isnan(value) and math.isnan(cell))
+    if case in JSON_NON_FINITE:
+        name, text = JSON_NON_FINITE[case]
+        assert records[-1][name] == text
 
 
 def test_rerun_overwrites_deterministically(tmp_path, iid_model):

@@ -25,6 +25,8 @@ MODELS = {
     # coefficients that nearly cancel: sigma^2 = 0.01^2 / 3, far from the
     # limit at small n
     "ma-cancel": MovingAverage(coeffs=(1.0, -0.99), law=U11),
+    # sampled by inverse cdf from one uniform per draw, so emp reads it through TruncatedGaussian.cdf
+    "tgauss": IID(TruncatedGaussian(1.5)),
     "bump": CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0), law=TruncatedGaussian(1.5)),
 }
 
@@ -117,9 +119,20 @@ CASES = {
         "ma11", "verify --check emp --n 512 --replicates 2000", 0,
         "233da769000f4f4b282f01cc830bf0ca82a557eadc47921f80dcf5be3a3ca70d",
     ),
+    # the exact cdf maps each draw back to the uniform it was sampled from, up to rounding:
+    # the same report as the i.i.d. uniform model's
+    "emp-tgauss": (
+        "tgauss", "verify --check emp --n 512 --replicates 2000", 0,
+        "461daae939d479ce1c6e696a754e9be4af39943ae810e458bc2f4cf8727f98f9",
+    ),
     "emp-json": (
         "iid", "verify --check emp --n 512 --replicates 2000 --format json", 0,
         "ee189e6e6ae75582fba0b06da4fa6baf530cfae2bf62fcc1afe3e1f4a8c4b583",
+    ),
+    # a NaN bound: JSON has no such number, so the report writes the string "nan"
+    "emp-ma11-json": (
+        "ma11", "verify --check emp --n 512 --replicates 2000 --format json", 0,
+        "8cfd8c5db23993f155d4d6580e383449249d42a0c0b326c86e597e7ecae2be12",
     ),
 }
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf
+from scipy.stats import truncnorm
 
 from weakdep import (
     IID,
@@ -21,6 +22,7 @@ from weakdep import (
     TruncatedGaussian,
     UniformOnInterval,
     almost_sure_bound,
+    gamma_sequence,
     long_run_variance,
     model_from_json,
     model_to_json,
@@ -124,6 +126,13 @@ def test_truncated_gaussian_variance_at_small_bounds(bound):
     b2 = bound * bound
     series = b2 / 3.0 - 2.0 * b2 * b2 / 45.0 + 2.0 * b2 ** 3 / 945.0
     assert TruncatedGaussian(bound).variance == pytest.approx(series, rel=1e-12)
+
+
+@pytest.mark.parametrize("bound", [0.5, 1.5, 3.0])
+def test_truncated_gaussian_cdf_matches_truncnorm(bound):
+    # the exact marginal of emp on an i.i.d. truncated-Gaussian model, clipped outside the support
+    x = np.linspace(-1.5 * bound, 1.5 * bound, 601)
+    assert np.allclose(TruncatedGaussian(bound).cdf(x), truncnorm(-bound, bound).cdf(x), rtol=0.0, atol=1e-15)
 
 
 def test_law_validation():
@@ -255,6 +264,23 @@ def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
     assert np.array_equal(replicate_paths(model, n, replicates, 31, reduce), expected)
     # a view of the block: a reused chunk buffer must not show through
     assert np.array_equal(replicate_paths(model, n, replicates, 31, lambda x: x[:, ::2]), reference[:, ::2])
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("n, replicates", [(1000, 200), (REPLICATE_BLOCK_VALUES, 3)])
+def test_iid_is_the_order_one_moving_average(law, n, replicates, monkeypatch):
+    # an i.i.d. sequence is X_t = 1 xi_t: the same rows bit for bit, over 4
+    # chunks of 65 paths on two threads and over 3 chunks of width 1
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    iid, ma = IID(law), MovingAverage(coeffs=(1.0,), law=law)
+    assert np.array_equal(replicate_paths(iid, n, replicates, 5), replicate_paths(ma, n, replicates, 5))
+    assert np.array_equal(sample_path(iid, 300, 5), sample_path(ma, 300, 5))
+    assert almost_sure_bound(iid) == almost_sure_bound(ma)
+    assert long_run_variance(iid) == long_run_variance(ma)
+    assert gamma_sequence(iid) == gamma_sequence(ma)
+    # the same numbers, two model files: the iid object has no coeffs field
+    assert model_to_json(iid) != model_to_json(ma)
+    assert "coeffs" not in model_to_json(iid)
 
 
 def test_replicate_paths_error_on_pool_thread(monkeypatch):
@@ -430,6 +456,16 @@ def test_almost_sure_bound_and_stationarity():
 
 
 # --- cumulative-sum means ---------------------------------------------------
+
+
+def test_nonneg_shift_mgf_series_meets_expm1_ratio():
+    # below |x| = 1e-6 the mgf is the series 1 + x/2 + x^2/6, above it expm1(x)/x: on either
+    # side of the switch both forms agree within one ulp (x = t (b - a), here b - a = 2)
+    assert nonneg_shift_mgf(U11, 0.0) == 1.0
+    for magnitude in (1e-9, 1e-7, 0.999e-6, 1e-6, 1.001e-6, 1e-5):
+        for x in (magnitude, -magnitude):
+            expected = math.expm1(x) / x
+            assert abs(nonneg_shift_mgf(U11, x / 2.0) - expected) <= math.ulp(expected), x
 
 
 def test_negexp_variance_vanishes_for_nonnegative_shift():
