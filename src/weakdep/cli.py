@@ -258,12 +258,13 @@ def _random_pl(rng) -> PiecewiseLinear:
 
 
 def random_cov_cases(model: ModelSpec, n: int, cases: int, seed: int):
-    """Randomized (f, g, I, J) cases with disjoint index sets in 1..n."""
+    """Randomized (f, g, I, J) cases with disjoint index sets in 1..n, for n >= 2:
+    I holds at most n - 1 indices, so J is never empty."""
     rng = np.random.default_rng([seed, 202])
     out = []
     for _ in range(cases):
         f_spec, g_spec = _random_pl(rng), _random_pl(rng)
-        size_i = int(rng.integers(1, 4))
+        size_i = min(int(rng.integers(1, 4)), n - 1)
         size_j = int(rng.integers(1, 4))
         perm = rng.permutation(n) + 1
         I = sorted(int(v) for v in perm[:size_i])
@@ -284,6 +285,8 @@ def _list(spec: str, kind: type, option: str) -> list:
 
 
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
+    if n < 2:
+        raise ConfigError(f"--n must be at least 2 for two disjoint index sets, got {n}")
     paths = replicate_paths(model, n, cfg.replicates, cfg.seed)
     return [
         check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
@@ -312,6 +315,10 @@ def _check_newman(model: ModelSpec, cfg: MCConfig, *, n=8, t_grid="0.25,0.5,1") 
 
 def _check_quasi(model: ModelSpec, cfg: MCConfig, *, alpha1_grid="1:50:1", alpha2=1.0) -> list[VerificationReport]:
     grid = parse_grid(alpha1_grid)
+    if grid[0] <= 0.0:  # parse_grid's points are finite and increasing
+        raise ConfigError(f"--alpha1-grid points must be positive, got {alpha1_grid!r}")
+    if not 0.0 < alpha2 < math.inf:
+        raise ConfigError(f"--alpha2 must be finite and positive, got {alpha2:g}")
     try:
         return check_quasi_association_counterexample(grid, alpha2, model.law, cfg)
     except OverflowError:
@@ -413,6 +420,8 @@ def run(argv: Sequence[str]) -> int:
         return 2
     try:
         _check_sizes(args)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ConfigError, ValueError, ArithmeticError, QuadratureError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,10 @@ returns VerificationReport rows built by make_report, the one place a
 verdict is assigned; the pass rule of each check lives with the check.
 
 The empirical-process helpers return plain values: marginal_transform the
-distribution function that maps a path to uniform marginals,
-empirical_process_path the array of zeta_n values on a grid, and
-estimate_gamma_operator an estimate and its SE; check_empirical_process
-builds the emp rows from them.
+distribution function that maps a path to uniform marginals, read from the
+model's coefficients and law and never its class, empirical_process_path
+the array of zeta_n values on a grid, and estimate_gamma_operator an
+estimate and its SE; check_empirical_process builds the emp rows from them.
 
 scipy is imported inside the functions that call it, not at the top: the
 KS distance imports scipy.stats, which costs about half a second, and the
@@ -33,9 +33,8 @@ from .blocks import BlockScheme, decompose
 from .bounds import tail_bound
 from .coefficients import gamma_sequence, long_run_variance, newman_discrepancy_bound
 from .models import (
-    IID,
+    CumSumTransform,
     ModelSpec,
-    MovingAverage,
     Rademacher,
     UniformOnInterval,
     nonneg_shift_mgf,
@@ -526,27 +525,24 @@ PREPASS_SEED = 987_654_321
 @lru_cache(maxsize=4)
 def marginal_transform(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The model's marginal distribution function, the probability integral
-    transform to uniform [0, 1] marginals.
+    transform to uniform [0, 1] marginals, read from its coeffs and law.
 
-    Exact for i.i.d. continuous laws.  For a moving average it is estimated:
-    the empirical distribution function, scaled by 1 / (m + 1), of the
-    first m = PREPASS_DRAWS values of the path with seed PREPASS_SEED.  A
-    pure function of the model, cached so that the checks of one run share
-    one pre-pass.
+    A Rademacher law or no nonzero coefficient is a discrete marginal, an
+    error.  One nonzero coefficient a gives law.cdf(x / |a|), exact since
+    every law is symmetric.  Otherwise it is estimated: the empirical
+    distribution function, scaled by 1 / (m + 1), of the first
+    m = PREPASS_DRAWS values of the path with seed PREPASS_SEED.  Cached,
+    so that the checks of one run share one pre-pass.
     """
-    if isinstance(model, IID):
-        if isinstance(model.law, Rademacher):
-            raise ValueError("marginal distribution function unavailable: discrete marginal law")
-        return model.law.cdf
-    if isinstance(model, MovingAverage):
-        sample = np.sort(sample_path(model, PREPASS_DRAWS, PREPASS_SEED))
-        m = len(sample)
-
-        def cdf(x):
-            return np.searchsorted(sample, np.asarray(x, dtype=float), side="right") / (m + 1.0)
-
-        return cdf
-    raise ValueError("marginal distribution function unavailable for this model")
+    if isinstance(model, CumSumTransform):
+        raise ValueError("marginal distribution function unavailable for this model")
+    scales = [abs(c) for c in model.coeffs if c != 0.0]
+    if isinstance(model.law, Rademacher) or not scales:
+        raise ValueError("marginal distribution function unavailable: discrete marginal law")
+    if len(scales) == 1:
+        return lambda x, law_cdf=model.law.cdf, scale=scales[0]: law_cdf(np.divide(x, scale))
+    sample = np.sort(sample_path(model, PREPASS_DRAWS, PREPASS_SEED))
+    return lambda x: np.searchsorted(sample, np.asarray(x, dtype=float), side="right") / (len(sample) + 1.0)
 
 
 def empirical_process_path(model: ModelSpec, n: int, grid: Sequence[float], seed: int) -> np.ndarray:
@@ -564,8 +560,8 @@ def estimate_gamma_operator(model: ModelSpec, s: float, t: float, cfg: MCConfig)
     """Covariance operator sum_{k=1}^K Cov(1{U_1 <= s}, 1{U_k <= t}) of the
     empirical-process limit, estimated across replicates.
 
-    K is the coefficient support length + 5 (only k = 1 survives for the
-    i.i.d. baseline, where the sum is min(s, t) - s t).
+    K is the coefficient support length + 5 (only k = 1 survives when one
+    coefficient is nonzero, where the sum is min(s, t) - s t).
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("arguments must lie in [0, 1]")
@@ -587,8 +583,9 @@ def check_empirical_process(model: ModelSpec, n: int, s: float, t: float, cfg: M
     Rows zeta(0) and zeta(1) of the path at seed cfg.seed pass when the
     value is exactly 0, as the exact marginal makes it.  Row gamma(s,t)
     compares the operator estimate with the limit covariance min(s, t) - s t
-    within ERROR_MULTIPLIER standard errors; the limit is known only for
-    the i.i.d. baseline, so for any other model the row is BOUND_INVALID.
+    within ERROR_MULTIPLIER standard errors; the limit is known only when
+    one coefficient is nonzero (counted, as tiny products underflow gamma_k
+    to 0), so for any other model the row is BOUND_INVALID.
     """
     zeta = empirical_process_path(model, n, [0.0, 1.0], cfg.seed)
     reports = [
@@ -596,8 +593,8 @@ def check_empirical_process(model: ModelSpec, n: int, s: float, t: float, cfg: M
         for label, value in zip(("zeta(0)", "zeta(1)"), zeta)
     ]
     est, se = estimate_gamma_operator(model, s, t, cfg)
-    iid = isinstance(model, IID)
-    target = min(s, t) - s * t if iid else math.nan
+    known = sum(c != 0.0 for c in model.coeffs) == 1
+    target = min(s, t) - s * t if known else math.nan
     ok = abs(est - target) <= ERROR_MULTIPLIER * se
-    reports.append(make_report("emp", f"gamma({s:g},{t:g})", est, se, target, ok, cfg, valid=iid))
+    reports.append(make_report("emp", f"gamma({s:g},{t:g})", est, se, target, ok, cfg, valid=known))
     return reports

@@ -228,6 +228,20 @@ def test_usage_errors(iid_model, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert all(word in err for word in words), err
+    # a negative --seed, cov at an --n with no two disjoint index sets and a quasi scale
+    # that is not positive name their option; numpy or the library named none
+    for argv, line in (
+        (["decompose", "--n", "8", "--p", "2", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["verify", "--check", "clt", "--replicates", "100", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["verify", "--check", "cov", "--replicates", "100", "--n", "1"],
+         "--n must be at least 2 for two disjoint index sets, got 1"),
+        (["verify", "--check", "quasi", "--alpha2", "0"], "--alpha2 must be finite and positive, got 0"),
+        (["verify", "--check", "quasi", "--alpha2", "-1"], "--alpha2 must be finite and positive, got -1"),
+        (["verify", "--check", "quasi", "--alpha1-grid", "0:1:1"], "--alpha1-grid points must be positive, got '0:1:1'"),
+    ):
+        capsys.readouterr()
+        assert run([*argv, "--model", iid_model]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
     # an emp point outside [0, 1] names its option
     for option, value in (("--s", "1.5"), ("--t", "-0.5"), ("--s", "nan")):
         capsys.readouterr()
@@ -459,6 +473,43 @@ def test_verify_clt_and_emp(tmp_path):
     rows = read_csv(out)
     params = [r[1] for r in rows[1:]]
     assert "zeta(0)" in params and "zeta(1)" in params
+
+
+EMP_ARGV = ["verify", "--check", "emp", "--n", "512", "--replicates", "2000"]
+
+
+@pytest.mark.parametrize("law", [UniformOnInterval(-1, 1), TruncatedGaussian(1.5)], ids=["uniform", "tgauss"])
+def test_emp_reads_an_order_one_model_from_its_coefficients(law, tmp_path):
+    # one process, one report: IID is MA((1.0,)), and law.cdf(x / 2) maps MA((2.0,)) back to the same uniforms
+    reports = []
+    for model in (IID(law), MovingAverage((1.0,), law), MovingAverage((2.0,), law)):
+        path, out = tmp_path / "model.json", tmp_path / "emp.csv"
+        path.write_text(model_to_json(model))
+        assert run([*EMP_ARGV, "--model", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("coeffs", [(-0.5,), (0.0, 1.0)], ids=["minus-half", "zero-one"])
+def test_emp_has_a_target_with_one_nonzero_coefficient(coeffs, tmp_path):
+    path, out = tmp_path / "model.json", tmp_path / "emp.csv"
+    path.write_text(model_to_json(MovingAverage(coeffs, UniformOnInterval(-1, 1))))
+    assert run([*EMP_ARGV, "--model", str(path), "--out", str(out)]) == 0
+    row = read_csv(out)[-1]
+    assert (row[1], float(row[4]), row[5], row[6]) == ("gamma(0.3,0.7)", 0.3 - 0.3 * 0.7, "true", "DOMINATED")
+
+
+@pytest.mark.parametrize("model", [
+    MovingAverage((1.0,), Rademacher()), MovingAverage((1.0, 1.0), Rademacher()),
+    MovingAverage((0.0,), UniformOnInterval(-1, 1)), MovingAverage((0.0, 0.0), UniformOnInterval(-1, 1)),
+], ids=["rademacher-1", "rademacher-2", "zero-1", "zero-2"])
+def test_emp_rejects_a_discrete_marginal(model, tmp_path, capsys):
+    # a Rademacher law or no nonzero coefficient, rejected before any division by a zero scale
+    path = tmp_path / "model.json"
+    path.write_text(model_to_json(model))
+    capsys.readouterr()
+    assert run([*EMP_ARGV, "--model", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: marginal distribution function unavailable: discrete marginal law\n")
 
 
 def test_verify_cov_tail_fclt_slln(tmp_path):

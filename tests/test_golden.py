@@ -109,12 +109,12 @@ CASES = {
         "ma11", "verify --check fclt --n 1024 --times 0.25,0.5,1 --replicates 1000", 0,
         "5501cc1764799368f7f20132f684a0d6ca04768d98bd204e814b8afe5b96f003",
     ),
-    # i.i.d. only: a moving average has no gamma(s,t) target
+    # one nonzero coefficient: the exact marginal and the gamma(s,t) target min(s, t) - s t
     "emp": (
         "iid", "verify --check emp --n 512 --replicates 2000", 0,
         "461daae939d479ce1c6e696a754e9be4af39943ae810e458bc2f4cf8727f98f9",
     ),
-    # a moving average: estimated marginal transform, gamma(s,t) row BOUND_INVALID
+    # two nonzero coefficients: estimated marginal transform, gamma(s,t) row BOUND_INVALID
     "emp-ma11": (
         "ma11", "verify --check emp --n 512 --replicates 2000", 0,
         "233da769000f4f4b282f01cc830bf0ca82a557eadc47921f80dcf5be3a3ca70d",

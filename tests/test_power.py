@@ -1,0 +1,81 @@
+"""What the harness can catch: a planted-defect table.
+
+Each mutant wraps models._paths, the one filter behind every replicate path
+and sample path, and breaks what it returns; the library is not changed.
+_paths returns scratch buffers that its next call overwrites, so a mutant
+builds its output out of place.  The seven checks that draw paths (quasi
+draws none) run through cli.run at their defaults on the MA(1, 1) model
+with U(-1, 1) innovations at seed 0, the CLI default, and the table pins
+the set of checks that exit 1, that is, report a VIOLATED row.
+
+A mutant that no check catches keeps its empty set, so the gap stays in
+view.  A change that makes a check catch a mutant adds it to the set; a
+smaller set is a regression.  The seed, the mutants and their sizes are
+fixed; they were not chosen after seeing the results.
+
+The x 0.95 cell is noisy across seeds: seed 0 catches nothing, while at
+seed 2 fclt catches it (ROADMAP item 18 has the three-seed table).
+"""
+
+import dataclasses
+import math
+
+import pytest
+
+from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, model_to_json, models
+from weakdep.cli import run
+from weakdep.verify import marginal_transform
+
+MA11 = MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1.0, 1.0))
+DRAWING_CHECKS = ("cov", "tail", "newman", "slln", "clt", "fclt", "emp")
+
+
+def _scaled(factor):
+    return lambda paths, model, *args: factor * paths(model, *args)
+
+
+# name -> (wrapper of _paths(model, n, width, rng, scratch) given the original first, checks that exit 1)
+MUTANTS = {
+    "none": (None, set()),
+    "every value x 0.95": (_scaled(0.95), set()),
+    "every value x 0.9": (_scaled(0.9), {"fclt"}),
+    "coefficients (1, 0.8)": (
+        lambda paths, model, *args: paths(dataclasses.replace(model, coeffs=(1.0, 0.8)), *args).copy(),
+        {"fclt"},
+    ),
+    # innovations of variance 1/3, as U(-1, 1)'s; the marginal has atoms at 0 and +-2/sqrt(3)
+    "innovations +-1/sqrt(3)": (
+        lambda paths, model, *args: paths(dataclasses.replace(model, law=Rademacher()), *args) / math.sqrt(3.0),
+        set(),
+    ),
+    # the marginal variance 2/3 of MA(1, 1), with no lag-1 dependence
+    "independent values, variance 2/3": (
+        lambda paths, model, *args: math.sqrt(2.0) * paths(IID(model.law), *args),
+        {"cov", "clt", "fclt"},
+    ),
+}
+
+
+@pytest.fixture
+def fresh_marginal():
+    # emp's estimated marginal is cached per model: a mutant must draw its own
+    # pre-pass, and must not leave it behind for the next test of the same model
+    marginal_transform.cache_clear()
+    yield
+    marginal_transform.cache_clear()
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_checks_that_catch_a_planted_defect(mutant, monkeypatch, tmp_path, fresh_marginal):
+    wrap, caught = MUTANTS[mutant]
+    if wrap is not None:
+        original = models._paths
+        monkeypatch.setattr(models, "_paths", lambda *args: wrap(original, *args))
+    model = tmp_path / "ma11.json"
+    model.write_text(model_to_json(MA11))
+    codes = {
+        check: run(["verify", "--check", check, "--model", str(model), "--out", str(tmp_path / f"{check}.csv")])
+        for check in DRAWING_CHECKS
+    }
+    assert set(codes.values()) <= {0, 1}, codes
+    assert {check for check, code in codes.items() if code == 1} == caught
