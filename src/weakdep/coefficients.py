@@ -76,12 +76,21 @@ def long_run_variance(model: ModelSpec) -> float:
     """Long-run variance sigma^2 = lim E S_n^2 / n of a stationary model,
     sigma_xi^2 (sum_j a_j)^2 for a moving average, so sigma_xi^2 for i.i.d.
 
-    A value that is not finite and positive is an error, not a value.
+    A value that is not finite and positive is an error, not a value, and
+    the error says why: coefficients that sum to 0 (a degenerate model), or
+    a positive sigma^2 that underflows to 0 or overflows.  Every law has
+    positive variance, so a law variance of 0.0 has underflowed too.
     """
     if isinstance(model, CumSumTransform):
         raise ValueError("cumulative-sum models are nonstationary; no long-run variance")
     total = sum(model.coeffs)
-    sigma2 = model.law.variance * total * total
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"degenerate model: long-run variance {sigma2} is not in (0, inf)")
+    variance = model.law.variance
+    sigma2 = variance * total * total
+    if total == 0:
+        raise ValueError("degenerate model: the coefficients sum to 0, so the long-run variance is 0")
+    terms = f"law variance {variance} times coefficient sum {total} squared"
+    if sigma2 == 0:
+        raise ValueError(f"long-run variance underflows: {terms} rounds to 0")
+    if not math.isfinite(sigma2):
+        raise ValueError(f"long-run variance overflows: {terms} exceeds the largest float")
     return sigma2

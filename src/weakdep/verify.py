@@ -14,10 +14,11 @@ model's coefficients and law and never its class, empirical_process_path
 the array of zeta_n values on a grid, and estimate_gamma_operator an
 estimate and its SE; check_empirical_process builds the emp rows from them.
 
-scipy is imported inside the functions that call it, not at the top: the
-KS distance imports scipy.stats, which costs about half a second, and the
-exact binomial limit only scipy.special; every other check would otherwise
-pay for them at start.
+The clt check computes its Kolmogorov distance here (_ks_distance), with
+the same bits as scipy's kstest, so no check imports scipy's stats module,
+which costs about half a second and 46 MB.  scipy.special is imported inside
+the functions that call it (the normal cdf of clt and the exact binomial
+limit), not at the top, so a check that needs neither runs without scipy.
 """
 
 from __future__ import annotations
@@ -442,18 +443,33 @@ def clt_bias_allowance(n: int) -> float:
     return 2.0 / math.sqrt(n)
 
 
+def _ks_distance(cdf: np.ndarray) -> float:
+    """Two-sided Kolmogorov distance sup |F_emp - F| of a sample to a
+    continuous law, from the law's cdf at the sorted sample.
+
+    The arithmetic is scipy's ks_1samp's, so the result has its bits:
+    a NaN cdf value gives NaN, which fails any threshold.
+    """
+    n = cdf.size
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(d_plus if d_plus > d_minus else d_minus)
+
+
 def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> list[VerificationReport]:
     """Kolmogorov-Smirnov distance of S_n / sqrt(n) to N(0, sigma^2).
 
-    One row, passing when the distance is at most the threshold
+    The distance is computed here by _ks_distance, with the same bits as
+    scipy's kstest(vals, "norm", args=(0, sigma)).statistic.  One row,
+    passing when the distance is at most the threshold
     1.358 / sqrt(replicates) (the 5% KS critical value) plus the finite-n
     allowance b(n).
     """
-    from scipy.stats import kstest
+    from scipy.special import ndtr
 
     sigma = math.sqrt(long_run_variance(model))
     vals = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1)) / math.sqrt(n)
-    ks = float(kstest(vals, "norm", args=(0.0, sigma)).statistic)
+    ks = _ks_distance(ndtr(np.sort(vals) / sigma))
     threshold = 1.358 / math.sqrt(cfg.replicates) + clt_bias_allowance(n)
     return [make_report("clt", f"n={n}", ks, 0.0, threshold, ks <= threshold, cfg)]
 
