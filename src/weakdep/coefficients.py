@@ -84,10 +84,10 @@ def long_run_variance(model: ModelSpec) -> float:
     if isinstance(model, CumSumTransform):
         raise ValueError("cumulative-sum models are nonstationary; no long-run variance")
     total = sum(model.coeffs)
-    variance = model.law.variance
-    sigma2 = variance * total * total
     if total == 0:
         raise ValueError("degenerate model: the coefficients sum to 0, so the long-run variance is 0")
+    variance = model.law.variance
+    sigma2 = variance * total * total
     terms = f"law variance {variance} times coefficient sum {total} squared"
     if sigma2 == 0:
         raise ValueError(f"long-run variance underflows: {terms} rounds to 0")

@@ -207,7 +207,7 @@ def test_bound_and_tail_print_the_same_error(tmp_path, capsys):
         assert errors[0] == errors[1], errors
 
 
-def test_usage_errors(iid_model, capsys):
+def test_usage_errors(iid_model, tmp_path, capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
     assert run(["verify", "--check", "clt"]) == 2  # missing --model
@@ -299,6 +299,20 @@ def test_usage_errors(iid_model, capsys):
         capsys.readouterr()
         assert run([*argv, "--model", iid_model]) == 2
         assert capsys.readouterr() == ("", f"error: {line}\n")
+    # a long-run variance that is not a positive float names its case: a zero coefficient sum,
+    # or a sigma^2 that underflows or overflows; it printed "degenerate model" for all three
+    u11 = "law variance 0.3333333333333333 times coefficient sum"
+    for coeffs, line in (
+        ((1.0, -1.0), "degenerate model: the coefficients sum to 0, so the long-run variance is 0"),
+        ((1e-300,), f"long-run variance underflows: {u11} 1e-300 squared rounds to 0"),
+        ((1e155, 1e155), f"long-run variance overflows: {u11} 2e+155 squared exceeds the largest float"),
+    ):
+        model = tmp_path / "sigma2.json"
+        model.write_text(model_to_json(MovingAverage(coeffs=coeffs, law=UniformOnInterval(-1.0, 1.0))))
+        for check in ("clt", "slln", "fclt"):
+            capsys.readouterr()
+            assert run(["verify", "--check", check, "--model", str(model), "--replicates", "100"]) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
     # alpha must be finite and exceed 1, in bound and in the tail check alike
     for argv, line in (
         (["bound", "--alpha", "inf"], "alpha must be finite and exceed 1, got inf"),

@@ -116,9 +116,25 @@ def test_long_run_variance_analytic():
 
 def test_long_run_variance_degenerate_rejected():
     with pytest.raises(ValueError):
-        long_run_variance(MovingAverage(coeffs=(1.0, -1.0), law=U11))
-    with pytest.raises(ValueError):
         long_run_variance(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
+    # each error names its case: a zero coefficient sum, or a positive sigma^2
+    # that underflows or overflows (the law variance itself, for a tiny or huge interval)
+    for coeffs, law, line in (
+        ((1.0, -1.0), U11, "degenerate model: the coefficients sum to 0, so the long-run variance is 0"),
+        ((1e-300,), U11, "long-run variance underflows: law variance 0.3333333333333333 times coefficient sum "
+                         "1e-300 squared rounds to 0"),
+        ((1.0,), UniformOnInterval(0.0, 1e-170), "long-run variance underflows: law variance 0.0 times "
+                                                 "coefficient sum 1.0 squared rounds to 0"),
+        ((1e155, 1e155), U11, "long-run variance overflows: law variance 0.3333333333333333 times coefficient "
+                              "sum 2e+155 squared exceeds the largest float"),
+        ((1.0,), UniformOnInterval(-1e308, 1e308), "long-run variance overflows: law variance inf times "
+                                                   "coefficient sum 1.0 squared exceeds the largest float"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            long_run_variance(MovingAverage(coeffs=coeffs, law=law))
+        assert str(caught.value) == line
+    # a small scale whose sigma^2 is still a positive float is a value, not an error
+    assert long_run_variance(MovingAverage(coeffs=(1e-160,), law=U11)) > 0.0
 
 
 def test_gamma_validation():

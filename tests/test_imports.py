@@ -15,6 +15,7 @@ from test_golden import CASES, MODELS
 
 import weakdep
 from weakdep import model_to_json
+from weakdep.cli import CHECKS
 
 SRC = str(Path(weakdep.__file__).resolve().parents[1])
 
@@ -45,23 +46,27 @@ def run_fresh(argvs):
 
 
 def test_cli_import_and_numpy_only_checks_load_no_scipy(tmp_path):
+    # every command but clt runs on ma11 without scipy, at its defaults where it has them
     model = tmp_path / "ma11.json"
     model.write_text(model_to_json(MODELS["ma11"]))
-    common = ["--model", str(model), "--replicates", "200", "--out", os.devnull]
+    common = ["--model", str(model), "--out", os.devnull]
+    checks = [["verify", "--check", check, *common, "--replicates", "300"] for check in CHECKS if check != "clt"]
     result = run_fresh([
         ["--list-checks"],
-        ["verify", "--check", "newman", *common],
-        ["verify", "--check", "cov", "--n", "24", "--cases", "3", *common],
+        ["coeffs", *common],
+        ["bound", *common],
+        ["decompose", "--n", "4096", "--p", "16", *common],
+        *checks,
     ])
-    assert result["codes"] == [0, 0, 0]
-    assert result["loaded"] == [[], [], [], []]
+    assert result["codes"] == [0] * (4 + len(checks))
+    assert result["loaded"] == [[]] * (5 + len(checks))
 
 
 def test_deferred_scipy_imports_run_cold(tmp_path):
-    # the golden clt case imports scipy.stats, the golden decompose-bump case
+    # the golden clt case imports scipy.special, the golden decompose-bump case
     # scipy.integrate and scipy.special; each runs in its own interpreter, and
-    # cold its bytes are the pinned ones
-    for case, needs in (("clt", {"scipy.stats"}), ("decompose-bump", {"scipy.integrate", "scipy.special"})):
+    # cold its bytes are the pinned ones; neither loads scipy.stats
+    for case, needs in (("clt", {"scipy.special"}), ("decompose-bump", {"scipy.integrate", "scipy.special"})):
         name, argv, code, digest = CASES[case]
         model, out = tmp_path / f"{case}.json", tmp_path / f"{case}.csv"
         model.write_text(model_to_json(MODELS[name]))
@@ -70,8 +75,7 @@ def test_deferred_scipy_imports_run_cold(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, case
         after_import, after_run = result["loaded"]
         assert not after_import and needs <= set(after_run), case
-    # the bump model's commands never need scipy.stats
-    assert "scipy.stats" not in after_run
+        assert "scipy.stats" not in after_run, case
 
 
 def test_exact_binomial_limit_loads_no_scipy_stats(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
-from scipy.stats import beta
+from scipy.stats import beta, kstest
 
 from weakdep import (
     IID,
@@ -33,7 +33,8 @@ from weakdep import (
     slln_rate_fit,
 )
 from weakdep.cli import run
-from weakdep.verify import BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _partial_sums, marginal_transform
+from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _ks_distance, _partial_sums,
+                            marginal_transform)
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -344,6 +345,41 @@ def test_clt_ks_distance_iid_rademacher():
     assert rep.estimate <= rep.bound
     sums = replicate_paths(IID(Rademacher()), 1024, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1))
     assert abs(float(np.mean(sums <= 0.0)) - 0.5) <= 3 * math.sqrt(0.25 / cfg.replicates)
+
+
+@st.composite
+def ks_samples(draw):
+    """A scaled normal sample of 1 to 5,000 values, maybe rounded to a lattice
+    (ties) and with some values set to +-inf or one to NaN; or a short list of
+    arbitrary finite floats."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)))
+    n = draw(st.integers(1, 5_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(n) * 10.0 ** draw(st.floats(-4.0, 4.0))
+    step = draw(st.sampled_from([None, 1e-3, 0.5, 10.0]))
+    if step is not None:
+        x = np.round(x / step) * step
+    for value in draw(st.lists(st.sampled_from([np.inf, -np.inf]), max_size=3)):
+        x[rng.integers(n)] = value
+    if draw(st.integers(0, 9)) == 0:
+        x[rng.integers(n)] = np.nan
+    return x
+
+
+@given(x=ks_samples(), log_sigma=st.floats(-3.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_ks_distance_is_scipys_kstest_statistic(x, log_sigma):
+    sigma = 10.0 ** log_sigma
+    with np.errstate(over="ignore"):  # a huge value over a small sigma is inf on both sides
+        ours = _ks_distance(ndtr(np.sort(x) / sigma))
+        theirs = float(kstest(x, "norm", args=(0.0, sigma)).statistic)
+    if np.isnan(x).any():
+        # a NaN sample has no distance, and its clt row fails closed
+        assert math.isnan(ours) and math.isnan(theirs)
+        assert make_report("clt", "n=1", ours, 0.0, 1.0, ours <= 1.0, MCConfig()).verdict != DOMINATED
+    else:
+        assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (ours, theirs)
 
 
 def test_clt_rejects_nonstationary():
