@@ -1,6 +1,6 @@
 """The explicit tail bound of the odd-block sum and the strong-law rate schedules.
 
-tail_bound derives the bound's inputs from a bounded model and a block
+tail_bound derives the bound's inputs from a stationary model and a block
 scheme and returns, at each point of an x grid, the bound value together
 with whether its hypotheses hold instead of erroring, so the verification
 harness can report behavior across the validity boundary.  A hypothesis is
@@ -86,8 +86,8 @@ def _tail_bound_grid(x, scheme: BlockScheme, c: float, sigma2: float, d_n: float
 def tail_bound(model: ModelSpec, scheme: BlockScheme, x_grid: Sequence[float], alpha: float):
     """The explicit tail bound of P(Z_odd > x) over an x grid, as arrays (x, bound, valid).
 
-    Requires a bounded model (compact-support law, i.i.d. or moving
-    average).  c is its almost-sure bound, sigma2 its long-run variance,
+    Requires a stationary model (i.i.d. or moving average; every law has
+    compact support).  c is its almost-sure bound, sigma2 its long-run variance,
     v(p_n) its coefficient tail sum at the block length, and d_n the
     bounded-case schedule evaluated at the scheme's effective theta = log
     p_n / log n; alpha must be finite and exceed 1, as for the schedule.
@@ -97,8 +97,6 @@ def tail_bound(model: ModelSpec, scheme: BlockScheme, x_grid: Sequence[float], a
     """
     _check_alpha(alpha)
     c = almost_sure_bound(model)
-    if c is None:
-        raise ValueError("the tail bound needs a bounded model")
     sigma2 = long_run_variance(model)
     v_pn = gamma_sequence(model).tail_sum(scheme.p_n)
     theta = math.log(scheme.p_n) / math.log(scheme.n)

@@ -28,7 +28,7 @@ from . import __version__
 from .blocks import block_scheme, decompose
 from .bounds import _block_length, tail_bound
 from .coefficients import gamma_sequence
-from .models import ModelSpec, QuadratureError, model_from_json, replicate_paths, sample_path
+from .models import ModelSpec, QuadratureError, _stationary, model_from_json, replicate_paths, sample_path
 from .verify import (
     VIOLATED,
     MCConfig,
@@ -287,7 +287,7 @@ def _list(spec: str, kind: type, option: str) -> list:
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
     if n < 2:
         raise ConfigError(f"--n must be at least 2 for two disjoint index sets, got {n}")
-    paths = replicate_paths(model, n, cfg.replicates, cfg.seed)
+    paths = replicate_paths(_stationary(model), n, cfg.replicates, cfg.seed)
     return [
         check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
         for f_spec, g_spec, I, J in random_cov_cases(model, n, cases, cfg.seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import CumSumTransform, ModelSpec
+from .models import ModelSpec, _stationary
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,7 @@ def gamma_sequence(model: ModelSpec) -> FiniteGamma:
     zero beyond; the i.i.d. model, the order-one moving average, has the
     empty sequence.
     """
-    if isinstance(model, CumSumTransform):
-        raise ValueError("cumulative-sum models have no stationary coefficient sequence")
-    a = model.coeffs
+    a = _stationary(model).coeffs
     p = len(a)
     s2 = model.law.variance
     values = tuple(
@@ -77,13 +75,11 @@ def long_run_variance(model: ModelSpec) -> float:
     sigma_xi^2 (sum_j a_j)^2 for a moving average, so sigma_xi^2 for i.i.d.
 
     A value that is not finite and positive is an error, not a value, and
-    the error says why: coefficients that sum to 0 (a degenerate model), or
-    a positive sigma^2 that underflows to 0 or overflows.  Every law has
-    positive variance, so a law variance of 0.0 has underflowed too.
+    the error says why: coefficients whose exact sum (fsum, so in any order)
+    is 0, or a positive sigma^2 that underflows to 0 or overflows.  Every
+    law has positive variance, so a law variance of 0.0 has underflowed too.
     """
-    if isinstance(model, CumSumTransform):
-        raise ValueError("cumulative-sum models are nonstationary; no long-run variance")
-    total = sum(model.coeffs)
+    total = math.fsum(_stationary(model).coeffs)
     if total == 0:
         raise ValueError("degenerate model: the coefficients sum to 0, so the long-run variance is 0")
     variance = model.law.variance

@@ -29,7 +29,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -308,9 +308,8 @@ class MovingAverage:
 class CumSumTransform:
     """X_t = g(sum_{i<=t} coeffs[i] xi_i) - E g(...), a nonstationary family.
 
-    Positive coefficients keep the underlying cumulative sums associated;
-    supported for the quasi-association counterexample checks only, and
-    rejected by every operation that assumes stationarity.
+    Positive coefficients keep the underlying cumulative sums associated.
+    Only decompose draws it; what needs a stationary model calls _stationary.
     """
 
     coeffs: tuple[float, ...]
@@ -328,11 +327,17 @@ class CumSumTransform:
 ModelSpec = Union[IID, MovingAverage, CumSumTransform]
 
 
-def almost_sure_bound(model: ModelSpec) -> Optional[float]:
-    """Almost-sure bound c with |X_t| <= c, or None when no uniform bound exists."""
+def _stationary(model: ModelSpec) -> ModelSpec:
+    """model, or a ValueError for a cumulative-sum model, which has none of the stationary quantities."""
     if isinstance(model, CumSumTransform):
-        return None
-    lo, hi = model.law.support
+        raise ValueError("cumulative-sum models are nonstationary: only iid and moving_average models have "
+                         "gamma_k, a long-run variance, an almost-sure bound and a marginal law")
+    return model
+
+
+def almost_sure_bound(model: ModelSpec) -> float:
+    """Almost-sure bound c with |X_t| <= c of a stationary model."""
+    lo, hi = _stationary(model).law.support
     return max(abs(lo), abs(hi)) * sum(abs(c) for c in model.coeffs)
 
 

@@ -34,10 +34,10 @@ from .blocks import BlockScheme, decompose
 from .bounds import tail_bound
 from .coefficients import gamma_sequence, long_run_variance, newman_discrepancy_bound
 from .models import (
-    CumSumTransform,
     ModelSpec,
     Rademacher,
     UniformOnInterval,
+    _stationary,
     nonneg_shift_mgf,
     replicate_paths,
     sample_path,
@@ -550,9 +550,7 @@ def marginal_transform(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     m = PREPASS_DRAWS values of the path with seed PREPASS_SEED.  Cached,
     so that the checks of one run share one pre-pass.
     """
-    if isinstance(model, CumSumTransform):
-        raise ValueError("marginal distribution function unavailable for this model")
-    scales = [abs(c) for c in model.coeffs if c != 0.0]
+    scales = [abs(c) for c in _stationary(model).coeffs if c != 0.0]
     if isinstance(model.law, Rademacher) or not scales:
         raise ValueError("marginal distribution function unavailable: discrete marginal law")
     if len(scales) == 1:
@@ -576,13 +574,13 @@ def estimate_gamma_operator(model: ModelSpec, s: float, t: float, cfg: MCConfig)
     """Covariance operator sum_{k=1}^K Cov(1{U_1 <= s}, 1{U_k <= t}) of the
     empirical-process limit, estimated across replicates.
 
-    K is the coefficient support length + 5 (only k = 1 survives when one
-    coefficient is nonzero, where the sum is min(s, t) - s t).
+    K = p + 4 lags for a moving average of order p (only k = 1 survives
+    when one coefficient is nonzero, where the sum is min(s, t) - s t).
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("arguments must lie in [0, 1]")
     transform = marginal_transform(model)
-    u = replicate_paths(model, len(gamma_sequence(model).values) + 5, cfg.replicates, cfg.seed, transform)
+    u = replicate_paths(model, len(model.coeffs) + 4, cfg.replicates, cfg.seed, transform)
     a, b = (u[:, 0] <= s).astype(float), (u <= t).astype(float)
     am = a.mean()
     bm = b.mean(axis=0)

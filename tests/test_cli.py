@@ -573,20 +573,47 @@ def test_tail_at_negative_deviation_is_bound_invalid(tmp_path, capsys):
     ]
 
 
+NONSTATIONARY = ("error: cumulative-sum models are nonstationary: only iid and moving_average models have gamma_k, "
+                 "a long-run variance, an almost-sure bound and a marginal law\n")
+
+
+def _refused_models(tmp_path):
+    """The model files of the refusal cases: the bump model, IID(Rademacher()) and the zero-sum MA(1, -1)."""
+    files = {"bump": CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0), law=TruncatedGaussian(1.5)),
+             "rademacher": IID(Rademacher()), "zero-sum": MovingAverage(coeffs=(1.0, -1.0), law=UniformOnInterval(-1, 1))}
+    for name, model in files.items():
+        (tmp_path / f"{name}.json").write_text(model_to_json(model))
+    return lambda name: str(tmp_path / f"{name}.json")
+
+
 def test_check_on_a_model_it_cannot_take_names_the_model(tmp_path, capsys):
-    # slln says what clt and fclt say of a cumulative-sum model; quasi needs a uniform law
-    bump = tmp_path / "bump.json"
-    bump.write_text(model_to_json(CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0),
-                                                  law=TruncatedGaussian(1.5))))
-    rademacher = tmp_path / "rademacher.json"
-    rademacher.write_text(IID_RADEMACHER_JSON)
-    nonstationary = "error: cumulative-sum models are nonstationary; no long-run variance\n"
-    for check, model, err in (("slln", bump, nonstationary), ("clt", bump, nonstationary),
-                              ("fclt", bump, nonstationary),
-                              ("quasi", rademacher, "error: quasi check needs a model with a uniform innovation law\n")):
+    # every command but decompose prints one line on a cumulative-sum model; quasi needs a uniform law
+    model = _refused_models(tmp_path)
+    cases = [(["verify", "--check", check, "--model", model("bump"), "--replicates", "100"], NONSTATIONARY)
+             for check in ("cov", "tail", "newman", "slln", "clt", "fclt", "emp")]
+    cases += [([command, "--model", model("bump")], NONSTATIONARY) for command in ("coeffs", "bound")]
+    cases += [(["verify", "--check", "quasi", "--model", model("rademacher"), "--replicates", "100"],
+               "error: quasi check needs a model with a uniform innovation law\n")]
+    for argv, err in cases:
         capsys.readouterr()
-        assert run(["verify", "--check", check, "--model", str(model), "--replicates", "100"]) == 2
-        assert capsys.readouterr() == ("", err)
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", err), argv
+
+
+def test_check_refuses_a_model_before_it_draws_a_path(tmp_path, capsys, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the model was refused")
+
+    monkeypatch.setattr("weakdep.models._paths", no_draw)
+    model = _refused_models(tmp_path)
+    discrete = "error: marginal distribution function unavailable: discrete marginal law\n"
+    zero_sum = "error: degenerate model: the coefficients sum to 0, so the long-run variance is 0\n"
+    cases = [(check, "bump", NONSTATIONARY) for check in ("cov", "tail", "newman", "slln", "clt", "fclt", "emp")]
+    cases += [("emp", "rademacher", discrete)] + [(check, "zero-sum", zero_sum) for check in ("slln", "clt", "fclt")]
+    for check, name, err in cases:
+        capsys.readouterr()
+        assert run(["verify", "--check", check, "--model", model(name), "--replicates", "100"]) == 2, (check, name)
+        assert capsys.readouterr() == ("", err), (check, name)
 
 
 def test_verify_fails_closed(tmp_path):

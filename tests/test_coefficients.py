@@ -135,6 +135,9 @@ def test_long_run_variance_degenerate_rejected():
         assert str(caught.value) == line
     # a small scale whose sigma^2 is still a positive float is a value, not an error
     assert long_run_variance(MovingAverage(coeffs=(1e-160,), law=U11)) > 0.0
+    # the coefficient sum is exact, so no order of the same coefficients cancels to a degenerate model
+    for coeffs in ((1.0, 1e-17, -1.0), (1e-17, 1.0, -1.0), (1.0, -1.0, 1e-17)):
+        assert long_run_variance(MovingAverage(coeffs=coeffs, law=U11)) == 3.333333333333334e-35
 
 
 def test_gamma_validation():

@@ -449,10 +449,12 @@ def test_analytic_covariance_unavailable_for_cumsum():
 def test_almost_sure_bound_and_stationarity():
     assert almost_sure_bound(IID(U11)) == 1.0
     assert almost_sure_bound(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)) == 2.5
-    assert almost_sure_bound(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11)) is None
     assert long_run_variance(IID(U11)) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError, match="nonstationary"):
-        long_run_variance(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
+    for quantity in (almost_sure_bound, long_run_variance):
+        with pytest.raises(ValueError) as caught:
+            quantity(CumSumTransform(coeffs=(1.0,), transform=Identity(), law=U11))
+        assert str(caught.value) == ("cumulative-sum models are nonstationary: only iid and moving_average models "
+                                     "have gamma_k, a long-run variance, an almost-sure bound and a marginal law")
 
 
 # --- cumulative-sum means ---------------------------------------------------
