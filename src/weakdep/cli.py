@@ -99,8 +99,8 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str, path: Optional[
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse start:stop:step, endpoints inclusive within 1e-12, at most
-    MAX_GRID_POINTS points."""
+    """Parse start:stop:step, endpoints inclusive within 1e-12 steps, at
+    most MAX_GRID_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:step, got {spec!r}")
@@ -112,13 +112,13 @@ def parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid needs finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid needs step > 0 and stop >= start, got {spec!r}")
-    # point k is start + k*step up to the first beyond stop + 1e-12; the count guess
+    # point k is start + k*step up to the first beyond stop + 1e-12*step; the count guess
     # falls short when start + k*step rounds (a huge start), so a miss retries at the limit
     span = (stop - start) / step
     guess = int(span) + 2 if span < MAX_GRID_POINTS else MAX_GRID_POINTS + 1
     for count in (guess, MAX_GRID_POINTS + 1):
         x = start + np.arange(count) * step
-        beyond = np.flatnonzero(x > stop + 1e-12)
+        beyond = np.flatnonzero(x > stop + 1e-12 * step)
         if beyond.size:
             return np.where(stop < x, stop, x)[: beyond[0]].tolist()
     raise ConfigError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")

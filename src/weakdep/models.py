@@ -397,10 +397,11 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     the same path for any larger n.  The moving average is a sum of
     shifted slices accumulated in the order of np.convolve, a[p-1] eps[0:n]
     first, so width 1 gives the full convolution cut to its n complete
-    terms bit for bit; each term is formed in one scratch array.  The innovations, the filter output and
-    the transposed copy live in scratch and are overwritten by the next
-    call with the same scratch, which must not happen while the result is
-    still read.
+    terms bit for bit; each term is formed in one scratch array, and a
+    slice whose coefficient is exactly 1.0 is added unmultiplied (the same
+    bits).  The innovations, the filter output and the transposed copy
+    live in scratch and are overwritten by the next call with the same
+    scratch, which must not happen while the result is still read.
     """
     if isinstance(model, CumSumTransform):
         if n > len(model.coeffs):
@@ -418,7 +419,8 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
         # the term borrows the memory of the transposed copy, written only after the filter
         term = _buffer(scratch, "paths", (width, n)).reshape(n, width)
         for j in range(p - 2, -1, -1):
-            values += np.multiply(a[j], eps[p - 1 - j : p - 1 - j + n], out=term)
+            shifted = eps[p - 1 - j : p - 1 - j + n]
+            values += shifted if a[j] == 1.0 else np.multiply(a[j], shifted, out=term)
     if width == 1:
         return values.T  # one path is contiguous already
     paths = _buffer(scratch, "paths", (width, n))

@@ -4,7 +4,8 @@ theorems with simulation.
 Every check is a pure function of (model, config, seed): it reads its
 replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
-a row never depends on the number of replicates drawn.  Every check
+a row never depends on the number of replicates drawn; check_newman
+forms the phases of every t in one reused complex buffer.  Every check
 returns VerificationReport rows built by make_report, the one place a
 verdict is assigned; the pass rule of each check lives with the check.
 
@@ -284,16 +285,19 @@ def check_newman(
     Joint and marginal characteristic functions are estimated on the same
     replicate set so common noise cancels; the SE comes from per-replicate
     influence values of the complex modulus (delta method on the real and
-    imaginary parts).
+    imaginary parts), with the phases of every t in one reused (R, n)
+    buffer.  An SE that underflows to 0 with a nonzero estimate raises
+    ValueError: a subnormal scale gets no verdict.
     """
     if n > 16:
         raise ValueError(f"characteristic-function check supports n <= 16, got {n}")
     gamma = gamma_sequence(model)
     x = replicate_paths(model, n, cfg.replicates, cfg.seed)
+    phases = np.empty(x.shape, dtype=complex)
     reports = []
     for t in t_grid:
         t = float(t)
-        phases = np.exp(1j * t * x)  # (R, n)
+        np.exp(np.multiply(1j * t, x, out=phases), out=phases)
         joint = phases.prod(axis=1)
         joint_mean = joint.mean()
         marg_means = phases.mean(axis=0)
@@ -301,7 +305,7 @@ def check_newman(
         delta = joint_mean - prod_marg
         # influence of replicate r on (joint mean - product of marginal means)
         if np.min(np.abs(marg_means)) > 1e-8:
-            prod_infl = prod_marg * ((phases / marg_means).sum(axis=1) - n)
+            prod_infl = prod_marg * (np.divide(phases, marg_means, out=phases).sum(axis=1) - n)
         else:
             prod_infl = np.zeros_like(joint)
         infl = (joint - joint_mean) - prod_infl
@@ -311,6 +315,8 @@ def check_newman(
             se = float(proj.std(ddof=1) / math.sqrt(cfg.replicates))
         else:
             se = float(np.sqrt(np.mean(np.abs(infl) ** 2) / cfg.replicates))
+        if se == 0.0 and delta != 0:
+            raise ValueError(f"newman SE underflows to 0 at t={t:g} with a nonzero estimate: model scale too small")
         bound = newman_discrepancy_bound(gamma, n, t)
         low = abs(delta) - ERROR_MULTIPLIER * se
         reports.append(make_report("newman", f"n={n},t={t:g}", abs(delta), se, bound, low <= bound, cfg))

@@ -82,6 +82,14 @@ def test_grid_matches_loop_reference(spec):
     assert [math.copysign(1.0, x) for x in grid[:3]] == [math.copysign(1.0, x) for x in expected[:3]]
 
 
+@pytest.mark.parametrize("s", [-1000, -520, -60, 8, 60])
+def test_grid_endpoint_slack_scales_with_step(s):
+    # 0:4000*2^s:250*2^s is 17 points at every scale; an absolute 1e-12 slack gave
+    # 4,611 copies of stop more at s = -60 and "more than 1000000 points" at s = -520
+    step = 250 * 2.0**s
+    assert parse_grid(f"0:{16 * step!r}:{step!r}") == [k * step for k in range(17)]
+
+
 def test_bound_grid_matches_scalar_reference(tmp_path, capsys):
     # 12 coefficients: v(p_n) > 0 at n = 64 (p_n = 9); the grid reaches NaN bounds
     # (0 * inf) at large negative x, x = 0, both failed hypotheses of the reference and
@@ -443,6 +451,16 @@ def test_verify_newman_iid_exit_zero(tmp_path, iid_model):
     assert rows[0] == ["check", "param", "estimate", "se", "bound", "valid", "verdict", "seed", "replicates"]
     assert all(r[4] == "0" or float(r[4]) == 0.0 for r in rows[1:])  # bound column all zeros
     assert all(r[6] == "DOMINATED" for r in rows[1:])
+
+
+def test_verify_newman_tiny_scale_exits_two(tmp_path, capsys):
+    # the influence values of a 1e-300 scale are subnormal and their squares underflow,
+    # so the SE is 0 under a nonzero estimate; this printed three VIOLATED rows
+    model = tmp_path / "tiny.json"
+    model.write_text(model_to_json(MovingAverage(coeffs=(1e-300,), law=UniformOnInterval(-1.0, 1.0))))
+    assert run(["verify", "--check", "newman", "--n", "8", "--replicates", "2000", "--model", str(model)]) == 2
+    line = "newman SE underflows to 0 at t=0.25 with a nonzero estimate: model scale too small"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
 def test_verify_exit_one_when_check_fails(iid_model):

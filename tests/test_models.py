@@ -195,11 +195,13 @@ def test_prefix_consistency(model, n, n_prime, seed):
 
 
 @pytest.mark.parametrize("law", LAWS)
-@pytest.mark.parametrize("coeffs", [(0.7,), (1.0, -0.5), (1.0, -0.5, 1.0), (0.3, -1.2, 2.0, 0.5, -0.9)])
+@pytest.mark.parametrize("coeffs", [(0.7,), (1.0, -0.5), (1.0, -0.5, 1.0), (0.3, -1.2, 2.0, 0.5, -0.9),
+                                    (1.0,), (1.0, 1.0), (-1.0, 1.0), (2.0, 1.0, 0.5)])
 @pytest.mark.parametrize("n", [1, 7, 100_000])
 def test_sample_path_matches_convolve_reference(law, coeffs, n):
     # the moving average is the full convolution of n + p - 1 innovations,
-    # cut to its n complete terms, bit for bit
+    # cut to its n complete terms, bit for bit; a slice whose coefficient is
+    # exactly 1.0 is added without the multiply
     p = len(coeffs)
     eps = law.sample(np.random.default_rng(17), n + p - 1)
     expected = np.convolve(eps, np.asarray(coeffs))[p - 1 : p - 1 + n]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ def test_newman_ma_dominated():
 def test_newman_rejects_large_n():
     with pytest.raises(ValueError):
         check_newman(MA11_U, 17, [0.5], MCConfig(replicates=100, seed=0))
+
+
+def test_newman_peak_memory_one_phase_buffer():
+    # the phases of every t share one complex buffer of twice the path matrix's bytes;
+    # a fresh exp(1j t x) and phases / marg_means per t held 8.0 times the path matrix
+    cfg = MCConfig(replicates=50_000, seed=0)
+    paths = replicate_paths(MA11_U, 8, cfg.replicates, cfg.seed)
+    tracemalloc.start()
+    try:
+        check_newman(MA11_U, 8, (0.25, 0.5, 1.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * paths.nbytes, peak / paths.nbytes
 
 
 # --- quasi-association counterexample ----------------------------------------
