@@ -397,8 +397,8 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     the same path for any larger n.  The moving average is a sum of
     shifted slices accumulated in the order of np.convolve, a[p-1] eps[0:n]
     first, so width 1 gives the full convolution cut to its n complete
-    terms bit for bit; each term is formed in one scratch array, and a
-    slice whose coefficient is exactly 1.0 is added unmultiplied (the same
+    terms bit for bit; each term is formed in one scratch array, but a
+    slice whose coefficient is exactly 1.0 is not multiplied (the same
     bits).  The innovations, the filter output and the transposed copy
     live in scratch and are overwritten by the next call with the same
     scratch, which must not happen while the result is still read.
@@ -415,7 +415,7 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     else:
         a, p = model.coeffs, len(model.coeffs)
         eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
-        values = np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
+        values = eps[:n] if a == (1.0,) else np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
         # the term borrows the memory of the transposed copy, written only after the filter
         term = _buffer(scratch, "paths", (width, n)).reshape(n, width)
         for j in range(p - 2, -1, -1):

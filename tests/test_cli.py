@@ -44,7 +44,7 @@ def read_csv(path):
 def test_grid_parsing():
     assert parse_grid("0:10:2.5") == [0.0, 2.5, 5.0, 7.5, 10.0]
     assert parse_grid("1:1:1") == [1.0]
-    # endpoint inclusive within 1e-12
+    # endpoint inclusive within 1e-12 steps
     grid = parse_grid("0:0.3:0.1")
     assert grid[-1] == pytest.approx(0.3)
     with pytest.raises(ConfigError):
@@ -84,8 +84,8 @@ def test_grid_matches_loop_reference(spec):
 
 @pytest.mark.parametrize("s", [-1000, -520, -60, 8, 60])
 def test_grid_endpoint_slack_scales_with_step(s):
-    # 0:4000*2^s:250*2^s is 17 points at every scale; an absolute 1e-12 slack gave
-    # 4,611 copies of stop more at s = -60 and "more than 1000000 points" at s = -520
+    # 0:4000*2^s:250*2^s is 17 points at every scale; an absolute 1e-12 slack added
+    # 4,611 copies of stop at s = -60 and failed with "more than 1000000 points" at s = -520
     step = 250 * 2.0**s
     assert parse_grid(f"0:{16 * step!r}:{step!r}") == [k * step for k in range(17)]
 

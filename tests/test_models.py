@@ -201,7 +201,7 @@ def test_prefix_consistency(model, n, n_prime, seed):
 def test_sample_path_matches_convolve_reference(law, coeffs, n):
     # the moving average is the full convolution of n + p - 1 innovations,
     # cut to its n complete terms, bit for bit; a slice whose coefficient is
-    # exactly 1.0 is added without the multiply
+    # exactly 1.0 is not multiplied
     p = len(coeffs)
     eps = law.sample(np.random.default_rng(17), n + p - 1)
     expected = np.convolve(eps, np.asarray(coeffs))[p - 1 : p - 1 + n]
