@@ -5,7 +5,10 @@ sums of a sample path), bound (tail bound over an x grid), verify
 (Monte Carlo checks).  Exit codes: 0 all verdicts pass, 1 any check
 failed, 2 usage or configuration error.  Reports are written atomically
 (temp file + rename) and numbers are rendered with 17 significant digits
-so a parse-back reproduces them exactly.
+so a parse-back reproduces them exactly.  A CSV report is formatted and
+written a fixed number of rows at a time, to stdout or into the temp file
+that is renamed once the last row is in, so the memory it takes does not
+grow with its row count.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 import tempfile
 from functools import partial
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +51,8 @@ from .verify import (
 REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(VerificationReport))
 
 MAX_GRID_POINTS = 1_000_000
+# rows per CSV piece: a report's transient Python objects stay this many rows long
+_BATCH_ROWS = 16_384
 _D_N_OVERFLOW = "--alpha {:g} is too large: d_n overflows"
 
 
@@ -67,12 +72,15 @@ def _json_value(value):
     return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces, one after another, to a temp file beside path
+    and rename it to path once the last piece is in; on any error the temp
+    file is removed and path is left as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".weakdep-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -89,13 +97,13 @@ def emit_report(reports: Sequence[VerificationReport], fmt: str, path: Optional[
     "inf", "-inf"): JSON has no such number.  path None writes to stdout.
     """
     if fmt == "csv":
-        text = _csv_text(REPORT_COLUMNS, [[getattr(rep, name) for rep in reports] for name in REPORT_COLUMNS])
+        pieces = _csv_text(REPORT_COLUMNS, [[getattr(rep, name) for rep in reports] for name in REPORT_COLUMNS])
     elif fmt == "json":
         records = [{name: _json_value(getattr(rep, name)) for name in REPORT_COLUMNS} for rep in reports]
-        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
+        pieces = (json.dumps(records, indent=2, allow_nan=False) + "\n",)
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    _write_or_print(text, path)
+    _write_or_print(pieces, path)
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -198,26 +206,30 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _csv_text(header: Sequence[str], columns: Sequence, footer: Optional[str] = None) -> str:
+def _csv_text(header: Sequence[str], columns: Sequence, footer: Optional[str] = None) -> Iterator[str]:
     """CSV of two or more equal-length columns, the bytes csv.writer writes for the
-    cells of _cells with a newline line terminator.  All rows are one printf
+    cells of _cells with a newline line terminator, as text pieces: the header,
+    one piece per _BATCH_ROWS rows and the footer.  A batch is one printf
     template, the columns' specs repeated once per row, filled by one % over the
-    cells in row order.  (csv writes an empty cell as "" when it is the only
-    field of its row; no report has a single column.)
+    cells of the columns' slices in row order, so no piece holds more than
+    _BATCH_ROWS rows however long the columns are.  (csv writes an empty cell as
+    "" when it is the only field of its row; no report has a single column.)
     """
-    specs, cells = zip(*map(_cells, columns))
-    template = (",".join(specs) + "\n") * len(columns[0])
-    text = ",".join(map(_quote, header)) + "\n" + template % tuple(chain.from_iterable(zip(*cells)))
+    yield ",".join(map(_quote, header)) + "\n"
+    rows = len(columns[0])
+    for start in range(0, rows, _BATCH_ROWS):
+        specs, cells = zip(*(_cells(col[start : start + _BATCH_ROWS]) for col in columns))
+        template = (",".join(specs) + "\n") * min(_BATCH_ROWS, rows - start)
+        yield template % tuple(chain.from_iterable(zip(*cells)))
     if footer is not None:
-        text += footer + "\n"
-    return text
+        yield footer + "\n"
 
 
-def _write_or_print(text: str, path: Optional[str]) -> None:
+def _write_or_print(pieces: Iterable[str], path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        _atomic_write(path, text)
+        _atomic_write(path, pieces)
 
 
 def _cmd_coeffs(args) -> int:

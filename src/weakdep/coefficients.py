@@ -64,10 +64,17 @@ def gamma_sequence(model: ModelSpec) -> FiniteGamma:
 
 def newman_discrepancy_bound(gamma: FiniteGamma, n: int, t: float) -> float:
     """Bound 4 t^2 sum_{j=1}^{n-1} (n - j) gamma_j on the gap between the
-    joint characteristic function of (X_1..X_n) and the product of marginals."""
+    joint characteristic function of (X_1..X_n) and the product of marginals.
+
+    A finite t whose bound is not finite raises ValueError: t^2 overflows
+    alone, so a bound of inf, or nan from inf times a zero sum, is no value.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return 4.0 * t * t * sum((n - j) * gamma.gamma(j) for j in range(1, n))
+    bound = 4.0 * t * t * sum((n - j) * gamma.gamma(j) for j in range(1, n))
+    if math.isfinite(t) and not math.isfinite(bound):
+        raise ValueError(f"newman bound overflows at t={t:g}: 4 t^2 sum (n - j) gamma_j exceeds the largest float")
+    return bound
 
 
 def long_run_variance(model: ModelSpec) -> float:

@@ -287,16 +287,18 @@ def check_newman(
     influence values of the complex modulus (delta method on the real and
     imaginary parts), with the phases of every t in one reused (R, n)
     buffer.  An SE that underflows to 0 with a nonzero estimate raises
-    ValueError: a subnormal scale gets no verdict.
+    ValueError: a subnormal scale gets no verdict.  So does a finite t whose
+    bound overflows, before any path is drawn.
     """
     if n > 16:
         raise ValueError(f"characteristic-function check supports n <= 16, got {n}")
     gamma = gamma_sequence(model)
+    t_grid = [float(t) for t in t_grid]
+    bounds = [newman_discrepancy_bound(gamma, n, t) for t in t_grid]
     x = replicate_paths(model, n, cfg.replicates, cfg.seed)
     phases = np.empty(x.shape, dtype=complex)
     reports = []
-    for t in t_grid:
-        t = float(t)
+    for t, bound in zip(t_grid, bounds):
         np.exp(np.multiply(1j * t, x, out=phases), out=phases)
         joint = phases.prod(axis=1)
         joint_mean = joint.mean()
@@ -317,7 +319,6 @@ def check_newman(
             se = float(np.sqrt(np.mean(np.abs(infl) ** 2) / cfg.replicates))
         if se == 0.0 and delta != 0:
             raise ValueError(f"newman SE underflows to 0 at t={t:g} with a nonzero estimate: model scale too small")
-        bound = newman_discrepancy_bound(gamma, n, t)
         low = abs(delta) - ERROR_MULTIPLIER * se
         reports.append(make_report("newman", f"n={n},t={t:g}", abs(delta), se, bound, low <= bound, cfg))
     return reports

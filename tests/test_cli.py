@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from weakdep import (IID, CumSumTransform, GaussBumpPlusX, MCConfig, MovingAverage, NegExp, Rademacher,
                      TruncatedGaussian, UniformOnInterval, VerificationReport, almost_sure_bound, block_scheme, check_newman, gamma_sequence,
                      long_run_variance, model_to_json)
-from weakdep.cli import CHECKS, MAX_GRID_POINTS, ConfigError, _csv_text, _fmt, _options, emit_report, parse_grid, run
+from weakdep.cli import (CHECKS, MAX_GRID_POINTS, _BATCH_ROWS, ConfigError, _csv_text, _fmt, _options, emit_report,
+                         parse_grid, run)
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
 MA11_JSON = model_to_json(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
@@ -463,6 +466,19 @@ def test_verify_newman_tiny_scale_exits_two(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
+@pytest.mark.parametrize("k", [520, 1000])
+def test_verify_newman_bound_overflow_exits_two(k, tmp_path, capsys):
+    # coefficients 2^-k with the t grid times 2^k leave the phases t x the same bits, but t^2
+    # overflows: the bound was inf (k = 520) or inf * 0 = nan (k = 1000) under three VIOLATED rows
+    model = tmp_path / "scaled.json"
+    model.write_text(model_to_json(MovingAverage(coeffs=(2.0**-k, 2.0**-k), law=UniformOnInterval(-1.0, 1.0))))
+    grid = ",".join(repr(t * 2.0**k) for t in (0.25, 0.5, 1.0))
+    argv = ["verify", "--check", "newman", "--n", "8", "--replicates", "2000", "--t-grid", grid, "--model", str(model)]
+    assert run(argv) == 2
+    line = f"newman bound overflows at t={0.25 * 2.0**k:g}: 4 t^2 sum (n - j) gamma_j exceeds the largest float"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_verify_exit_one_when_check_fails(iid_model):
     # a quasi scan on a grid too narrow to contain the violation reports
     # VIOLATED, and the CLI surfaces that as exit code 1
@@ -695,7 +711,84 @@ def _tables(draw):
 @given(_tables())
 @settings(max_examples=300, deadline=None)
 def test_csv_text_is_what_the_csv_module_writes(table):
-    assert _csv_text(*table) == _csv_module_text(*table)
+    # at 3 rows a batch, tables of 0 to 8 rows have no batch, one, several or a partial last one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("weakdep.cli._BATCH_ROWS", 3)
+        pieces = list(_csv_text(*table))
+    assert "".join(pieces) == _csv_module_text(*table)
+    header, columns, footer = table
+    head = _csv_module_text(header, [col[:0] for col in columns], None)
+    batches = [_csv_module_text(header, [col[lo : lo + 3] for col in columns], None)[len(head):]
+               for lo in range(0, len(columns[0]), 3)]
+    # the header, then each batch of 3 rows, then the footer after the last row
+    assert pieces == [head, *batches, *([] if footer is None else [footer + "\n"])]
+
+
+@pytest.mark.parametrize("argv, float_values", [
+    (["coeffs", "--n-max", "200000"], 2 * 200_000),
+    (["decompose", "--n", str(2**20), "--p", "1"], 2**20),
+], ids=["coeffs", "decompose"])
+def test_report_peak_memory_is_a_few_times_its_columns(argv, float_values, tmp_path, ma_model, iid_model):
+    # the report streams in batches, so its rows add no transient of their own size: the traced
+    # peak is at most 3 times the bytes of the float columns (the decompose draw of an i.i.d.
+    # model holds 2 of them: the innovations and the filter's term buffer)
+    argv = [*argv, "--model", ma_model if argv[0] == "coeffs" else iid_model, "--out", str(tmp_path / "r.csv")]
+    assert run(argv) == 0  # imports and caches are not the report's
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * float_values
+
+
+class _FailingHandle:
+    """A report file whose writelines raises OSError after the header and the first batch."""
+
+    def __init__(self, handle, written):
+        self.handle, self.written = handle, written
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            if len(self.written) == 2:
+                raise OSError("no space left on device")
+            self.written.append(piece)
+            self.handle.write(piece)
+
+
+def test_failed_batch_write_keeps_the_old_report(tmp_path, ma_model, capsys, monkeypatch):
+    out = tmp_path / "r.csv"
+    out.write_bytes(b"old report\n")
+    written = []
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: _FailingHandle(fdopen(fd, mode), written))
+    assert run(["coeffs", "--model", ma_model, "--n-max", str(3 * _BATCH_ROWS), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: no space left on device\n")
+    assert len(written) == 2 and written[1].count("\n") == _BATCH_ROWS
+    assert out.read_bytes() == b"old report\n"
+    assert list(tmp_path.glob(".weakdep-*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n-max", str(5 * _BATCH_ROWS // 2)],
+    ["bound", "--x-grid", f"0:{5 * _BATCH_ROWS // 2}:1"],
+    ["decompose", "--n", str(5 * _BATCH_ROWS // 2), "--p", "1"],
+], ids=["coeffs", "bound", "decompose"])
+def test_stdout_report_is_the_out_file(argv, tmp_path, ma_model, capsysbinary):
+    # reports of two full batches and a partial third
+    out = tmp_path / "r.csv"
+    assert run([*argv, "--model", ma_model, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert run([*argv, "--model", ma_model]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert stdout == out.read_bytes() and stdout.count(b"\n") > 2 * _BATCH_ROWS
 
 
 def test_report_round_trip_exact(tmp_path):
