@@ -66,8 +66,8 @@ def newman_discrepancy_bound(gamma: FiniteGamma, n: int, t: float) -> float:
     """Bound 4 t^2 sum_{j=1}^{n-1} (n - j) gamma_j on the gap between the
     joint characteristic function of (X_1..X_n) and the product of marginals.
 
-    A finite t whose bound is not finite raises ValueError: t^2 overflows
-    alone, so a bound of inf, or nan from inf times a zero sum, is no value.
+    A finite t whose bound is not finite raises ValueError: the product
+    overflowed (t^2 can overflow alone, and inf times a zero sum is nan).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
