@@ -12,7 +12,9 @@ replicate paths: it draws them in chunks of
 max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major, from one
 generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)), on
 a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
-serial draw; its reduce must therefore be thread-safe.
+serial draw; its reduce must therefore be thread-safe.  _on_row_blocks,
+which splits those chunks over the threads, also runs the row-wise
+phase kernel of verify.check_newman.
 
 scipy is imported inside the functions that call it (the quadrature and
 the truncated-Gaussian law), not at the top: importing scipy.integrate and
@@ -40,9 +42,32 @@ QUAD_REL_TOL = 1e-10
 # largest number of path values replicate_paths builds at once
 REPLICATE_BLOCK_VALUES = 2**16
 
-# threads that draw the chunks of one replicate_paths call, the caller
-# included; fixed by the host, never by an option or an input
+# threads that share the rows of one replicate_paths call or one
+# _on_row_blocks call, the caller included; fixed by the host, never by an
+# option or an input
 _WORKERS = min(2, os.cpu_count() or 1)
+
+
+def _on_row_blocks(fn, rows: int) -> None:
+    """Call fn(block) once per contiguous slice block of range(rows), on _WORKERS threads.
+
+    The rows are cut into min(_WORKERS, rows) blocks of sizes that differ by
+    at most one, the smaller first.  The calling thread takes the first block
+    and pool threads, started for the call, the rest; with one block no pool
+    is started.  fn must write only its own rows and be thread-safe.  An
+    exception from any block is raised here once every thread has stopped.
+    """
+    workers = max(1, min(_WORKERS, rows))
+    cuts = [rows * w // workers for w in range(workers + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if workers == 1:
+        fn(blocks[0])
+        return
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(fn, block) for block in blocks[1:]]
+        fn(blocks[0])
+        for future in futures:
+            future.result()
 
 
 class QuadratureError(RuntimeError):
@@ -455,13 +480,14 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     into one preallocated output; reduce None returns the (replicates, n)
     path matrix.
 
-    Chunks are drawn on W = min(2, os.cpu_count()) threads, a number no
-    input sets: the calling thread takes chunks 0, W, 2W, ... and one
-    pool thread chunks 1, W + 1, ...  Each chunk fills only its own rows
-    from its own generator, so every row is bit for bit the same as in a
-    serial draw.  reduce may run on either thread and must therefore be
-    thread-safe (pure numpy on its block is).  An exception from reduce
-    or the filter is raised here once both threads have stopped.
+    Chunk 0 is drawn first, on the calling thread; the other chunks are
+    split by _on_row_blocks into contiguous runs on W = min(2,
+    os.cpu_count()) threads, a number no input sets, the caller taking the
+    first run.  Each chunk fills only its own rows from its own generator,
+    so every row is bit for bit the same as in a serial draw.  reduce may
+    run on either thread and must therefore be thread-safe (pure numpy on
+    its block is).  An exception from reduce or the filter is raised here
+    once every thread has stopped.
 
     >>> m = IID(Rademacher())
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
@@ -473,7 +499,6 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
         raise ValueError(f"need at least 1 replicate, got {replicates}")
     width = max(1, REPLICATE_BLOCK_VALUES // n)
     chunks = -(-replicates // width)
-    workers = min(_WORKERS, chunks)
 
     def draw(chunk: int, scratch: dict) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
@@ -483,23 +508,22 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
             raise ValueError(f"reduce must return one row per path, got shape {part.shape}")
         return part
 
-    def draw_from(first: int, scratch: dict) -> None:
-        # a worker's scratch is reused chunk after chunk: a pool thread that
-        # freed its arrays instead would fault their pages in again each time
-        for chunk in range(first, chunks, workers):
-            out[chunk * width : (chunk + 1) * width] = draw(chunk, scratch)
-
     # chunk 0 first, on this thread: it gives the output's shape and dtype and
     # fills _cumsum_means' cache, whose quadrature is not thread-safe
     scratch = {}
     part = draw(0, scratch)
     out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
     out[: len(part)] = part
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        futures = [pool.submit(draw_from, worker, {}) for worker in range(1, workers)]
-        draw_from(workers, scratch)
-        for future in futures:
-            future.result()
+
+    def draw_run(run: slice) -> None:
+        # a thread's scratch is reused chunk after chunk, the caller's from chunk 0
+        # on: a pool thread that freed its arrays instead would fault their pages
+        # in again each time
+        own = scratch if run.start == 0 else {}
+        for chunk in range(1 + run.start, 1 + run.stop):
+            out[chunk * width : (chunk + 1) * width] = draw(chunk, own)
+
+    _on_row_blocks(draw_run, chunks - 1)
     return out
 
 

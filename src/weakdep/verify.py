@@ -5,7 +5,8 @@ Every check is a pure function of (model, config, seed): it reads its
 replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
 a row never depends on the number of replicates drawn; check_newman
-forms the phases of every t in one reused complex buffer.  Every check
+forms the phases of every t in one reused complex buffer, on the threads
+of the draw over row blocks (models._on_row_blocks).  Every check
 returns VerificationReport rows built by make_report, the one place a
 verdict is assigned; the pass rule of each check lives with the check.
 
@@ -38,6 +39,7 @@ from .models import (
     ModelSpec,
     Rademacher,
     UniformOnInterval,
+    _on_row_blocks,
     _stationary,
     nonneg_shift_mgf,
     replicate_paths,
@@ -286,9 +288,14 @@ def check_newman(
     replicate set so common noise cancels; the SE comes from per-replicate
     influence values of the complex modulus (delta method on the real and
     imaginary parts), with the phases of every t in one reused (R, n)
-    buffer.  An SE that underflows to 0 with a nonzero estimate raises
-    ValueError: a subnormal scale gets no verdict.  So does a finite t whose
-    bound overflows, before any path is drawn.
+    buffer.  Per t, two stages run on the threads of replicate_paths over
+    contiguous row blocks: the phases and their row products, then the
+    division by the marginal means and the row sums.  Each is elementwise
+    or row-wise, so every row has the bits of a serial pass; the marginal
+    means, the joint mean and the SE sum down the rows, so they stay whole
+    on the calling thread.  An SE that underflows to 0 with a nonzero
+    estimate raises ValueError: a subnormal scale gets no verdict.  So does
+    a finite t whose bound overflows, before any path is drawn.
     """
     if n > 16:
         raise ValueError(f"characteristic-function check supports n <= 16, got {n}")
@@ -297,20 +304,32 @@ def check_newman(
     bounds = [newman_discrepancy_bound(gamma, n, t) for t in t_grid]
     x = replicate_paths(model, n, cfg.replicates, cfg.seed)
     phases = np.empty(x.shape, dtype=complex)
+    joint = np.empty(len(x), dtype=complex)
+    ratio_sums = np.empty(len(x), dtype=complex)
     reports = []
     for t, bound in zip(t_grid, bounds):
-        np.exp(np.multiply(1j * t, x, out=phases), out=phases)
-        joint = phases.prod(axis=1)
+
+        def phase_products(rows: slice) -> None:
+            block = np.exp(np.multiply(1j * t, x[rows], out=phases[rows]), out=phases[rows])
+            np.prod(block, axis=1, out=joint[rows])
+
+        def marginal_ratio_sums(rows: slice) -> None:
+            block = np.divide(phases[rows], marg_means, out=phases[rows])
+            np.sum(block, axis=1, out=ratio_sums[rows])
+
+        _on_row_blocks(phase_products, len(x))
         joint_mean = joint.mean()
         marg_means = phases.mean(axis=0)
         prod_marg = np.prod(marg_means)
         delta = joint_mean - prod_marg
         # influence of replicate r on (joint mean - product of marginal means)
         if np.min(np.abs(marg_means)) > 1e-8:
-            prod_infl = prod_marg * (np.divide(phases, marg_means, out=phases).sum(axis=1) - n)
+            _on_row_blocks(marginal_ratio_sums, len(x))
+            prod_infl = np.multiply(prod_marg, np.subtract(ratio_sums, n, out=ratio_sums), out=ratio_sums)
         else:
             prod_infl = np.zeros_like(joint)
-        infl = (joint - joint_mean) - prod_infl
+        # the same bits as (joint - joint_mean) - prod_infl, written over the spent products
+        infl = np.subtract(np.subtract(joint, joint_mean, out=joint), prod_infl, out=joint)
         if abs(delta) > 1e-300:
             direction = delta / abs(delta)
             proj = np.real(np.conj(direction) * infl)
@@ -499,7 +518,9 @@ def fclt_increment_check(
     each comparison allows ERROR_MULTIPLIER * SE + b(n) * sigma^2.  Times
     whose cut points floor(n u) coincide are an error; when b(n) reaches
     the shortest increment length a zero process would pass, so every row
-    is BOUND_INVALID.
+    is BOUND_INVALID.  An SE that overflows (the influence values of a
+    large scale square past the largest float) raises ValueError before
+    any row is built: such a scale gets no verdict.
     """
     u = [float(t) for t in times]
     if len(u) > 5:
@@ -515,23 +536,28 @@ def fclt_increment_check(
     incs = np.diff(sums, axis=1, prepend=0.0) / math.sqrt(n)
     allowance = clt_bias_allowance(n) * sigma2
     valid = clt_bias_allowance(n) < min(t2 - t1 for t1, t2 in zip([0.0] + u, u))
-    reports = []
-    for s in range(len(u)):
-        v = incs[:, s]
-        m = v.mean()
-        var_hat = float(np.mean((v - m) ** 2))
-        infl = (v - m) ** 2 - var_hat
-        se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
-        lo = u[s - 1] if s else 0.0
-        target = (u[s] - lo) * sigma2
-        ok = abs(var_hat - target) <= ERROR_MULTIPLIER * se + allowance
-        reports.append(make_report("fclt", f"var({lo:g},{u[s]:g}]", var_hat, se, target, ok, cfg, valid))
-    for s1 in range(len(u)):
-        for s2 in range(s1 + 1, len(u)):
-            cov, se = _cov_se(incs[:, s1], incs[:, s2])
-            ok = abs(cov) <= ERROR_MULTIPLIER * se + allowance
-            reports.append(make_report("fclt", f"cov({u[s1]:g},{u[s2]:g})", cov, se, 0.0, ok, cfg, valid))
-    return reports
+    rows = []  # (param, estimate, se, target)
+    # a finite increment can square past the largest float: such an SE is refused below, not warned about
+    with np.errstate(over="ignore"):
+        for s in range(len(u)):
+            v = incs[:, s]
+            m = v.mean()
+            var_hat = float(np.mean((v - m) ** 2))
+            infl = (v - m) ** 2 - var_hat
+            se = float(infl.std(ddof=1) / math.sqrt(cfg.replicates))
+            lo = u[s - 1] if s else 0.0
+            rows.append((f"var({lo:g},{u[s]:g}]", var_hat, se, (u[s] - lo) * sigma2))
+        for s1 in range(len(u)):
+            for s2 in range(s1 + 1, len(u)):
+                rows.append((f"cov({u[s1]:g},{u[s2]:g})", *_cov_se(incs[:, s1], incs[:, s2]), 0.0))
+    for param, _, se, _ in rows:
+        if not math.isfinite(se):
+            raise ValueError(f"fclt SE overflows at {param}: its influence values square past the largest float")
+    return [
+        make_report("fclt", param, estimate, se, target,
+                    abs(estimate - target) <= ERROR_MULTIPLIER * se + allowance, cfg, valid)
+        for param, estimate, se, target in rows
+    ]
 
 
 # ---------------------------------------------------------------------------

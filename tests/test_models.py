@@ -30,7 +30,7 @@ from weakdep import (
     sample_path,
 )
 from weakdep.models import (
-    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, nonneg_shift_mgf,
+    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, _on_row_blocks, nonneg_shift_mgf,
 )
 
 from oracles import analytic_covariance
@@ -299,6 +299,40 @@ def test_replicate_paths_error_on_pool_thread(monkeypatch):
     before = threading.active_count()
     with pytest.raises(ValueError, match="pool chunk"):
         replicate_paths(IID(U11), 1000, 300, 0, reduce)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [0, 1, 2, 101])
+def test_on_row_blocks_cover_the_rows(workers, rows, monkeypatch):
+    # contiguous blocks, the smaller first on the caller; one block starts no thread
+    monkeypatch.setattr("weakdep.models._WORKERS", workers)
+    caller = threading.current_thread()
+    calls = []
+    _on_row_blocks(lambda block: calls.append((block, threading.current_thread() is caller)), rows)
+    calls.sort(key=lambda call: call[0].start)
+    assert [i for block, _ in calls for i in range(rows)[block]] == list(range(rows))
+    assert calls[0][1] and all(not on_caller for _, on_caller in calls[1:])
+    assert len(calls) == max(1, min(workers, rows))
+    assert [block.stop - block.start for block, _ in calls] == sorted(block.stop - block.start for block, _ in calls)
+
+
+def test_on_row_blocks_error_on_pool_thread(monkeypatch):
+    # a block that fails only on the pool thread: the error reaches the caller
+    # after the caller's block is done, and the pool's thread is gone
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    caller = threading.current_thread()
+    done = []
+
+    def fn(block):
+        if threading.current_thread() is not caller:
+            raise ValueError("pool block")
+        done.append(block)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="pool block"):
+        _on_row_blocks(fn, 101)
+    assert done == [slice(0, 50)]
     assert threading.active_count() == before
 
 

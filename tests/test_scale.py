@@ -1,0 +1,52 @@
+"""Scale equivariance: the checks under an exact power-of-two rescaling.
+
+Multiplying every coefficient of a moving average by 2^k multiplies every
+path value by 2^k exactly in floating point, as long as nothing overflows
+or goes subnormal.  A check then has a matched change of its options under
+which its report keeps the same bits (a metamorphic relation), and where a
+number leaves the float range the check must exit 2 with one line naming
+it, never print a verdict.  Every run goes through cli.run at a small size
+on the MA(1, 1) model with U(-1, 1) innovations scaled by 2^k.
+"""
+
+import csv
+import io
+
+import pytest
+
+from weakdep import MovingAverage, UniformOnInterval, model_to_json
+from weakdep.cli import run
+
+NEWMAN_T_GRID = (0.25, 0.5, 1.0)  # the verify default
+
+
+def _model(k, tmp_path):
+    path = tmp_path / f"ma11-scale{k}.json"
+    path.write_text(model_to_json(MovingAverage(coeffs=(2.0**k, 2.0**k), law=UniformOnInterval(-1.0, 1.0))))
+    return str(path)
+
+
+def _newman_columns(k, tmp_path, capsys):
+    grid = ",".join(repr(t * 2.0**-k) for t in NEWMAN_T_GRID)
+    argv = ["verify", "--check", "newman", "--n", "8", "--replicates", "2001", "--t-grid", grid,
+            "--model", _model(k, tmp_path)]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return [(row["estimate"], row["se"], row["bound"], row["verdict"]) for row in csv.DictReader(io.StringIO(out))]
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_newman_is_scale_equivariant(k, tmp_path, capsys):
+    # the t grid times 2^-k leaves the phases t x the same bits, and the bound's
+    # t^2 and gamma_j carry 2^-2k and 2^2k: every column but param is unchanged
+    assert _newman_columns(k, tmp_path, capsys) == _newman_columns(0, tmp_path, capsys)
+
+
+def test_fclt_se_overflow_exits_two(tmp_path, capsys):
+    # at 2^500 the increments and sigma^2 are finite, but the SE squares influence values of
+    # about 2^1000: this printed six VIOLATED rows with SE inf and a numpy overflow warning
+    argv = ["verify", "--check", "fclt", "--replicates", "2000", "--seed", "0", "--model", _model(500, tmp_path)]
+    assert run(argv) == 2
+    line = "fclt SE overflows at var(0,0.25]: its influence values square past the largest float"
+    assert capsys.readouterr() == ("", f"error: {line}\n")

@@ -229,6 +229,18 @@ def test_newman_rejects_large_n():
         check_newman(MA11_U, 17, [0.5], MCConfig(replicates=100, seed=0))
 
 
+@pytest.mark.parametrize("model, n", [(MA11_U, 8), (MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11), 16)])
+@pytest.mark.parametrize("replicates", [101, 2001])
+def test_newman_threaded_rows_equal_serial(model, n, replicates, monkeypatch):
+    # the phase kernel over two uneven row blocks on two threads gives the rows of one serial pass
+    cfg = MCConfig(replicates=replicates, seed=3)
+    rows = {}
+    for workers in (1, 2):
+        monkeypatch.setattr("weakdep.models._WORKERS", workers)
+        rows[workers] = check_newman(model, n, [0.0, 0.25, 1.0, 3.0], cfg)
+    assert rows[1] == rows[2]
+
+
 def test_newman_peak_memory_one_phase_buffer():
     # the phases of every t share one complex buffer of twice the path matrix's bytes;
     # a fresh exp(1j t x) and phases / marg_means per t held 8.0 times the path matrix
