@@ -515,11 +515,17 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
     out[: len(part)] = part
 
+    # the pool thread's buffers are allocated here, on this thread: what a
+    # short-lived thread allocates stays resident in its own malloc arena
+    # (glibc) after it exits; np.empty touches no page, so the copy costs
+    # nothing when no pool thread is started
+    pool_scratch = {name: np.empty_like(array) for name, array in scratch.items()}
+
     def draw_run(run: slice) -> None:
         # a thread's scratch is reused chunk after chunk, the caller's from chunk 0
         # on: a pool thread that freed its arrays instead would fault their pages
         # in again each time
-        own = scratch if run.start == 0 else {}
+        own = scratch if run.start == 0 else pool_scratch
         for chunk in range(1 + run.start, 1 + run.stop):
             out[chunk * width : (chunk + 1) * width] = draw(chunk, own)
 

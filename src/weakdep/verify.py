@@ -288,14 +288,13 @@ def check_newman(
     replicate set so common noise cancels; the SE comes from per-replicate
     influence values of the complex modulus (delta method on the real and
     imaginary parts), with the phases of every t in one reused (R, n)
-    buffer.  Per t, two stages run on the threads of replicate_paths over
-    contiguous row blocks: the phases and their row products, then the
-    division by the marginal means and the row sums.  Each is elementwise
-    or row-wise, so every row has the bits of a serial pass; the marginal
-    means, the joint mean and the SE sum down the rows, so they stay whole
-    on the calling thread.  An SE that underflows to 0 with a nonzero
-    estimate raises ValueError: a subnormal scale gets no verdict.  So does
-    a finite t whose bound overflows, before any path is drawn.
+    buffer.  Per t, the phases with their row products, then their division
+    by the marginal means with the row sums, run over row blocks on the
+    threads of replicate_paths; being row-wise, they give a serial pass's
+    bits, and the sums down the rows (the means, the SE) stay whole on the
+    calling thread.  An SE that underflows to 0 with a nonzero estimate
+    raises ValueError: a subnormal scale gets no verdict.  So does a finite
+    t whose bound overflows, before any path is drawn.
     """
     if n > 16:
         raise ValueError(f"characteristic-function check supports n <= 16, got {n}")
@@ -536,8 +535,7 @@ def fclt_increment_check(
     incs = np.diff(sums, axis=1, prepend=0.0) / math.sqrt(n)
     allowance = clt_bias_allowance(n) * sigma2
     valid = clt_bias_allowance(n) < min(t2 - t1 for t1, t2 in zip([0.0] + u, u))
-    rows = []  # (param, estimate, se, target)
-    # a finite increment can square past the largest float: such an SE is refused below, not warned about
+    rows = []  # (param, estimate, se, target); an SE that overflows is refused below, not warned about
     with np.errstate(over="ignore"):
         for s in range(len(u)):
             v = incs[:, s]
