@@ -42,9 +42,9 @@ QUAD_REL_TOL = 1e-10
 # largest number of path values replicate_paths builds at once
 REPLICATE_BLOCK_VALUES = 2**16
 
-# threads that share the rows of one replicate_paths call or one
-# _on_row_blocks call, the caller included; fixed by the host, never by an
-# option or an input
+# threads that share the rows of one _on_row_blocks call, the caller
+# included; fixed by the host, never by an option or an input, and at most 2:
+# replicate_paths allocates one set of buffers for its one pool thread
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
