@@ -31,14 +31,15 @@ from . import __version__
 from .blocks import block_scheme, decompose
 from .bounds import _block_length, tail_bound
 from .coefficients import gamma_sequence
-from .models import ModelSpec, QuadratureError, _stationary, model_from_json, replicate_paths, sample_path
+from .models import (ModelSpec, QuadratureError, _on_row_blocks, _stationary, model_from_json, replicate_paths,
+                     sample_path)
 from .verify import (
     VIOLATED,
     MCConfig,
     PiecewiseLinear,
     VerificationReport,
     check_empirical_process,
-    check_lipschitz_cov,
+    _check_lipschitz_cov,
     check_newman,
     check_quasi_association_counterexample,
     check_tail_domination,
@@ -297,13 +298,26 @@ def _list(spec: str, kind: type, option: str) -> list:
 
 
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
+    """The cases, one report each, checked in two contiguous runs on the threads of
+    models._on_row_blocks, each run into its own case buffers; every report has the
+    bits of a serial check."""
     if n < 2:
         raise ConfigError(f"--n must be at least 2 for two disjoint index sets, got {n}")
     paths = replicate_paths(_stationary(model), n, cfg.replicates, cfg.seed)
-    return [
-        check_lipschitz_cov(model, f_spec, g_spec, I, J, n, cfg, paths=paths)
-        for f_spec, g_spec, I, J in random_cov_cases(model, n, cases, cfg.seed)
-    ]
+    specs = random_cov_cases(model, n, cases, cfg.seed)
+    reports = [None] * len(specs)
+    # both runs' buffers are allocated here, on this thread, as replicate_paths does for
+    # its draw buffers: what a pool thread allocates stays in its own malloc arena, and
+    # length-R arrays fit into the draw buffers that replicate_paths has just freed
+    caller_buffers, pool_buffers = ([np.empty(cfg.replicates) for _ in range(3)] for _ in range(2))
+
+    def check_run(run: slice) -> None:
+        own = caller_buffers if run.start == 0 else pool_buffers
+        for k in range(run.start, run.stop):
+            reports[k] = _check_lipschitz_cov(model, *specs[k], n, cfg, paths, own)
+
+    _on_row_blocks(check_run, len(specs))
+    return reports
 
 
 def _tail(evaluate, model: ModelSpec, n: int, theta: float, alpha: float, x_grid: str):

@@ -14,7 +14,8 @@ generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)), on
 a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
 serial draw; its reduce must therefore be thread-safe.  _on_row_blocks,
 which splits those chunks over the threads, also runs the row-wise
-phase kernel of verify.check_newman.
+phase kernel of verify.check_newman and splits the case list of the cli's
+cov check.
 
 scipy is imported inside the functions that call it (the quadrature and
 the truncated-Gaussian law), not at the top: importing scipy.integrate and
@@ -44,7 +45,8 @@ REPLICATE_BLOCK_VALUES = 2**16
 
 # threads that share the rows of one _on_row_blocks call, the caller
 # included; fixed by the host, never by an option or an input, and at most 2:
-# replicate_paths allocates one set of buffers for its one pool thread
+# replicate_paths and the cov check allocate one set of buffers for their one
+# pool thread
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -56,6 +58,11 @@ def _on_row_blocks(fn, rows: int) -> None:
     and pool threads, started for the call, the rest; with one block no pool
     is started.  fn must write only its own rows and be thread-safe.  An
     exception from any block is raised here once every thread has stopped.
+    A row is whatever the caller splits: a chunk of replicate_paths, a
+    replicate of check_newman's phase buffer, a case of the cov check.
+    What fn's block needs at full size (a buffer) is best allocated by the
+    caller before the call and told apart by block.start == 0: a pool
+    thread's own allocations stay resident in its malloc arena.
     """
     workers = max(1, min(_WORKERS, rows))
     cuts = [rows * w // workers for w in range(workers + 1)]

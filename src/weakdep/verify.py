@@ -6,7 +6,10 @@ replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
 a row never depends on the number of replicates drawn; check_newman
 forms the phases of every t in one reused complex buffer, on the threads
-of the draw over row blocks (models._on_row_blocks).  Every check
+of the draw over row blocks (models._on_row_blocks), and
+check_lipschitz_cov forms a case's values a row slice at a time in three
+length-R buffers, which the cli's cov check allocates once per thread for
+the cases it runs on the same threads.  Every check
 returns VerificationReport rows built by make_report, the one place a
 verdict is assigned; the pass rule of each check lives with the check.
 
@@ -138,11 +141,18 @@ def _binomial_lower(count: int, total: int, mult: float) -> float:
     return float(betaincinv(count, total - count + 1, alpha_low))
 
 
-def _cov_se(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Sample covariance of paired draws and its SE from the per-draw influence values."""
+def _cov_se(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[float, float]:
+    """Sample covariance of paired draws and its SE from the per-draw influence values.
+
+    a * b and then the influence values are formed in out, a float array of
+    len(a) (a fresh one when None); a and b are only read, as they may be
+    column views of a caller's matrix.
+    """
+    out = np.empty(len(a)) if out is None else out
     am, bm = a.mean(), b.mean()
-    cov = float(np.mean(a * b) - am * bm)
-    infl = (a - am) * (b - bm) - cov
+    cov = float(np.multiply(a, b, out=out).mean() - am * bm)
+    infl = np.multiply(np.subtract(a, am, out=out), b - bm, out=out)
+    infl -= cov
     return cov, float(infl.std(ddof=1) / math.sqrt(len(a)))
 
 
@@ -157,7 +167,9 @@ class PiecewiseLinear:
 
     slopes[i] applies on the i-th segment of the partition induced by the
     sorted breakpoints (len(slopes) = len(breakpoints) + 1); the exact
-    Lipschitz norm is max |slope|.
+    Lipschitz norm is max |slope|.  The values at the breakpoints (the
+    knots) are integrated once, when the function is built, so a call is
+    numpy work only and a call per row slice costs no Python loop.
     """
 
     breakpoints: tuple[float, ...]
@@ -170,6 +182,7 @@ class PiecewiseLinear:
             raise ValueError("need exactly one slope per segment (breakpoints + 1)")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        object.__setattr__(self, "_knots", np.array([self._integrate(b) for b in self.breakpoints]))
 
     @property
     def lipschitz_norm(self) -> float:
@@ -198,14 +211,18 @@ class PiecewiseLinear:
             return out if x.shape else float(out)
         seg = np.searchsorted(bp, x, side="right")
         anchor_idx = np.clip(seg - 1, 0, bp.size - 1)
-        knots = np.array([self._integrate(b) for b in bp])
-        out = knots[anchor_idx] + sl[seg] * (x - bp[anchor_idx])
+        out = self._knots[anchor_idx] + sl[seg] * (x - bp[anchor_idx])
         return out if x.shape else float(out)
 
 
 # ---------------------------------------------------------------------------
 # covariance inequality check
 # ---------------------------------------------------------------------------
+
+
+# rows of the path matrix whose index-set sums and f, g values a cov case
+# forms at once: the temporaries of a slice stay this many rows long
+_COV_SLICE_ROWS = 12_500
 
 
 def check_lipschitz_cov(
@@ -223,8 +240,31 @@ def check_lipschitz_cov(
 
     Index sets are 1-based and must be disjoint subsets of 1..n.  A
     precomputed (cfg.replicates, n) replicate path matrix may be shared
-    across cases.
+    across cases.  The index-set sums and f, g of them are formed
+    _COV_SLICE_ROWS rows at a time into three length-R buffers (f values,
+    g values, then a * b and the influence values of _cov_se), allocated
+    per call here; cli's cov check passes each thread's own buffers to
+    _check_lipschitz_cov instead.  Every value is row-wise, so a row
+    slice gives the bits of the whole-array expression, and the means and
+    the SE are taken over the whole buffers.
     """
+    buffers = [np.empty(cfg.replicates) for _ in range(3)]
+    return _check_lipschitz_cov(model, f_spec, g_spec, index_set_i, index_set_j, n, cfg, paths, buffers)
+
+
+def _check_lipschitz_cov(
+    model: ModelSpec,
+    f_spec: PiecewiseLinear,
+    g_spec: PiecewiseLinear,
+    index_set_i: Sequence[int],
+    index_set_j: Sequence[int],
+    n: int,
+    cfg: MCConfig,
+    paths: Optional[np.ndarray],
+    buffers: Sequence[np.ndarray],
+) -> VerificationReport:
+    """check_lipschitz_cov with its buffers given: three float arrays of length
+    cfg.replicates, for the f values, the g values and _cov_se's work."""
     I = sorted(int(i) for i in index_set_i)
     J = sorted(int(j) for j in index_set_j)
     if set(I) & set(J):
@@ -240,7 +280,13 @@ def check_lipschitz_cov(
     x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
     if x.shape != (cfg.replicates, n):
         raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {x.shape}")
-    cov, se = _cov_se(f_spec(x[:, np.asarray(I) - 1].sum(axis=1)), g_spec(x[:, np.asarray(J) - 1].sum(axis=1)))
+    f_vals, g_vals, work = buffers
+    cols_i, cols_j = np.asarray(I) - 1, np.asarray(J) - 1
+    for lo in range(0, len(x), _COV_SLICE_ROWS):
+        rows = slice(lo, lo + _COV_SLICE_ROWS)
+        f_vals[rows] = f_spec(x[rows, cols_i].sum(axis=1))
+        g_vals[rows] = g_spec(x[rows, cols_j].sum(axis=1))
+    cov, se = _cov_se(f_vals, g_vals, work)
     low = abs(cov) - ERROR_MULTIPLIER * se
     return make_report("cov", f"I={I},J={J}", abs(cov), se, bound, low <= bound, cfg)
 

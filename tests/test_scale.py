@@ -6,7 +6,8 @@ or goes subnormal.  A check then has a matched change of its options under
 which its report keeps the same bits (a metamorphic relation), and where a
 number leaves the float range the check must exit 2 with one line naming
 it, never print a verdict.  Every run goes through cli.run at a small size
-on the MA(1, 1) model with U(-1, 1) innovations scaled by 2^k.
+on the MA(1, 1) model with U(-1, 1) innovations scaled by 2^k: newman,
+clt and fclt keep their relations at k = -60, -8, 8 and 60.
 """
 
 import csv
@@ -41,6 +42,32 @@ def test_newman_is_scale_equivariant(k, tmp_path, capsys):
     # the t grid times 2^-k leaves the phases t x the same bits, and the bound's
     # t^2 and gamma_j carry 2^-2k and 2^2k: every column but param is unchanged
     assert _newman_columns(k, tmp_path, capsys) == _newman_columns(0, tmp_path, capsys)
+
+
+def _rows(check, k, tmp_path, capsys):
+    argv = ["verify", "--check", check, "--n", "1024", "--replicates", "2000", "--seed", "0",
+            "--model", _model(k, tmp_path)]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return [(row["param"], float(row["estimate"]), float(row["se"]), float(row["bound"]), row["verdict"])
+            for row in csv.DictReader(io.StringIO(out))]
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_clt_is_scale_invariant(k, tmp_path, capsys):
+    # S_n / sqrt(n) and sigma both carry 2^k, so their ratio, the Kolmogorov distance, its
+    # threshold and the verdict are the bits of k = 0
+    assert _rows("clt", k, tmp_path, capsys) == _rows("clt", 0, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_fclt_is_scale_equivariant(k, tmp_path, capsys):
+    # the increments carry 2^k, so every variance and covariance, its SE and its target
+    # sigma^2 (u_s - u_{s-1}) carry 4^k exactly, and the verdicts are those of k = 0
+    scaled = [(param, estimate * 4.0**k, se * 4.0**k, target * 4.0**k, verdict)
+              for param, estimate, se, target, verdict in _rows("fclt", 0, tmp_path, capsys)]
+    assert _rows("fclt", k, tmp_path, capsys) == scaled
 
 
 def test_fclt_se_overflow_exits_two(tmp_path, capsys):

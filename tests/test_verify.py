@@ -33,13 +33,14 @@ from weakdep import (
     sample_path,
     slln_rate_fit,
 )
-from weakdep.cli import run
-from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _ks_distance, _partial_sums,
-                            marginal_transform)
+from weakdep.cli import CHECKS, random_cov_cases, run
+from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _cov_se, _ks_distance,
+                            _partial_sums, marginal_transform)
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
 MA11_R = MovingAverage(coeffs=(1.0, 1.0), law=Rademacher())
+MA3_U = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
 IDENTITY_PL = PiecewiseLinear(breakpoints=(), slopes=(1.0,))
 
 
@@ -155,6 +156,69 @@ def test_lipschitz_cov_deterministic():
     a = check_lipschitz_cov(MA11_U, f, IDENTITY_PL, [1], [3, 4], 8, cfg)
     b = check_lipschitz_cov(MA11_U, f, IDENTITY_PL, [1], [3, 4], 8, cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("given_out", [False, True])
+def test_cov_se_only_reads_its_inputs(given_out):
+    # fclt passes column views of its increment matrix: centring b in place changed the
+    # later rows of its report; the result has the bits of the whole-array expressions
+    incs = np.random.default_rng(5).normal(size=(2001, 3))
+    before = incs.tobytes()
+    a, b = incs[:, 0], incs[:, 2]
+    cov, se = _cov_se(a, b, np.empty(len(a)) if given_out else None)
+    assert incs.tobytes() == before
+    am, bm = a.mean(), b.mean()
+    expected = float(np.mean(a * b) - am * bm)
+    infl = (a - am) * (b - bm) - expected
+    assert (cov, se) == (expected, float(infl.std(ddof=1) / math.sqrt(len(a))))
+
+
+@pytest.mark.parametrize("slice_rows", [7, 1000, 2001])
+def test_cov_row_slices_give_whole_array_bits(slice_rows, monkeypatch):
+    # the index-set sums and f, g of them are formed a row slice at a time, the last one
+    # short: the report has the bits of the whole-array expressions
+    cfg = MCConfig(replicates=2001, seed=3)
+    f = PiecewiseLinear(breakpoints=(-0.5, 0.5), slopes=(1.0, -2.0, 0.5))
+    g = PiecewiseLinear(breakpoints=(0.0,), slopes=(0.5, -1.5))
+    x = replicate_paths(MA3_U, 8, cfg.replicates, cfg.seed)
+    cov, se = _cov_se(f(x[:, [1, 2]].sum(axis=1)), g(x[:, [4]].sum(axis=1)))
+    monkeypatch.setattr("weakdep.verify._COV_SLICE_ROWS", slice_rows)
+    rep = check_lipschitz_cov(MA3_U, f, g, [2, 3], [5], 8, cfg, paths=x)
+    assert (rep.estimate, rep.se) == (abs(cov), se)
+
+
+@pytest.mark.parametrize("model", [MA11_U, MA3_U])
+@pytest.mark.parametrize("cases", [1, 2, 3, 10])
+@pytest.mark.parametrize("replicates", [101, 2001])
+def test_cov_threaded_rows_equal_serial(model, cases, replicates, monkeypatch):
+    # the cases in two contiguous runs (one case starts no pool, an odd count splits
+    # unevenly) give the rows of the library's check, one case after another
+    cfg = MCConfig(replicates=replicates, seed=3)
+    rows = {}
+    for workers in (1, 2):
+        monkeypatch.setattr("weakdep.models._WORKERS", workers)
+        rows[workers] = CHECKS["cov"](model, cfg, cases=cases)
+    paths = replicate_paths(model, 24, replicates, cfg.seed)
+    serial = [check_lipschitz_cov(model, *case, 24, cfg, paths=paths)
+              for case in random_cov_cases(model, 24, cases, cfg.seed)]
+    assert rows[1] == rows[2] == serial
+
+
+def test_cov_peak_memory_on_two_threads(monkeypatch):
+    # each thread checks its cases in three length-R buffers allocated by the caller, a row
+    # slice at a time: 1.34 times the path matrix for the serial check, 1.67 for whole cases
+    # with fresh temporaries on two threads, 1.40 now
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    cfg = MCConfig(replicates=50_000, seed=0)
+    paths = replicate_paths(MA3_U, 24, cfg.replicates, cfg.seed)
+    CHECKS["cov"](MA3_U, cfg)  # imports and caches are not the check's
+    tracemalloc.start()
+    try:
+        CHECKS["cov"](MA3_U, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * paths.nbytes, peak / paths.nbytes
 
 
 # --- tail domination ---------------------------------------------------------
