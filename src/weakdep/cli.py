@@ -40,6 +40,7 @@ from .verify import (
     VerificationReport,
     check_empirical_process,
     _check_lipschitz_cov,
+    _cov_buffers,
     check_newman,
     check_quasi_association_counterexample,
     check_tail_domination,
@@ -298,7 +299,7 @@ def _list(spec: str, kind: type, option: str) -> list:
 
 
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
-    """The cases, one report each, checked in two contiguous runs on the threads of
+    """The cases, one report each, checked in contiguous runs on the threads of
     models._on_row_blocks, each run into its own case buffers; every report has the
     bits of a serial check."""
     if n < 2:
@@ -306,17 +307,12 @@ def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[Verif
     paths = replicate_paths(_stationary(model), n, cfg.replicates, cfg.seed)
     specs = random_cov_cases(model, n, cases, cfg.seed)
     reports = [None] * len(specs)
-    # both runs' buffers are allocated here, on this thread, as replicate_paths does for
-    # its draw buffers: what a pool thread allocates stays in its own malloc arena, and
-    # length-R arrays fit into the draw buffers that replicate_paths has just freed
-    caller_buffers, pool_buffers = ([np.empty(cfg.replicates) for _ in range(3)] for _ in range(2))
 
-    def check_run(run: slice) -> None:
-        own = caller_buffers if run.start == 0 else pool_buffers
+    def check_run(run: slice, own: dict) -> None:
         for k in range(run.start, run.stop):
             reports[k] = _check_lipschitz_cov(model, *specs[k], n, cfg, paths, own)
 
-    _on_row_blocks(check_run, len(specs))
+    _on_row_blocks(check_run, len(specs), _cov_buffers(cfg.replicates))
     return reports
 
 

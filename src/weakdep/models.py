@@ -12,10 +12,8 @@ replicate paths: it draws them in chunks of
 max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major, from one
 generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)), on
 a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
-serial draw; its reduce must therefore be thread-safe.  _on_row_blocks,
-which splits those chunks over the threads, also runs the row-wise
-phase kernel of verify.check_newman and splits the case list of the cli's
-cov check.
+serial draw; its reduce must therefore be thread-safe.  _on_row_blocks
+splits rows over those threads and gives each thread its own buffers.
 
 scipy is imported inside the functions that call it (the quadrature and
 the truncated-Gaussian law), not at the top: importing scipy.integrate and
@@ -44,35 +42,35 @@ QUAD_REL_TOL = 1e-10
 REPLICATE_BLOCK_VALUES = 2**16
 
 # threads that share the rows of one _on_row_blocks call, the caller
-# included; fixed by the host, never by an option or an input, and at most 2:
-# replicate_paths and the cov check allocate one set of buffers for their one
-# pool thread
+# included; fixed by the host, never by an option or an input
 _WORKERS = min(2, os.cpu_count() or 1)
 
 
-def _on_row_blocks(fn, rows: int) -> None:
-    """Call fn(block) once per contiguous slice block of range(rows), on _WORKERS threads.
+def _on_row_blocks(fn, rows: int, buffers: dict) -> None:
+    """Call fn(block, own) once per contiguous slice block of range(rows), on _WORKERS threads.
 
     The rows are cut into min(_WORKERS, rows) blocks of sizes that differ by
     at most one, the smaller first.  The calling thread takes the first block
-    and pool threads, started for the call, the rest; with one block no pool
-    is started.  fn must write only its own rows and be thread-safe.  An
-    exception from any block is raised here once every thread has stopped.
-    A row is whatever the caller splits: a chunk of replicate_paths, a
-    replicate of check_newman's phase buffer, a case of the cov check.
-    What fn's block needs at full size (a buffer) is best allocated by the
-    caller before the call and told apart by block.start == 0: a pool
-    thread's own allocations stay resident in its malloc arena.
+    with own = buffers, a dict of arrays.  Pool threads, started for the
+    call, take the rest, each with its own copy {name: np.empty_like(array)},
+    made here on the calling thread before the pool starts: what a
+    short-lived thread allocates stays resident in its own malloc arena
+    (glibc) after it exits, and np.empty touches no page.  So no two blocks
+    share a buffer, whatever _WORKERS is.  With one block no pool is started
+    and nothing is copied.  fn must write only its own rows and its own
+    buffers, and be thread-safe.  An exception from any block is raised here
+    once every thread has stopped.
     """
     workers = max(1, min(_WORKERS, rows))
     cuts = [rows * w // workers for w in range(workers + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if workers == 1:
-        fn(blocks[0])
+        fn(blocks[0], buffers)
         return
+    copies = [{name: np.empty_like(array) for name, array in buffers.items()} for _ in blocks[1:]]
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(fn, block) for block in blocks[1:]]
-        fn(blocks[0])
+        futures = [pool.submit(fn, block, own) for block, own in zip(blocks[1:], copies)]
+        fn(blocks[0], buffers)
         for future in futures:
             future.result()
 
@@ -490,11 +488,12 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     Chunk 0 is drawn first, on the calling thread; the other chunks are
     split by _on_row_blocks into contiguous runs on W = min(2,
     os.cpu_count()) threads, a number no input sets, the caller taking the
-    first run.  Each chunk fills only its own rows from its own generator,
-    so every row is bit for bit the same as in a serial draw.  reduce may
-    run on either thread and must therefore be thread-safe (pure numpy on
-    its block is).  An exception from reduce or the filter is raised here
-    once every thread has stopped.
+    first run with chunk 0's scratch and each pool thread a copy of it.
+    Each chunk fills only its own rows from its own generator, so every
+    row is bit for bit the same as in a serial draw.  reduce may run on
+    either thread and must therefore be thread-safe (pure numpy on its
+    block is).  An exception from reduce or the filter is raised here once
+    every thread has stopped.
 
     >>> m = IID(Rademacher())
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
@@ -522,21 +521,14 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)
     out[: len(part)] = part
 
-    # the pool thread's buffers are allocated here, on this thread: what a
-    # short-lived thread allocates stays resident in its own malloc arena
-    # (glibc) after it exits; np.empty touches no page, so the copy costs
-    # nothing when no pool thread is started
-    pool_scratch = {name: np.empty_like(array) for name, array in scratch.items()}
-
-    def draw_run(run: slice) -> None:
+    def draw_run(run: slice, own: dict) -> None:
         # a thread's scratch is reused chunk after chunk, the caller's from chunk 0
         # on: a pool thread that freed its arrays instead would fault their pages
         # in again each time
-        own = scratch if run.start == 0 else pool_scratch
         for chunk in range(1 + run.start, 1 + run.stop):
             out[chunk * width : (chunk + 1) * width] = draw(chunk, own)
 
-    _on_row_blocks(draw_run, chunks - 1)
+    _on_row_blocks(draw_run, chunks - 1, scratch)
     return out
 
 

@@ -5,13 +5,12 @@ Every check is a pure function of (model, config, seed): it reads its
 replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
 a row never depends on the number of replicates drawn; check_newman
-forms the phases of every t in one reused complex buffer, on the threads
-of the draw over row blocks (models._on_row_blocks), and
+forms the phases of every t in one reused complex buffer, over row blocks
+on the threads of the draw (models._on_row_blocks), and
 check_lipschitz_cov forms a case's values a row slice at a time in three
-length-R buffers, which the cli's cov check allocates once per thread for
-the cases it runs on the same threads.  Every check
-returns VerificationReport rows built by make_report, the one place a
-verdict is assigned; the pass rule of each check lives with the check.
+length-R buffers.  Every check returns VerificationReport rows built by
+make_report, the one place a verdict is assigned; the pass rule of each
+check lives with the check.
 
 The empirical-process helpers return plain values: marginal_transform the
 distribution function that maps a path to uniform marginals, read from the
@@ -241,15 +240,19 @@ def check_lipschitz_cov(
     Index sets are 1-based and must be disjoint subsets of 1..n.  A
     precomputed (cfg.replicates, n) replicate path matrix may be shared
     across cases.  The index-set sums and f, g of them are formed
-    _COV_SLICE_ROWS rows at a time into three length-R buffers (f values,
-    g values, then a * b and the influence values of _cov_se), allocated
-    per call here; cli's cov check passes each thread's own buffers to
-    _check_lipschitz_cov instead.  Every value is row-wise, so a row
+    _COV_SLICE_ROWS rows at a time into the three length-R buffers of
+    _cov_buffers, allocated per call.  Every value is row-wise, so a row
     slice gives the bits of the whole-array expression, and the means and
     the SE are taken over the whole buffers.
     """
-    buffers = [np.empty(cfg.replicates) for _ in range(3)]
+    buffers = _cov_buffers(cfg.replicates)
     return _check_lipschitz_cov(model, f_spec, g_spec, index_set_i, index_set_j, n, cfg, paths, buffers)
+
+
+def _cov_buffers(replicates: int) -> dict:
+    """The buffers of _check_lipschitz_cov: "f" and "g" for the f and g values,
+    "work" for a * b and the influence values of _cov_se, each of length replicates."""
+    return {name: np.empty(replicates) for name in ("f", "g", "work")}
 
 
 def _check_lipschitz_cov(
@@ -261,10 +264,10 @@ def _check_lipschitz_cov(
     n: int,
     cfg: MCConfig,
     paths: Optional[np.ndarray],
-    buffers: Sequence[np.ndarray],
+    buffers: dict,
 ) -> VerificationReport:
-    """check_lipschitz_cov with its buffers given: three float arrays of length
-    cfg.replicates, for the f values, the g values and _cov_se's work."""
+    """check_lipschitz_cov with its buffers given, the dict of _cov_buffers(cfg.replicates)
+    or a copy of it with the same keys, shapes and dtypes."""
     I = sorted(int(i) for i in index_set_i)
     J = sorted(int(j) for j in index_set_j)
     if set(I) & set(J):
@@ -280,7 +283,7 @@ def _check_lipschitz_cov(
     x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
     if x.shape != (cfg.replicates, n):
         raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {x.shape}")
-    f_vals, g_vals, work = buffers
+    f_vals, g_vals, work = buffers["f"], buffers["g"], buffers["work"]
     cols_i, cols_j = np.asarray(I) - 1, np.asarray(J) - 1
     for lo in range(0, len(x), _COV_SLICE_ROWS):
         rows = slice(lo, lo + _COV_SLICE_ROWS)
@@ -354,22 +357,22 @@ def check_newman(
     reports = []
     for t, bound in zip(t_grid, bounds):
 
-        def phase_products(rows: slice) -> None:
+        def phase_products(rows: slice, own: dict) -> None:
             block = np.exp(np.multiply(1j * t, x[rows], out=phases[rows]), out=phases[rows])
             np.prod(block, axis=1, out=joint[rows])
 
-        def marginal_ratio_sums(rows: slice) -> None:
+        def marginal_ratio_sums(rows: slice, own: dict) -> None:
             block = np.divide(phases[rows], marg_means, out=phases[rows])
             np.sum(block, axis=1, out=ratio_sums[rows])
 
-        _on_row_blocks(phase_products, len(x))
+        _on_row_blocks(phase_products, len(x), {})
         joint_mean = joint.mean()
         marg_means = phases.mean(axis=0)
         prod_marg = np.prod(marg_means)
         delta = joint_mean - prod_marg
         # influence of replicate r on (joint mean - product of marginal means)
         if np.min(np.abs(marg_means)) > 1e-8:
-            _on_row_blocks(marginal_ratio_sums, len(x))
+            _on_row_blocks(marginal_ratio_sums, len(x), {})
             prod_infl = np.multiply(prod_marg, np.subtract(ratio_sums, n, out=ratio_sums), out=ratio_sums)
         else:
             prod_infl = np.zeros_like(joint)

@@ -30,7 +30,7 @@ from weakdep import (
     sample_path,
 )
 from weakdep.models import (
-    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, _on_row_blocks, nonneg_shift_mgf,
+    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, _on_row_blocks, _paths, nonneg_shift_mgf,
 )
 
 from oracles import analytic_covariance
@@ -302,19 +302,78 @@ def test_replicate_paths_error_on_pool_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+def _pool_threads_meet(fn):
+    """fn, whose first call on each pool thread returns only once two pool threads have made theirs."""
+    caller, met, barrier = threading.current_thread(), set(), threading.Barrier(2)
+
+    def wrapper(*args):
+        result = fn(*args)
+        if threading.current_thread() not in met | {caller}:
+            met.add(threading.current_thread())
+            barrier.wait(timeout=30)
+        return result
+
+    return wrapper
+
+
+@pytest.mark.parametrize("n, chunks", [(24, 6), (4096, 9)])
+def test_replicate_paths_on_three_threads(n, chunks, monkeypatch):
+    # two pool threads, each with its own scratch: the path matrix and a row-sum reduce over a
+    # partial last chunk are the rows of one thread; the pool threads meet after their first
+    # chunk's filter, so a scratch they shared would hold one chunk for both
+    width = REPLICATE_BLOCK_VALUES // n
+    model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
+    rows = {}
+    for workers in (1, 3):
+        monkeypatch.setattr("weakdep.models._WORKERS", workers)
+        rows[workers] = []
+        for reduce in (None, lambda x: x.sum(axis=1)):
+            monkeypatch.setattr("weakdep.models._paths", _pool_threads_meet(_paths))
+            rows[workers].append(replicate_paths(model, n, chunks * width - 3, 12, reduce))
+    assert all(np.array_equal(one, three) for one, three in zip(rows[1], rows[3]))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("rows", [0, 1, 2, 101])
 def test_on_row_blocks_cover_the_rows(workers, rows, monkeypatch):
     # contiguous blocks, the smaller first on the caller; one block starts no thread
     monkeypatch.setattr("weakdep.models._WORKERS", workers)
     caller = threading.current_thread()
     calls = []
-    _on_row_blocks(lambda block: calls.append((block, threading.current_thread() is caller)), rows)
+    _on_row_blocks(lambda block, own: calls.append((block, threading.current_thread() is caller)), rows, {})
     calls.sort(key=lambda call: call[0].start)
     assert [i for block, _ in calls for i in range(rows)[block]] == list(range(rows))
     assert calls[0][1] and all(not on_caller for _, on_caller in calls[1:])
     assert len(calls) == max(1, min(workers, rows))
     assert [block.stop - block.start for block, _ in calls] == sorted(block.stop - block.start for block, _ in calls)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, 2, 101])
+def test_on_row_blocks_give_each_block_its_own_buffers(workers, rows, monkeypatch):
+    # the caller's block gets the dict passed in, each pool block a copy of it with the same
+    # keys, shapes and dtypes, made on the calling thread; no two blocks share memory, and
+    # one block copies nothing
+    monkeypatch.setattr("weakdep.models._WORKERS", workers)
+    caller = threading.current_thread()
+    copied_on_caller = []
+
+    def empty_like(array, *args, **kwargs):
+        copied_on_caller.append(threading.current_thread() is caller)
+        return real_empty_like(array, *args, **kwargs)
+
+    real_empty_like = np.empty_like
+    monkeypatch.setattr(np, "empty_like", empty_like)
+    buffers = {"values": np.zeros(7), "phases": np.zeros((3, 2), dtype=complex)}
+    calls = []
+    _on_row_blocks(lambda block, own: calls.append((block, own)), rows, buffers)
+    calls.sort(key=lambda call: call[0].start)
+    assert calls[0][1] is buffers
+    layout = {name: (array.shape, array.dtype) for name, array in buffers.items()}
+    assert all({name: (a.shape, a.dtype) for name, a in own.items()} == layout for _, own in calls[1:])
+    arrays = [array for _, own in calls for array in own.values()]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    assert copied_on_caller == [True] * (len(calls) - 1) * len(buffers)
 
 
 def test_on_row_blocks_error_on_pool_thread(monkeypatch):
@@ -324,14 +383,14 @@ def test_on_row_blocks_error_on_pool_thread(monkeypatch):
     caller = threading.current_thread()
     done = []
 
-    def fn(block):
+    def fn(block, own):
         if threading.current_thread() is not caller:
             raise ValueError("pool block")
         done.append(block)
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="pool block"):
-        _on_row_blocks(fn, 101)
+        _on_row_blocks(fn, 101, {})
     assert done == [slice(0, 50)]
     assert threading.active_count() == before
 

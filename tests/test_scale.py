@@ -7,7 +7,7 @@ which its report keeps the same bits (a metamorphic relation), and where a
 number leaves the float range the check must exit 2 with one line naming
 it, never print a verdict.  Every run goes through cli.run at a small size
 on the MA(1, 1) model with U(-1, 1) innovations scaled by 2^k: newman,
-clt and fclt keep their relations at k = -60, -8, 8 and 60.
+clt, fclt, tail, emp and slln keep their relations at k = -60, -8, 8 and 60.
 """
 
 import csv
@@ -19,6 +19,7 @@ from weakdep import MovingAverage, UniformOnInterval, model_to_json
 from weakdep.cli import run
 
 NEWMAN_T_GRID = (0.25, 0.5, 1.0)  # the verify default
+TAIL_X_GRID = (0.0, 200.0, 25.0)  # start, stop, step
 
 
 def _model(k, tmp_path):
@@ -27,14 +28,18 @@ def _model(k, tmp_path):
     return str(path)
 
 
-def _newman_columns(k, tmp_path, capsys):
-    grid = ",".join(repr(t * 2.0**-k) for t in NEWMAN_T_GRID)
-    argv = ["verify", "--check", "newman", "--n", "8", "--replicates", "2001", "--t-grid", grid,
-            "--model", _model(k, tmp_path)]
-    assert run(argv) == 0
+def _csv(k, tmp_path, capsys, *options):
+    """The report rows of verify with options on the model scaled by 2^k, as dicts of the CSV text."""
+    assert run(["verify", *options, "--model", _model(k, tmp_path)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    return [(row["estimate"], row["se"], row["bound"], row["verdict"]) for row in csv.DictReader(io.StringIO(out))]
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def _newman_columns(k, tmp_path, capsys):
+    grid = ",".join(repr(t * 2.0**-k) for t in NEWMAN_T_GRID)
+    rows = _csv(k, tmp_path, capsys, "--check", "newman", "--n", "8", "--replicates", "2001", "--t-grid", grid)
+    return [(row["estimate"], row["se"], row["bound"], row["verdict"]) for row in rows]
 
 
 @pytest.mark.parametrize("k", [-8, 8, 60, -60])
@@ -45,13 +50,9 @@ def test_newman_is_scale_equivariant(k, tmp_path, capsys):
 
 
 def _rows(check, k, tmp_path, capsys):
-    argv = ["verify", "--check", check, "--n", "1024", "--replicates", "2000", "--seed", "0",
-            "--model", _model(k, tmp_path)]
-    assert run(argv) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
+    rows = _csv(k, tmp_path, capsys, "--check", check, "--n", "1024", "--replicates", "2000", "--seed", "0")
     return [(row["param"], float(row["estimate"]), float(row["se"]), float(row["bound"]), row["verdict"])
-            for row in csv.DictReader(io.StringIO(out))]
+            for row in rows]
 
 
 @pytest.mark.parametrize("k", [-8, 8, 60, -60])
@@ -68,6 +69,41 @@ def test_fclt_is_scale_equivariant(k, tmp_path, capsys):
     scaled = [(param, estimate * 4.0**k, se * 4.0**k, target * 4.0**k, verdict)
               for param, estimate, se, target, verdict in _rows("fclt", 0, tmp_path, capsys)]
     assert _rows("fclt", k, tmp_path, capsys) == scaled
+
+
+def _tail_columns(k, tmp_path, capsys):
+    grid = ":".join(repr(x * 2.0**k) for x in TAIL_X_GRID)
+    rows = _csv(k, tmp_path, capsys, "--check", "tail", "--n", "1024", "--replicates", "2000", "--seed", "0",
+                "--x-grid", grid)
+    return [{name: text for name, text in row.items() if name != "param"} for row in rows]
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_tail_is_scale_invariant(k, tmp_path, capsys):
+    # the x grid times 2^k: Z_odd > x compares the same bits, and in the bound t carries 2^-k
+    # against 2^k in x and c and 4^k in sigma^2 and v(p_n), so the powers of two cancel;
+    # every column but param is the text of k = 0
+    assert _tail_columns(k, tmp_path, capsys) == _tail_columns(0, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_emp_is_scale_invariant(k, tmp_path, capsys):
+    # the marginal is estimated from paths that carry 2^k too, so every path value maps to
+    # the same u and the report is the text of k = 0
+    options = ("--check", "emp", "--n", "1024", "--replicates", "2000", "--seed", "0")
+    assert _csv(k, tmp_path, capsys, *options) == _csv(0, tmp_path, capsys, *options)
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_slln_is_scale_invariant(k, tmp_path, capsys):
+    # the quantiles of |S_n / n| carry 2^k, which the slope of their logs loses up to the
+    # rounding of the logs: the bound and verdict of k = 0, its slope within 1e-14 and its
+    # SE within a relative 1e-12 (1.1e-15 and 1e-13 measured at k = 60)
+    options = ("--check", "slln", "--n-grid", "256,512,1024,2048", "--replicates", "2000", "--seed", "0")
+    [scaled], [unscaled] = _csv(k, tmp_path, capsys, *options), _csv(0, tmp_path, capsys, *options)
+    assert (scaled["bound"], scaled["verdict"]) == (unscaled["bound"], unscaled["verdict"])
+    assert abs(float(scaled["estimate"]) - float(unscaled["estimate"])) <= 1e-14
+    assert float(scaled["se"]) == pytest.approx(float(unscaled["se"]), rel=1e-12, abs=0.0)
 
 
 def test_fclt_se_overflow_exits_two(tmp_path, capsys):

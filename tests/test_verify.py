@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,27 @@ def test_cov_threaded_rows_equal_serial(model, cases, replicates, monkeypatch):
     serial = [check_lipschitz_cov(model, *case, 24, cfg, paths=paths)
               for case in random_cov_cases(model, 24, cases, cfg.seed)]
     assert rows[1] == rows[2] == serial
+
+
+def test_cov_rows_on_three_threads(monkeypatch):
+    # three runs of cases, each pool thread with its own case buffers: the rows of one thread;
+    # the pool threads meet once their first case's f and g values are written, so buffers
+    # they shared would hold one case for both
+    cfg = MCConfig(replicates=2001, seed=3)
+    caller, met, barrier = threading.current_thread(), set(), threading.Barrier(2)
+
+    def meet_then_cov_se(*args):
+        if threading.current_thread() not in met | {caller}:
+            met.add(threading.current_thread())
+            barrier.wait(timeout=30)
+        return _cov_se(*args)
+
+    monkeypatch.setattr("weakdep.verify._cov_se", meet_then_cov_se)
+    rows = {}
+    for workers in (1, 3):
+        monkeypatch.setattr("weakdep.models._WORKERS", workers)
+        rows[workers] = CHECKS["cov"](MA3_U, cfg, cases=10)
+    assert rows[3] == rows[1]
 
 
 def test_cov_peak_memory_on_two_threads(monkeypatch):
