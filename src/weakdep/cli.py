@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: coeffs (coefficient and tail-sum table), decompose (block
-sums of a sample path), bound (tail bound over an x grid), verify
-(Monte Carlo checks).  Exit codes: 0 all verdicts pass, 1 any check
-failed, 2 usage or configuration error.  Reports are written atomically
-(temp file + rename) and numbers are rendered with 17 significant digits
-so a parse-back reproduces them exactly.  A CSV report is formatted and
-written a fixed number of rows at a time, to stdout or into the temp file
-that is renamed once the last row is in, so the memory it takes does not
-grow with its row count.
+sums of a sample path), bound (tail bound over an x grid), verify (Monte
+Carlo checks; each adapter checks its options and calls weakdep.verify,
+which draws any paths and builds the rows).  Exit codes: 0 all verdicts
+pass, 1 any check failed, 2 usage or configuration error.  Reports are
+written atomically (temp file + rename) and numbers are rendered with 17
+significant digits so a parse-back reproduces them exactly.  A CSV report
+is formatted and written a fixed number of rows at a time, to stdout or
+into the temp file that is renamed once the last row is in, so the memory
+it takes does not grow with its row count.
 """
 
 from __future__ import annotations
@@ -31,16 +32,14 @@ from . import __version__
 from .blocks import block_scheme, decompose
 from .bounds import _block_length, tail_bound
 from .coefficients import gamma_sequence
-from .models import (ModelSpec, QuadratureError, _on_row_blocks, _stationary, model_from_json, replicate_paths,
-                     sample_path)
+from .models import ModelSpec, QuadratureError, model_from_json, sample_path
 from .verify import (
     VIOLATED,
     MCConfig,
     PiecewiseLinear,
     VerificationReport,
     check_empirical_process,
-    _check_lipschitz_cov,
-    _cov_buffers,
+    _lipschitz_cov_rows,
     check_newman,
     check_quasi_association_counterexample,
     check_tail_domination,
@@ -299,21 +298,9 @@ def _list(spec: str, kind: type, option: str) -> list:
 
 
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
-    """The cases, one report each, checked in contiguous runs on the threads of
-    models._on_row_blocks, each run into its own case buffers; every report has the
-    bits of a serial check."""
     if n < 2:
         raise ConfigError(f"--n must be at least 2 for two disjoint index sets, got {n}")
-    paths = replicate_paths(_stationary(model), n, cfg.replicates, cfg.seed)
-    specs = random_cov_cases(model, n, cases, cfg.seed)
-    reports = [None] * len(specs)
-
-    def check_run(run: slice, own: dict) -> None:
-        for k in range(run.start, run.stop):
-            reports[k] = _check_lipschitz_cov(model, *specs[k], n, cfg, paths, own)
-
-    _on_row_blocks(check_run, len(specs), _cov_buffers(cfg.replicates))
-    return reports
+    return _lipschitz_cov_rows(model, random_cov_cases(model, n, cases, cfg.seed), n, cfg)
 
 
 def _tail(evaluate, model: ModelSpec, n: int, theta: float, alpha: float, x_grid: str):

@@ -6,9 +6,10 @@ replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
 a row never depends on the number of replicates drawn; check_newman
 forms the phases of every t in one reused complex buffer, over row blocks
-on the threads of the draw (models._on_row_blocks), and
-check_lipschitz_cov forms a case's values a row slice at a time in three
-length-R buffers.  Every check returns VerificationReport rows built by
+on the threads of the draw (models._on_row_blocks), and _lipschitz_cov_rows,
+the one cov runner that check_lipschitz_cov and verify --check cov call,
+checks its cases on those threads a row slice at a time, in three length-R
+buffers per thread.  Every check returns VerificationReport rows built by
 make_report, the one place a verdict is assigned; the pass rule of each
 check lives with the check.
 
@@ -239,59 +240,60 @@ def check_lipschitz_cov(
 
     Index sets are 1-based and must be disjoint subsets of 1..n.  A
     precomputed (cfg.replicates, n) replicate path matrix may be shared
-    across cases.  The index-set sums and f, g of them are formed
-    _COV_SLICE_ROWS rows at a time into the three length-R buffers of
-    _cov_buffers, allocated per call.  Every value is row-wise, so a row
-    slice gives the bits of the whole-array expression, and the means and
-    the SE are taken over the whole buffers.
+    across cases.  The one-case call of _lipschitz_cov_rows, which starts no
+    thread.
     """
-    buffers = _cov_buffers(cfg.replicates)
-    return _check_lipschitz_cov(model, f_spec, g_spec, index_set_i, index_set_j, n, cfg, paths, buffers)
+    return _lipschitz_cov_rows(model, [(f_spec, g_spec, index_set_i, index_set_j)], n, cfg, paths)[0]
 
 
-def _cov_buffers(replicates: int) -> dict:
-    """The buffers of _check_lipschitz_cov: "f" and "g" for the f and g values,
-    "work" for a * b and the influence values of _cov_se, each of length replicates."""
-    return {name: np.empty(replicates) for name in ("f", "g", "work")}
+def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig,
+                        paths: Optional[np.ndarray] = None) -> list[VerificationReport]:
+    """The report of check_lipschitz_cov for each (f, g, I, J) case, in order.
 
-
-def _check_lipschitz_cov(
-    model: ModelSpec,
-    f_spec: PiecewiseLinear,
-    g_spec: PiecewiseLinear,
-    index_set_i: Sequence[int],
-    index_set_j: Sequence[int],
-    n: int,
-    cfg: MCConfig,
-    paths: Optional[np.ndarray],
-    buffers: dict,
-) -> VerificationReport:
-    """check_lipschitz_cov with its buffers given, the dict of _cov_buffers(cfg.replicates)
-    or a copy of it with the same keys, shapes and dtypes."""
-    I = sorted(int(i) for i in index_set_i)
-    J = sorted(int(j) for j in index_set_j)
-    if set(I) & set(J):
-        raise ValueError("index sets must be disjoint")
-    if not I or not J:
-        raise ValueError("index sets must be nonempty")
-    if min(I + J) < 1 or max(I + J) > n:
-        raise ValueError(f"index sets must lie in 1..{n}")
+    Every case's index sets are checked, then the model is refused or its
+    bounds computed, before the one draw of the paths (or the shape check of
+    the shared matrix).  The cases run in contiguous runs on the threads of
+    models._on_row_blocks, each thread with its own three length-R buffers:
+    a case forms its index-set sums and f, g of them _COV_SLICE_ROWS rows at
+    a time into "f" and "g", and _cov_se uses "work".  Every value is
+    row-wise, so a row slice gives the bits of the whole-array expression,
+    and the means and the SE are taken over the whole buffers: every row is
+    the bytes of a serial run.
+    """
+    checked = []
+    for f_spec, g_spec, index_set_i, index_set_j in cases:
+        I = sorted(int(i) for i in index_set_i)
+        J = sorted(int(j) for j in index_set_j)
+        if set(I) & set(J):
+            raise ValueError("index sets must be disjoint")
+        if not I or not J:
+            raise ValueError("index sets must be nonempty")
+        if min(I + J) < 1 or max(I + J) > n:
+            raise ValueError(f"index sets must lie in 1..{n}")
+        checked.append((f_spec, g_spec, I, J))
     gamma = gamma_sequence(model)
-    bound = f_spec.lipschitz_norm * g_spec.lipschitz_norm * sum(
-        gamma.gamma(abs(i - j)) for i in I for j in J
-    )
+    bounds = [f_spec.lipschitz_norm * g_spec.lipschitz_norm * sum(gamma.gamma(abs(i - j)) for i in I for j in J)
+              for f_spec, g_spec, I, J in checked]
     x = replicate_paths(model, n, cfg.replicates, cfg.seed) if paths is None else paths
     if x.shape != (cfg.replicates, n):
         raise ValueError(f"shared paths must have shape {(cfg.replicates, n)}, got {x.shape}")
-    f_vals, g_vals, work = buffers["f"], buffers["g"], buffers["work"]
-    cols_i, cols_j = np.asarray(I) - 1, np.asarray(J) - 1
-    for lo in range(0, len(x), _COV_SLICE_ROWS):
-        rows = slice(lo, lo + _COV_SLICE_ROWS)
-        f_vals[rows] = f_spec(x[rows, cols_i].sum(axis=1))
-        g_vals[rows] = g_spec(x[rows, cols_j].sum(axis=1))
-    cov, se = _cov_se(f_vals, g_vals, work)
-    low = abs(cov) - ERROR_MULTIPLIER * se
-    return make_report("cov", f"I={I},J={J}", abs(cov), se, bound, low <= bound, cfg)
+    reports = [None] * len(checked)
+
+    def check_run(run: slice, own: dict) -> None:
+        f_vals, g_vals, work = own["f"], own["g"], own["work"]
+        for k in range(run.start, run.stop):
+            f_spec, g_spec, I, J = checked[k]
+            cols_i, cols_j = np.asarray(I) - 1, np.asarray(J) - 1
+            for lo in range(0, len(x), _COV_SLICE_ROWS):
+                rows = slice(lo, lo + _COV_SLICE_ROWS)
+                f_vals[rows] = f_spec(x[rows, cols_i].sum(axis=1))
+                g_vals[rows] = g_spec(x[rows, cols_j].sum(axis=1))
+            cov, se = _cov_se(f_vals, g_vals, work)
+            low = abs(cov) - ERROR_MULTIPLIER * se
+            reports[k] = make_report("cov", f"I={I},J={J}", abs(cov), se, bounds[k], low <= bounds[k], cfg)
+
+    _on_row_blocks(check_run, len(checked), {name: np.empty(cfg.replicates) for name in ("f", "g", "work")})
+    return reports
 
 
 # ---------------------------------------------------------------------------
