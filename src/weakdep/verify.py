@@ -156,6 +156,13 @@ def _cov_se(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> t
     return cov, float(infl.std(ddof=1) / math.sqrt(len(a)))
 
 
+def _refuse_zero_se(check: str, at: str, estimate, se: float) -> None:
+    """ValueError when se underflowed to 0 under a nonzero estimate: at a
+    subnormal scale a zero SE would read the estimate's rounding as a verdict."""
+    if se == 0.0 and estimate != 0:
+        raise ValueError(f"{check} SE underflows to 0 at {at} with a nonzero estimate: model scale too small")
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear test functions
 # ---------------------------------------------------------------------------
@@ -258,7 +265,13 @@ def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig
     a time into "f" and "g", and _cov_se uses "work".  Every value is
     row-wise, so a row slice gives the bits of the whole-array expression,
     and the means and the SE are taken over the whole buffers: every row is
-    the bytes of a serial run.
+    the bytes of a serial run.  A case whose estimate or SE leaves the float
+    range while its f and g values are finite (the overflow is not warned
+    about, on the thread that computes it), or whose SE underflows to 0
+    under a nonzero estimate, raises ValueError naming the case: such a
+    scale gets no verdict.  A non-finite f or g value, as from a NaN in a
+    shared matrix, still reads VIOLATED.  The first case that raises, in
+    case order, is the one reported.
     """
     checked = []
     for f_spec, g_spec, index_set_i, index_set_j in cases:
@@ -288,9 +301,15 @@ def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig
                 rows = slice(lo, lo + _COV_SLICE_ROWS)
                 f_vals[rows] = f_spec(x[rows, cols_i].sum(axis=1))
                 g_vals[rows] = g_spec(x[rows, cols_j].sum(axis=1))
-            cov, se = _cov_se(f_vals, g_vals, work)
+            with np.errstate(over="ignore", invalid="ignore"):  # a number out of range is refused below
+                cov, se = _cov_se(f_vals, g_vals, work)
+            param = f"I={I},J={J}"
+            if not np.isfinite((cov, se)).all() and np.isfinite(f_vals).all() and np.isfinite(g_vals).all():
+                raise ValueError(f"cov {'SE' if math.isfinite(cov) else 'estimate'} overflows at {param} although "
+                                 "its f and g values are finite: model scale too large")
+            _refuse_zero_se("cov", param, cov, se)
             low = abs(cov) - ERROR_MULTIPLIER * se
-            reports[k] = make_report("cov", f"I={I},J={J}", abs(cov), se, bounds[k], low <= bounds[k], cfg)
+            reports[k] = make_report("cov", param, abs(cov), se, bounds[k], low <= bounds[k], cfg)
 
     _on_row_blocks(check_run, len(checked), {name: np.empty(cfg.replicates) for name in ("f", "g", "work")})
     return reports
@@ -386,8 +405,7 @@ def check_newman(
             se = float(proj.std(ddof=1) / math.sqrt(cfg.replicates))
         else:
             se = float(np.sqrt(np.mean(np.abs(infl) ** 2) / cfg.replicates))
-        if se == 0.0 and delta != 0:
-            raise ValueError(f"newman SE underflows to 0 at t={t:g} with a nonzero estimate: model scale too small")
+        _refuse_zero_se("newman", f"t={t:g}", delta, se)
         low = abs(delta) - ERROR_MULTIPLIER * se
         reports.append(make_report("newman", f"n={n},t={t:g}", abs(delta), se, bound, low <= bound, cfg))
     return reports
@@ -569,8 +587,9 @@ def fclt_increment_check(
     whose cut points floor(n u) coincide are an error; when b(n) reaches
     the shortest increment length a zero process would pass, so every row
     is BOUND_INVALID.  An SE that overflows (the influence values of a
-    large scale square past the largest float) raises ValueError before
-    any row is built: such a scale gets no verdict.
+    large scale square past the largest float), or that underflows to 0
+    under a nonzero estimate, raises ValueError before any row is built:
+    such a scale gets no verdict.
     """
     u = [float(t) for t in times]
     if len(u) > 5:
@@ -599,9 +618,10 @@ def fclt_increment_check(
         for s1 in range(len(u)):
             for s2 in range(s1 + 1, len(u)):
                 rows.append((f"cov({u[s1]:g},{u[s2]:g})", *_cov_se(incs[:, s1], incs[:, s2]), 0.0))
-    for param, _, se, _ in rows:
+    for param, estimate, se, _ in rows:
         if not math.isfinite(se):
             raise ValueError(f"fclt SE overflows at {param}: its influence values square past the largest float")
+        _refuse_zero_se("fclt", param, estimate, se)
     return [
         make_report("fclt", param, estimate, se, target,
                     abs(estimate - target) <= ERROR_MULTIPLIER * se + allowance, cfg, valid)

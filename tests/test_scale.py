@@ -5,9 +5,13 @@ path value by 2^k exactly in floating point, as long as nothing overflows
 or goes subnormal.  A check then has a matched change of its options under
 which its report keeps the same bits (a metamorphic relation), and where a
 number leaves the float range the check must exit 2 with one line naming
-it, never print a verdict.  Every run goes through cli.run at a small size
-on the MA(1, 1) model with U(-1, 1) innovations scaled by 2^k: newman,
-clt, fclt, tail, emp and slln keep their relations at k = -60, -8, 8 and 60.
+it, never print a verdict.  The runs are on the MA(1, 1) model with
+U(-1, 1) innovations scaled by 2^k, at a small size: newman, clt, fclt,
+tail, emp and slln keep their relations at k = -60, -8, 8 and 60 through
+cli.run.  cov keeps its relation at the same k through a library call of
+its runner, since the CLI's random cases have breakpoints that do not
+scale with the model; its exit-2 rows, like every other, go through
+cli.run.
 """
 
 import csv
@@ -15,16 +19,21 @@ import io
 
 import pytest
 
-from weakdep import MovingAverage, UniformOnInterval, model_to_json
-from weakdep.cli import run
+from weakdep import MCConfig, MovingAverage, PiecewiseLinear, UniformOnInterval, model_to_json
+from weakdep.cli import random_cov_cases, run
+from weakdep.verify import _lipschitz_cov_rows
 
 NEWMAN_T_GRID = (0.25, 0.5, 1.0)  # the verify default
 TAIL_X_GRID = (0.0, 200.0, 25.0)  # start, stop, step
 
 
+def _ma11(k):
+    return MovingAverage(coeffs=(2.0**k, 2.0**k), law=UniformOnInterval(-1.0, 1.0))
+
+
 def _model(k, tmp_path):
     path = tmp_path / f"ma11-scale{k}.json"
-    path.write_text(model_to_json(MovingAverage(coeffs=(2.0**k, 2.0**k), law=UniformOnInterval(-1.0, 1.0))))
+    path.write_text(model_to_json(_ma11(k)))
     return str(path)
 
 
@@ -113,3 +122,42 @@ def test_fclt_se_overflow_exits_two(tmp_path, capsys):
     assert run(argv) == 2
     line = "fclt SE overflows at var(0,0.25]: its influence values square past the largest float"
     assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def _cov_columns(k):
+    cases = [(PiecewiseLinear(tuple(b * 2.0**k for b in f.breakpoints), f.slopes),
+              PiecewiseLinear(tuple(b * 2.0**k for b in g.breakpoints), g.slopes), I, J)
+             for f, g, I, J in random_cov_cases(_ma11(0), 24, 10, 0)]
+    rows = _lipschitz_cov_rows(_ma11(k), cases, 24, MCConfig(replicates=2000, seed=0))
+    return [(row.param, row.estimate, row.se, row.bound, row.verdict) for row in rows]
+
+
+@pytest.mark.parametrize("k", [-8, 8, 60, -60])
+def test_cov_is_scale_equivariant(k):
+    # the breakpoints times 2^k keep the slopes, so f and g of the index-set sums carry 2^k
+    # exactly, and the covariance, its SE and the bound (the gamma_k carry 4^k) carry 4^k
+    scaled = [(param, estimate * 4.0**k, se * 4.0**k, bound * 4.0**k, verdict)
+              for param, estimate, se, bound, verdict in _cov_columns(0)]
+    assert _cov_columns(k) == scaled
+
+
+@pytest.mark.parametrize("check, k, line", [
+    # the SE squares influence values of about 2^1032: ten VIOLATED rows with SE inf
+    ("cov", 256, "cov SE overflows at I=[6],J=[24] although its f and g values are finite: model scale too large"),
+    # f * g overflows, and numpy's warning escaped cli.run under -W error
+    ("cov", 520, "cov estimate overflows at I=[6],J=[24] although its f and g values are finite: "
+                 "model scale too large"),
+    # the squared influence values underflow: a zero-bound row read VIOLATED on an SE of 0
+    ("cov", -300, "cov SE underflows to 0 at I=[8, 19, 21],J=[5] with a nonzero estimate: model scale too small"),
+    # six DOMINATED rows with SE 0, passing only through the b(n) sigma^2 allowance
+    ("fclt", -300, "fclt SE underflows to 0 at var(0,0.25] with a nonzero estimate: model scale too small"),
+])
+def test_float_range_exits_two(check, k, line, tmp_path, capsys, monkeypatch):
+    # the first case that leaves the float range is refused, on one thread or two
+    argv = ["verify", "--check", check, "--replicates", "2000", "--seed", "0", "--model", _model(k, tmp_path)]
+    if check == "fclt":
+        argv += ["--n", "1024"]
+    for workers in (1, 2):
+        monkeypatch.setattr("weakdep.models._WORKERS", workers)
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n"), workers

@@ -36,7 +36,7 @@ from weakdep import (
 )
 from weakdep.cli import CHECKS, random_cov_cases, run
 from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _cov_se, _ks_distance,
-                            _partial_sums, marginal_transform)
+                            _lipschitz_cov_rows, _partial_sums, marginal_transform)
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -149,6 +149,33 @@ def test_lipschitz_cov_rejects_mismatched_shared_paths():
         check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 6, MCConfig(replicates=100), paths=paths)
     shared = check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, MCConfig(replicates=100), paths=paths)
     assert shared == check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, MCConfig(replicates=100))
+
+
+def test_cov_runner_checks_every_case_before_it_draws(monkeypatch):
+    # the second case's index sets overlap: the runner raises before any path is drawn,
+    # and on a cumulative-sum model the index-set error still comes before the model's
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the cases were checked")
+
+    monkeypatch.setattr("weakdep.models._paths", no_draw)
+    cfg = MCConfig(replicates=100, seed=0)
+    cases = [(IDENTITY_PL, IDENTITY_PL, [1], [2]), (IDENTITY_PL, IDENTITY_PL, [3, 4], [4])]
+    with pytest.raises(ValueError, match="index sets must be disjoint"):
+        _lipschitz_cov_rows(MA11_U, cases, 8, cfg)
+    cumsum = CumSumTransform(coeffs=(1.0, 1.0), transform=Identity(), law=U11)
+    with pytest.raises(ValueError, match="index sets must be disjoint"):
+        check_lipschitz_cov(cumsum, IDENTITY_PL, IDENTITY_PL, [1, 2], [2, 3], 8, cfg)
+    with pytest.raises(ValueError, match="cumulative-sum models are nonstationary"):
+        check_lipschitz_cov(cumsum, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, cfg)
+
+
+def test_cov_nan_in_shared_paths_is_violated():
+    # a NaN in a caller's matrix makes f and g non-finite: the row fails closed, it is not refused
+    cfg = MCConfig(replicates=100, seed=0)
+    paths = replicate_paths(MA11_U, 8, 100, 0)
+    paths[17, 0] = np.nan
+    rep = check_lipschitz_cov(MA11_U, IDENTITY_PL, IDENTITY_PL, [1], [2], 8, cfg, paths=paths)
+    assert math.isnan(rep.estimate) and rep.verdict == VIOLATED
 
 
 def test_lipschitz_cov_deterministic():
