@@ -39,12 +39,12 @@ from .verify import (
     PiecewiseLinear,
     VerificationReport,
     check_empirical_process,
-    _lipschitz_cov_rows,
     check_newman,
     check_quasi_association_counterexample,
     check_tail_domination,
     clt_ks_distance,
     fclt_increment_check,
+    _lipschitz_cov_rows,
     _slln_grid,
     slln_rate_fit,
 )

@@ -265,13 +265,10 @@ def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig
     a time into "f" and "g", and _cov_se uses "work".  Every value is
     row-wise, so a row slice gives the bits of the whole-array expression,
     and the means and the SE are taken over the whole buffers: every row is
-    the bytes of a serial run.  A case whose estimate or SE leaves the float
-    range while its f and g values are finite (the overflow is not warned
-    about, on the thread that computes it), or whose SE underflows to 0
-    under a nonzero estimate, raises ValueError naming the case: such a
-    scale gets no verdict.  A non-finite f or g value, as from a NaN in a
-    shared matrix, still reads VIOLATED.  The first case that raises, in
-    case order, is the one reported.
+    the bytes of a serial run.  An estimate or SE out of the float range
+    under finite f and g values, or an SE of 0 under a nonzero estimate,
+    raises ValueError naming the first such case; a non-finite f or g value
+    (a NaN in a shared matrix) still reads VIOLATED.
     """
     checked = []
     for f_spec, g_spec, index_set_i, index_set_j in cases:
@@ -301,7 +298,7 @@ def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig
                 rows = slice(lo, lo + _COV_SLICE_ROWS)
                 f_vals[rows] = f_spec(x[rows, cols_i].sum(axis=1))
                 g_vals[rows] = g_spec(x[rows, cols_j].sum(axis=1))
-            with np.errstate(over="ignore", invalid="ignore"):  # a number out of range is refused below
+            with np.errstate(over="ignore", invalid="ignore"):  # on this thread: refused below, not warned
                 cov, se = _cov_se(f_vals, g_vals, work)
             param = f"I={I},J={J}"
             if not np.isfinite((cov, se)).all() and np.isfinite(f_vals).all() and np.isfinite(g_vals).all():
