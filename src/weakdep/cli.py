@@ -300,6 +300,7 @@ def _list(spec: str, kind: type, option: str) -> list:
 def _check_cov(model: ModelSpec, cfg: MCConfig, *, n=24, cases=10) -> list[VerificationReport]:
     if n < 2:
         raise ConfigError(f"--n must be at least 2 for two disjoint index sets, got {n}")
+    gamma_sequence(model)  # refuses a cumulative-sum model before its cases are built
     return _lipschitz_cov_rows(model, random_cov_cases(model, n, cases, cfg.seed), n, cfg)
 
 

@@ -19,11 +19,12 @@ model's coefficients and law and never its class, empirical_process_path
 the array of zeta_n values on a grid, and estimate_gamma_operator an
 estimate and its SE; check_empirical_process builds the emp rows from them.
 
-The clt check computes its Kolmogorov distance here (_ks_distance), with
-the same bits as scipy's kstest, so no check imports scipy's stats module,
-which costs about half a second and 46 MB.  scipy.special is imported inside
-the functions that call it (the normal cdf of clt and the exact binomial
-limit), not at the top, so a check that needs neither runs without scipy.
+The clt check computes its Kolmogorov distance here (_ks_distance) from a
+port of scipy's normal cdf (_ndtr), with the same bits as scipy's kstest, so
+clt loads no scipy: scipy.stats costs about half a second and 46 MB, and
+scipy.special about 16 MB.  scipy.special is imported inside the one function
+that calls it (the exact binomial limit of a tail row with 1 to 9
+exceedances), not at the top, so every other check runs without scipy.
 """
 
 from __future__ import annotations
@@ -534,6 +535,64 @@ def clt_bias_allowance(n: int) -> float:
     return 2.0 / math.sqrt(n)
 
 
+# scipy's Cephes ndtr (Cody 1969, Math. Comp. 23; Moshier 1989): the erf rational T/U for |a| / sqrt 2 < 1,
+# the erfc rationals P/Q below 8 and R/S from 8 up, and 0 or 1 past MAXLOG.  The leading 1.0 of U, Q and S
+# is Cephes' p1evl: its first step x + c is 1.0 * x + c in the same bits.
+_NDTR_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+           5.55923013010394962768e4)
+_NDTR_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
+_NDTR_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_NDTR_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
+_NDTR_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_NDTR_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_NDTR_MAXLOG = 7.09782712893383996843e2
+# libm's exp, which scipy's C code calls; numpy's SIMD exp differs from it in the last bit of some values
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def _polevl(x: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """Cephes' polevl: Horner's rule, one rounded multiply and one rounded add a step."""
+    y = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal cdf of a float array, with the bits of scipy.special.ndtr.
+
+    Each lane takes the operations of scipy's C code in its order: the erf
+    rational where |a| / sqrt 2 < 1, else half the erfc rational times
+    exp(-a^2 / 2), and 0 or 1 where a^2 / 2 exceeds MAXLOG or a is infinite.
+    NaN gives NaN.  A lane is computed only in its own branch, so no value
+    overflows and no warning is raised.
+    """
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    out = np.where(x > 0.0, 1.0, 0.0)
+    out[np.isnan(x)] = np.nan
+    small = z < 1.0
+    s = x[small]
+    s2 = s * s
+    out[small] = 0.5 + 0.5 * (s * _polevl(s2, _NDTR_T) / _polevl(s2, _NDTR_U))
+    # past 27, z^2 exceeds MAXLOG anyway: the clip keeps the square finite
+    tail = (z >= 1.0) & (np.square(np.minimum(z, 27.0)) <= _NDTR_MAXLOG)
+    t = z[tail]
+    near = t < 8.0
+    p = np.where(near, _polevl(t, _NDTR_P), _polevl(t, _NDTR_R))
+    q = np.where(near, _polevl(t, _NDTR_Q), _polevl(t, _NDTR_S))
+    y = 0.5 * (_libm_exp(-(t * t)).astype(float) * p / q)
+    out[tail] = np.where(x[tail] > 0.0, 1.0 - y, y)
+    return out
+
+
 def _ks_distance(cdf: np.ndarray) -> float:
     """Two-sided Kolmogorov distance sup |F_emp - F| of a sample to a
     continuous law, from the law's cdf at the sorted sample.
@@ -550,17 +609,16 @@ def _ks_distance(cdf: np.ndarray) -> float:
 def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> list[VerificationReport]:
     """Kolmogorov-Smirnov distance of S_n / sqrt(n) to N(0, sigma^2).
 
-    The distance is computed here by _ks_distance, with the same bits as
-    scipy's kstest(vals, "norm", args=(0, sigma)).statistic.  One row,
+    The distance is computed here by _ks_distance from the normal cdf
+    _ndtr, without scipy, and has the bits of scipy's
+    kstest(vals, "norm", args=(0, sigma)).statistic.  One row,
     passing when the distance is at most the threshold
     1.358 / sqrt(replicates) (the 5% KS critical value) plus the finite-n
     allowance b(n).
     """
-    from scipy.special import ndtr
-
     sigma = math.sqrt(long_run_variance(model))
     vals = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1)) / math.sqrt(n)
-    ks = _ks_distance(ndtr(np.sort(vals) / sigma))
+    ks = _ks_distance(_ndtr(np.sort(vals) / sigma))
     threshold = 1.358 / math.sqrt(cfg.replicates) + clt_bias_allowance(n)
     return [make_report("clt", f"n={n}", ks, 0.0, threshold, ks <= threshold, cfg)]
 

@@ -650,6 +650,16 @@ def test_check_refuses_a_model_before_it_draws_a_path(tmp_path, capsys, monkeypa
         assert capsys.readouterr() == ("", err), (check, name)
 
 
+def test_cov_refuses_a_cumulative_sum_model_before_it_builds_cases(tmp_path, capsys, monkeypatch):
+    def no_cases(*args):
+        raise AssertionError("the cov cases were built before the model was refused")
+
+    monkeypatch.setattr("weakdep.cli.random_cov_cases", no_cases)
+    argv = ["verify", "--check", "cov", "--model", _refused_models(tmp_path)("bump"), "--cases", "20000"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", NONSTATIONARY)
+
+
 def test_verify_fails_closed(tmp_path):
     # a NaN estimate and bound never pass (the CLI exits 2 on --t-grid nan
     # before reaching one: test_usage_errors)

@@ -46,11 +46,11 @@ def run_fresh(argvs):
 
 
 def test_cli_import_and_numpy_only_checks_load_no_scipy(tmp_path):
-    # every command but clt runs on ma11 without scipy, at its defaults where it has them
+    # every command runs on ma11 without scipy, at its defaults where it has them
     model = tmp_path / "ma11.json"
     model.write_text(model_to_json(MODELS["ma11"]))
     common = ["--model", str(model), "--out", os.devnull]
-    checks = [["verify", "--check", check, *common, "--replicates", "300"] for check in CHECKS if check != "clt"]
+    checks = [["verify", "--check", check, *common, "--replicates", "300"] for check in CHECKS]
     result = run_fresh([
         ["--list-checks"],
         ["coeffs", *common],
@@ -63,10 +63,10 @@ def test_cli_import_and_numpy_only_checks_load_no_scipy(tmp_path):
 
 
 def test_deferred_scipy_imports_run_cold(tmp_path):
-    # the golden clt case imports scipy.special, the golden decompose-bump case
+    # the golden clt case loads no scipy module, the golden decompose-bump case
     # scipy.integrate and scipy.special; each runs in its own interpreter, and
     # cold its bytes are the pinned ones; neither loads scipy.stats
-    for case, needs in (("clt", {"scipy.special"}), ("decompose-bump", {"scipy.integrate", "scipy.special"})):
+    for case, needs in (("clt", set()), ("decompose-bump", {"scipy.integrate", "scipy.special"})):
         name, argv, code, digest = CASES[case]
         model, out = tmp_path / f"{case}.json", tmp_path / f"{case}.csv"
         model.write_text(model_to_json(MODELS[name]))
@@ -76,6 +76,8 @@ def test_deferred_scipy_imports_run_cold(tmp_path):
         after_import, after_run = result["loaded"]
         assert not after_import and needs <= set(after_run), case
         assert "scipy.stats" not in after_run, case
+        if not needs:
+            assert after_run == [], case
 
 
 def test_exact_binomial_limit_loads_no_scipy_stats(tmp_path):

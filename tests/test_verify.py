@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -36,7 +37,7 @@ from weakdep import (
 )
 from weakdep.cli import CHECKS, random_cov_cases, run
 from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _cov_se, _ks_distance,
-                            _lipschitz_cov_rows, _partial_sums, marginal_transform)
+                            _lipschitz_cov_rows, _ndtr, _partial_sums, marginal_transform)
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -512,7 +513,7 @@ def ks_samples(draw):
 def test_ks_distance_is_scipys_kstest_statistic(x, log_sigma):
     sigma = 10.0 ** log_sigma
     with np.errstate(over="ignore"):  # a huge value over a small sigma is inf on both sides
-        ours = _ks_distance(ndtr(np.sort(x) / sigma))
+        ours = _ks_distance(_ndtr(np.sort(x) / sigma))
         theirs = float(kstest(x, "norm", args=(0.0, sigma)).statistic)
     if np.isnan(x).any():
         # a NaN sample has no distance, and its clt row fails closed
@@ -520,6 +521,19 @@ def test_ks_distance_is_scipys_kstest_statistic(x, log_sigma):
         assert make_report("clt", "n=1", ours, 0.0, 1.0, ours <= 1.0, MCConfig()).verdict != DOMINATED
     else:
         assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (ours, theirs)
+
+
+def test_ndtr_port_has_scipys_bits():
+    # draws, the float neighbours of |a| = sqrt 2, 8 sqrt 2 and sqrt(2 MAXLOG), where the
+    # branch changes, dense draws just past each, and the special values; no lane warns
+    rng = np.random.default_rng(32)
+    edges = np.sqrt(2.0 * np.array([1.0, 64.0, math.log(sys.float_info.max)]))
+    neighbours = (edges.view(np.int64)[:, None] + np.arange(-200, 201)).view(np.float64).ravel()
+    past = (edges[:, None] * (1.0 + rng.uniform(0.0, 1e-6, (3, 20_000)))).ravel()
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+    a = np.concatenate([rng.standard_normal(1_000_000), rng.uniform(-45.0, 45.0, 1_000_000),
+                        neighbours, -neighbours, past, -past, special])
+    assert np.array_equal(_ndtr(a).view(np.uint64), ndtr(a).view(np.uint64))
 
 
 def test_clt_rejects_nonstationary():
