@@ -22,9 +22,9 @@ estimate and its SE; check_empirical_process builds the emp rows from them.
 The clt check computes its Kolmogorov distance here (_ks_distance) from a
 port of scipy's normal cdf (_ndtr), with the same bits as scipy's kstest, so
 clt loads no scipy: scipy.stats costs about half a second and 46 MB, and
-scipy.special about 16 MB.  scipy.special is imported inside the one function
+scipy.special about 18 MB.  scipy.special is imported inside the one function
 that calls it (the exact binomial limit of a tail row with 1 to 9
-exceedances), not at the top, so every other check runs without scipy.
+exceedances), not at the top, so no other code of this module loads scipy.
 """
 
 from __future__ import annotations
