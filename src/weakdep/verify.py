@@ -571,8 +571,8 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
     Each lane takes the operations of scipy's C code in its order: the erf
     rational where |a| / sqrt 2 < 1, else half the erfc rational times
     exp(-a^2 / 2), and 0 or 1 where a^2 / 2 exceeds MAXLOG or a is infinite.
-    NaN gives NaN.  A lane is computed only in its own branch, so no value
-    overflows and no warning is raised.
+    NaN gives NaN.  Only finite lanes with a^2 / 2 at most MAXLOG reach the
+    rationals and exp, so no value overflows and no warning is raised.
     """
     x = a * math.sqrt(0.5)
     z = np.abs(x)
