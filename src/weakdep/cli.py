@@ -241,6 +241,10 @@ def _cmd_coeffs(args) -> int:
     g, v = np.zeros(args.n_max), np.zeros(args.n_max)
     g[:known] = gamma.values[:known]
     v[:known] = [gamma.tail_sum(k) for k in range(1, known + 1)]
+    if (bad := np.flatnonzero(~(np.isfinite(g) & np.isfinite(v)))).size:
+        k = int(bad[0])
+        raise ConfigError(f"coefficient table overflows at k={k + 1}: gamma_k = {g[k]:g}, v(k) = {v[k]:g}; "
+                          "model scale too large")
     _write_or_print(_csv_text(("k", "gamma", "v"), (range(1, args.n_max + 1), g, v)), args.out)
     return 0
 

@@ -83,10 +83,15 @@ def long_run_variance(model: ModelSpec) -> float:
 
     A value that is not finite and positive is an error, not a value, and
     the error says why: coefficients whose exact sum (fsum, so in any order)
-    is 0, or a positive sigma^2 that underflows to 0 or overflows.  Every
-    law has positive variance, so a law variance of 0.0 has underflowed too.
+    is 0, a partial sum of the coefficients or a positive sigma^2 that
+    overflows, or a sigma^2 that underflows to 0.  Every law has positive
+    variance, so a law variance of 0.0 has underflowed too.
     """
-    total = math.fsum(_stationary(model).coeffs)
+    try:
+        total = math.fsum(_stationary(model).coeffs)
+    except OverflowError:
+        raise ValueError("long-run variance overflows: a partial sum of the coefficients exceeds the largest "
+                         "float") from None
     if total == 0:
         raise ValueError("degenerate model: the coefficients sum to 0, so the long-run variance is 0")
     variance = model.law.variance

@@ -371,6 +371,15 @@ def almost_sure_bound(model: ModelSpec) -> float:
     return max(abs(lo), abs(hi)) * sum(abs(c) for c in model.coeffs)
 
 
+def _refuse_unbounded(model: ModelSpec) -> None:
+    """ValueError for a stationary model whose almost-sure bound is not a
+    finite float: its path can leave the float range, so it is refused before
+    any draw.  A cumulative-sum model is not checked."""
+    if not isinstance(model, CumSumTransform) and not math.isfinite(bound := almost_sure_bound(model)):
+        raise ValueError(f"model path can leave the float range: its almost-sure bound max |xi| * sum |a_j| "
+                         f"is {bound:g}")
+
+
 @lru_cache(maxsize=64)
 def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
     """E g(sum_{i<=m} coeffs[i] xi_i) for m = 1..n."""
@@ -465,10 +474,12 @@ def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     The generator streams innovations in a fixed order, so the path for n
     is a prefix of the path for any larger n at the same seed.  A moving
     average of order p burns in p - 1 pre-sample innovations so index 1
-    already has the stationary law.
+    already has the stationary law.  A stationary model whose almost-sure
+    bound is not finite raises ValueError before the draw.
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
+    _refuse_unbounded(model)
     return _paths(model, n, 1, np.random.default_rng(seed), {})[0]
 
 
@@ -483,7 +494,8 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     (model, n, seed, r) only, never on the number of replicates.  reduce
     maps each (rows, n) block to an array with one row per path, written
     into one preallocated output; reduce None returns the (replicates, n)
-    path matrix.
+    path matrix.  A stationary model whose almost-sure bound is not finite
+    raises ValueError before any chunk is drawn.
 
     Chunk 0 is drawn first, on the calling thread; the other chunks are
     split by _on_row_blocks into contiguous runs on W = min(2,
@@ -503,6 +515,7 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
         raise ValueError(f"path length must be >= 1, got {n}")
     if replicates < 1:
         raise ValueError(f"need at least 1 replicate, got {replicates}")
+    _refuse_unbounded(model)
     width = max(1, REPLICATE_BLOCK_VALUES // n)
     chunks = -(-replicates // width)
 

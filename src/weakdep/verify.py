@@ -5,11 +5,15 @@ Every check is a pure function of (model, config, seed): it reads its
 replicates from models.replicate_paths, whose row r is replicate r of
 the keyed, chunked stream reduced by the check's row-wise reduction, so
 a row never depends on the number of replicates drawn; check_newman
-forms the phases of every t in one reused complex buffer, over row blocks
-on the threads of the draw (models._on_row_blocks), and _lipschitz_cov_rows,
-the one cov runner that check_lipschitz_cov and verify --check cov call,
-checks its cases on those threads a row slice at a time, in three length-R
-buffers per thread.  Every check returns VerificationReport rows built by
+forms the phases of every t in one reused complex buffer, from real cos
+and sin (_phases), over row blocks on the threads of the draw
+(models._on_row_blocks), and _lipschitz_cov_rows, the one cov runner that
+check_lipschitz_cov and verify --check cov call, checks its cases on those
+threads a row slice at a time, in three length-R buffers per thread, its
+index-set sums column adds (_index_set_sums) and its PiecewiseLinear
+segments comparisons.  Each of these kernels gives the bits of the general
+numpy call (complex exp, a fancy-index row sum, searchsorted) at less
+cost.  Every check returns VerificationReport rows built by
 make_report, the one place a verdict is assigned; the pass rule of each
 check lives with the check.
 
@@ -177,7 +181,11 @@ class PiecewiseLinear:
     sorted breakpoints (len(slopes) = len(breakpoints) + 1); the exact
     Lipschitz norm is max |slope|.  The values at the breakpoints (the
     knots) are integrated once, when the function is built, so a call is
-    numpy work only and a call per row slice costs no Python loop.
+    numpy work only and a call per row slice costs no Python loop over the
+    values.  A call counts the breakpoints at or below x with comparisons,
+    np.searchsorted(breakpoints, x, "right") at less cost: the count over
+    breakpoints[1:] indexes the knot x is measured from, and x >=
+    breakpoints[0] adds one for its segment.  A NaN x gives NaN.
     """
 
     breakpoints: tuple[float, ...]
@@ -217,9 +225,12 @@ class PiecewiseLinear:
         if bp.size == 0:
             out = sl[0] * x
             return out if x.shape else float(out)
-        seg = np.searchsorted(bp, x, side="right")
-        anchor_idx = np.clip(seg - 1, 0, bp.size - 1)
-        out = self._knots[anchor_idx] + sl[seg] * (x - bp[anchor_idx])
+        # anchor: how many of bp[1:] lie at or below x; seg: how many of bp do
+        anchor = np.zeros(x.shape, dtype=np.intp)
+        for b in self.breakpoints[1:]:
+            anchor += x >= b
+        seg = anchor + (x >= self.breakpoints[0])
+        out = self._knots[anchor] + sl[seg] * (x - bp[anchor])
         return out if x.shape else float(out)
 
 
@@ -231,6 +242,19 @@ class PiecewiseLinear:
 # rows of the path matrix whose index-set sums and f, g values a cov case
 # forms at once: the temporaries of a slice stay this many rows long
 _COV_SLICE_ROWS = 12_500
+
+
+def _index_set_sums(x: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """The row sums of x over the columns cols: a copy of the first column
+    plus each further one in index order.  The sum of each row is therefore
+    sequential, as numpy's x[:, cols].sum(axis=1) is for two rows or more;
+    numpy sums a single row of 8 or more columns pairwise instead, which
+    would give a one-row slice other bits.  A column is read in place, so no
+    (rows, len(cols)) gather is built."""
+    sums = x[:, cols[0]].copy()
+    for c in cols[1:]:
+        sums += x[:, c]
+    return sums
 
 
 def check_lipschitz_cov(
@@ -262,9 +286,12 @@ def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig
     bounds computed, before the one draw of the paths (or the shape check of
     the shared matrix).  The cases run in contiguous runs on the threads of
     models._on_row_blocks, each thread with its own three length-R buffers:
-    a case forms its index-set sums and f, g of them _COV_SLICE_ROWS rows at
-    a time into "f" and "g", and _cov_se uses "work".  Every value is
-    row-wise, so a row slice gives the bits of the whole-array expression,
+    a case forms its index-set sums (_index_set_sums) and f, g of them
+    _COV_SLICE_ROWS rows at a time into "f" and "g", and _cov_se uses
+    "work".  Every value is row-wise, and each row's index-set sum is
+    sequential in every slice, one row long or not, as numpy's
+    x[:, cols].sum(axis=1) is over the whole matrix, so a row slice gives
+    the bits of the whole-array expression,
     and the means and the SE are taken over the whole buffers: every row is
     the bytes of a serial run.  An estimate or SE out of the float range
     under finite f and g values, or an SE of 0 under a nonzero estimate,
@@ -294,11 +321,11 @@ def _lipschitz_cov_rows(model: ModelSpec, cases: Sequence, n: int, cfg: MCConfig
         f_vals, g_vals, work = own["f"], own["g"], own["work"]
         for k in range(run.start, run.stop):
             f_spec, g_spec, I, J = checked[k]
-            cols_i, cols_j = np.asarray(I) - 1, np.asarray(J) - 1
+            cols_i, cols_j = [i - 1 for i in I], [j - 1 for j in J]
             for lo in range(0, len(x), _COV_SLICE_ROWS):
                 rows = slice(lo, lo + _COV_SLICE_ROWS)
-                f_vals[rows] = f_spec(x[rows, cols_i].sum(axis=1))
-                g_vals[rows] = g_spec(x[rows, cols_j].sum(axis=1))
+                f_vals[rows] = f_spec(_index_set_sums(x[rows], cols_i))
+                g_vals[rows] = g_spec(_index_set_sums(x[rows], cols_j))
             with np.errstate(over="ignore", invalid="ignore"):  # on this thread: refused below, not warned
                 cov, se = _cov_se(f_vals, g_vals, work)
             param = f"I={I},J={J}"
@@ -344,6 +371,25 @@ def check_tail_domination(
 # ---------------------------------------------------------------------------
 
 
+def _phases(t: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i t x) of the float array x, written into the complex array out of
+    its shape, with the bits of np.exp(np.multiply(1j * t, x)).
+
+    With 1j * t = (r, s), r a zero of t's sign, that product of a finite x
+    is (+-0, s x + r 0), and the complex exp of (+-0, y) is (cos y, sin y).
+    So y is formed in the real part of out (the + r 0 keeps the product's
+    sign of zero: s x = -0 becomes +0 when r is +0), its sine written into
+    the imaginary part and its cosine over it: real cos and sin cost less
+    than complex exp, and take no temporary.
+    """
+    it = 1j * t
+    y = np.multiply(it.imag, x, out=out.real)
+    y += it.real * 0.0
+    np.sin(y, out=out.imag)
+    np.cos(y, out=out.real)
+    return out
+
+
 def check_newman(
     model: ModelSpec,
     n: int,
@@ -377,8 +423,7 @@ def check_newman(
     for t, bound in zip(t_grid, bounds):
 
         def phase_products(rows: slice, own: dict) -> None:
-            block = np.exp(np.multiply(1j * t, x[rows], out=phases[rows]), out=phases[rows])
-            np.prod(block, axis=1, out=joint[rows])
+            np.prod(_phases(t, x[rows], phases[rows]), axis=1, out=joint[rows])
 
         def marginal_ratio_sums(rows: slice, own: dict) -> None:
             block = np.divide(phases[rows], marg_means, out=phases[rows])

@@ -74,3 +74,16 @@ def parse_grid(start: float, stop: float, step: float, max_points: int) -> list[
             return out
         out.append(min(x, stop))
     return None
+
+
+def piecewise_linear(f, x):
+    """The searchsorted evaluation of verify.PiecewiseLinear that its comparison counts replaced,
+    kept as their bit-for-bit reference: the segment is the number of breakpoints at or below x,
+    and the knot is the one before it, clipped to the first."""
+    x = np.asarray(x, dtype=float)
+    bp, sl = np.asarray(f.breakpoints), np.asarray(f.slopes)
+    if bp.size == 0:
+        return sl[0] * x
+    seg = np.searchsorted(bp, x, side="right")
+    anchor = np.clip(seg - 1, 0, bp.size - 1)
+    return f._knots[anchor] + sl[seg] * (x - bp[anchor])

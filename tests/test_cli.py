@@ -479,6 +479,50 @@ def test_verify_newman_bound_overflow_exits_two(k, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
+def _model_file(tmp_path, coeffs, halfwidth=1.0):
+    path = tmp_path / "scaled.json"
+    path.write_text(model_to_json(MovingAverage(coeffs=coeffs, law=UniformOnInterval(-halfwidth, halfwidth))))
+    return str(path)
+
+
+UNBOUNDED = "error: model path can leave the float range: its almost-sure bound max |xi| * sum |a_j| is inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--check", "cov", "--replicates", "200"],
+    ["verify", "--check", "emp", "--n", "256", "--replicates", "200"],
+    ["decompose", "--n", "8", "--p", "2"],
+], ids=["cov", "emp", "decompose"])
+def test_model_whose_path_can_leave_the_float_range_exits_two(argv, tmp_path, capsys, monkeypatch):
+    # on (1e308, 1e308) cov printed numpy's overflow in add and ten VIOLATED rows of nan, emp
+    # DOMINATED rows and decompose inf blocks with exit 0: the model is refused before any draw
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the model was refused")
+
+    monkeypatch.setattr("weakdep.models._paths", no_draw)
+    assert run([*argv, "--model", _model_file(tmp_path, (1e308, 1e308))]) == 2
+    assert capsys.readouterr() == ("", UNBOUNDED)
+
+
+@pytest.mark.parametrize("check", ["clt", "slln", "fclt"])
+def test_long_run_variance_overflow_in_the_coefficient_sum_names_itself(check, tmp_path, capsys):
+    # fsum's partial sum of (1e308, 1e308) overflows: this printed "intermediate overflow in fsum"
+    assert run(["verify", "--check", check, "--replicates", "200", "--model", _model_file(tmp_path, (1e308, 1e308))]) == 2
+    line = "long-run variance overflows: a partial sum of the coefficients exceeds the largest float"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+def test_coeffs_exits_two_when_a_coefficient_is_not_finite(tmp_path, capsys):
+    # gamma_1 of (2^600, 2^600) is 2^1200 / 3, past the largest float: this printed 1,inf,inf
+    assert run(["coeffs", "--n-max", "2", "--model", _model_file(tmp_path, (2.0**600, 2.0**600))]) == 2
+    line = "coefficient table overflows at k=1: gamma_k = inf, v(k) = inf; model scale too large"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    # finite gamma_1 and gamma_2 whose tail sum v(1) overflows are refused at k = 1 too
+    assert run(["coeffs", "--n-max", "3", "--model", _model_file(tmp_path, (2.0**500,) * 3, 1.1 * 2.0**12)]) == 2
+    line = "coefficient table overflows at k=1: gamma_k = 1.45014e+308, v(k) = inf; model scale too large"
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_verify_exit_one_when_check_fails(iid_model):
     # a quasi scan on a grid too narrow to contain the violation reports
     # VIOLATED, and the CLI surfaces that as exit code 1

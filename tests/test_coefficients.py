@@ -140,6 +140,15 @@ def test_long_run_variance_degenerate_rejected():
         assert long_run_variance(MovingAverage(coeffs=coeffs, law=U11)) == 3.333333333333334e-35
 
 
+def test_long_run_variance_coefficient_sum_overflow_is_its_own_error():
+    # fsum raises OverflowError("intermediate overflow in fsum") on a partial sum past the float range
+    for coeffs in ((1e308, 1e308), (1e308, 1e308, -1e308)):
+        with pytest.raises(ValueError) as caught:
+            long_run_variance(MovingAverage(coeffs=coeffs, law=U11))
+        assert str(caught.value) == ("long-run variance overflows: a partial sum of the coefficients exceeds the "
+                                     "largest float")
+
+
 def test_gamma_validation():
     with pytest.raises(ValueError):
         FiniteGamma(values=(-0.1,))

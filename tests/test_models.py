@@ -474,6 +474,27 @@ def test_replicate_paths_rejects_bad_arguments():
         replicate_paths(IID(U11), 8, 10, 0, lambda x: x.sum())
 
 
+@pytest.mark.parametrize("coeffs", [(1e308, 1e308), (1e308, -1e308, 1e308), (1.0, 2.0**1023, 2.0**1023)])
+def test_path_that_can_leave_the_float_range_is_refused_before_the_draw(coeffs, monkeypatch):
+    # the almost-sure bound max |xi| * sum |a_j| is inf: no path is drawn
+    model = MovingAverage(coeffs=coeffs, law=U11)
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the model was refused")
+
+    monkeypatch.setattr("weakdep.models._paths", no_draw)
+    assert almost_sure_bound(model) == math.inf
+    for draw in (lambda: sample_path(model, 8, 0), lambda: replicate_paths(model, 8, 10, 0)):
+        with pytest.raises(ValueError, match="model path can leave the float range"):
+            draw()
+
+
+def test_largest_finite_bound_still_draws():
+    # 2^520 coefficients bound the path by 2^521, far inside the float range
+    model = MovingAverage(coeffs=(2.0**520, 2.0**520), law=U11)
+    assert almost_sure_bound(model) == 2.0**521
+    assert np.isfinite(replicate_paths(model, 8, 10, 0)).all() and np.isfinite(sample_path(model, 8, 0)).all()
+
+
 def test_ma_stationarity_pooled_covariance():
     # pooled empirical lag covariance vs closed form, 1e5 replicates
     model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)

@@ -36,8 +36,10 @@ from weakdep import (
     slln_rate_fit,
 )
 from weakdep.cli import CHECKS, random_cov_cases, run
-from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _cov_se, _ks_distance,
-                            _lipschitz_cov_rows, _ndtr, _partial_sums, marginal_transform)
+from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _cov_se, _index_set_sums,
+                            _ks_distance, _lipschitz_cov_rows, _ndtr, _partial_sums, _phases, marginal_transform)
+
+import oracles
 
 U11 = UniformOnInterval(-1.0, 1.0)
 MA11_U = MovingAverage(coeffs=(1.0, 1.0), law=U11)
@@ -214,6 +216,66 @@ def test_cov_row_slices_give_whole_array_bits(slice_rows, monkeypatch):
     monkeypatch.setattr("weakdep.verify._COV_SLICE_ROWS", slice_rows)
     rep = check_lipschitz_cov(MA3_U, f, g, [2, 3], [5], 8, cfg, paths=x)
     assert (rep.estimate, rep.se) == (abs(cov), se)
+
+
+def test_cov_one_row_last_slice_gives_whole_array_bits():
+    # 12,501 replicates leave one row for the last slice, and numpy sums a one-row gather of 8
+    # or more columns pairwise, while it sums the rows of the whole matrix sequentially: the
+    # estimate read 0.0724254278275676 against the whole-array 0.07242542782756758
+    cfg = MCConfig(replicates=12_501, seed=53)
+    f = PiecewiseLinear(breakpoints=(0.1,), slopes=(1.0, -0.7))
+    g = PiecewiseLinear(breakpoints=(), slopes=(1.3,))
+    I, J = list(range(1, 13)), list(range(14, 25))
+    x = replicate_paths(MA3_U, 24, cfg.replicates, cfg.seed)
+    cov, se = _cov_se(f(x[:, np.asarray(I) - 1].sum(axis=1)), g(x[:, np.asarray(J) - 1].sum(axis=1)))
+    rep = check_lipschitz_cov(MA3_U, f, g, I, J, 24, cfg)
+    assert (rep.estimate, rep.se) == (abs(cov), se)
+    assert rep.estimate == 0.07242542782756758
+
+
+@pytest.mark.parametrize("rows", [7, 1000, 12_500])
+def test_index_set_sums_are_the_fancy_index_sums(rows):
+    # a column copy plus column adds in index order: the bits of numpy's sum of the gathered
+    # (rows, k) block, which is sequential along its short axis for two rows or more
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(rows + 5, 24)) * 10.0 ** rng.uniform(-6, 6, size=(rows + 5, 24))
+    block = x[3 : 3 + rows]
+    for k in range(1, 25):
+        cols = sorted(int(c) for c in rng.permutation(24)[:k])
+        expected = block[:, cols].sum(axis=1)
+        assert _index_set_sums(block, cols).tobytes() == expected.tobytes(), k
+
+
+@pytest.mark.parametrize("breakpoints", [(), (0.3,), (-0.5, 0.5), (-1.0, 0.0, 2.5), (-2.0, -1.0, 0.25, 1.5)])
+def test_piecewise_linear_matches_searchsorted_reference(breakpoints):
+    # breakpoint counts give the segment and the knot: every value, at each breakpoint, its
+    # float neighbours, at +-inf and NaN, has the bits of the searchsorted evaluation
+    rng = np.random.default_rng(len(breakpoints))
+    slopes = tuple(rng.choice([-1.0, 1.0], len(breakpoints) + 1) * rng.uniform(0.1, 2.0, len(breakpoints) + 1))
+    f = PiecewiseLinear(breakpoints=breakpoints, slopes=slopes)
+    bp = np.asarray(breakpoints)
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 10_000), bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    got, expected = f(x), oracles.piecewise_linear(f, x)
+    nan = np.isnan(expected)
+    assert nan.sum() == 1 and np.isnan(got[nan]).all()
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+    for b in breakpoints:
+        assert f(b) == float(oracles.piecewise_linear(f, b))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, -0.25, 1.0, 3.0, 1e3])
+def test_phases_are_the_complex_exp_bits(t):
+    # real cos and sin of the product's imaginary part, written into the views of a row block
+    # of a bigger buffer, give np.exp(np.multiply(1j * t, x)) bit for bit, signed zeros included
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1.0, 1.0], 1_000_000) * 10.0 ** rng.uniform(-3.0, 300.0, 1_000_000)
+    x[:7] = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0)
+    x = x.reshape(-1, 8)
+    out = np.empty((len(x) + 3, 8), dtype=complex)[3:]
+    expected = np.exp(np.multiply(1j * t, x))
+    assert _phases(t, x, out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("model", [MA11_U, MA3_U])
