@@ -485,33 +485,6 @@ def _model_file(tmp_path, coeffs, halfwidth=1.0):
     return str(path)
 
 
-UNBOUNDED = "error: model path can leave the float range: its almost-sure bound max |xi| * sum |a_j| is inf\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--check", "cov", "--replicates", "200"],
-    ["verify", "--check", "emp", "--n", "256", "--replicates", "200"],
-    ["decompose", "--n", "8", "--p", "2"],
-], ids=["cov", "emp", "decompose"])
-def test_model_whose_path_can_leave_the_float_range_exits_two(argv, tmp_path, capsys, monkeypatch):
-    # on (1e308, 1e308) cov printed numpy's overflow in add and ten VIOLATED rows of nan, emp
-    # DOMINATED rows and decompose inf blocks with exit 0: the model is refused before any draw
-    def no_draw(*args):
-        raise AssertionError("a path was drawn before the model was refused")
-
-    monkeypatch.setattr("weakdep.models._paths", no_draw)
-    assert run([*argv, "--model", _model_file(tmp_path, (1e308, 1e308))]) == 2
-    assert capsys.readouterr() == ("", UNBOUNDED)
-
-
-@pytest.mark.parametrize("check", ["clt", "slln", "fclt"])
-def test_long_run_variance_overflow_in_the_coefficient_sum_names_itself(check, tmp_path, capsys):
-    # fsum's partial sum of (1e308, 1e308) overflows: this printed "intermediate overflow in fsum"
-    assert run(["verify", "--check", check, "--replicates", "200", "--model", _model_file(tmp_path, (1e308, 1e308))]) == 2
-    line = "long-run variance overflows: a partial sum of the coefficients exceeds the largest float"
-    assert capsys.readouterr() == ("", f"error: {line}\n")
-
-
 def test_coeffs_exits_two_when_a_coefficient_is_not_finite(tmp_path, capsys):
     # gamma_1 of (2^600, 2^600) is 2^1200 / 3, past the largest float: this printed 1,inf,inf
     assert run(["coeffs", "--n-max", "2", "--model", _model_file(tmp_path, (2.0**600, 2.0**600))]) == 2
@@ -655,10 +628,15 @@ NONSTATIONARY = ("error: cumulative-sum models are nonstationary: only iid and m
                  "a long-run variance, an almost-sure bound and a marginal law\n")
 
 
+UNBOUNDED = "error: model path can leave the float range: its almost-sure bound max |xi| * sum |a_j| is inf\n"
+
+
 def _refused_models(tmp_path):
-    """The model files of the refusal cases: the bump model, IID(Rademacher()) and the zero-sum MA(1, -1)."""
+    """The model files of the refusal cases: the bump model, IID(Rademacher()), the zero-sum MA(1, -1) and
+    MA(1e308, 1e308), whose path can leave the float range."""
     files = {"bump": CumSumTransform(coeffs=(1.0, 1.0), transform=GaussBumpPlusX(2.0), law=TruncatedGaussian(1.5)),
-             "rademacher": IID(Rademacher()), "zero-sum": MovingAverage(coeffs=(1.0, -1.0), law=UniformOnInterval(-1, 1))}
+             "rademacher": IID(Rademacher()), "zero-sum": MovingAverage(coeffs=(1.0, -1.0), law=UniformOnInterval(-1, 1)),
+             "unbounded": MovingAverage(coeffs=(1e308, 1e308), law=UniformOnInterval(-1, 1))}
     for name, model in files.items():
         (tmp_path / f"{name}.json").write_text(model_to_json(model))
     return lambda name: str(tmp_path / f"{name}.json")
@@ -688,10 +666,21 @@ def test_check_refuses_a_model_before_it_draws_a_path(tmp_path, capsys, monkeypa
     zero_sum = "error: degenerate model: the coefficients sum to 0, so the long-run variance is 0\n"
     cases = [(check, "bump", NONSTATIONARY) for check in ("cov", "tail", "newman", "slln", "clt", "fclt", "emp")]
     cases += [("emp", "rademacher", discrete)] + [(check, "zero-sum", zero_sum) for check in ("slln", "clt", "fclt")]
+    # on MA(1e308, 1e308) cov printed numpy's overflow in add and ten VIOLATED rows of nan, emp DOMINATED
+    # rows, and the checks that need sigma^2 "error: intermediate overflow in fsum" (tail: "d_n overflows")
+    lrv_overflow = "error: long-run variance overflows: a partial sum of the coefficients exceeds the largest float\n"
+    cases += [(check, "unbounded", UNBOUNDED) for check in ("cov", "emp")]
+    cases += [(check, "unbounded", lrv_overflow) for check in ("tail", "slln", "clt", "fclt")]
     for check, name, err in cases:
         capsys.readouterr()
         assert run(["verify", "--check", check, "--model", model(name), "--replicates", "100"]) == 2, (check, name)
         assert capsys.readouterr() == ("", err), (check, name)
+
+
+def test_decompose_refuses_a_path_that_can_leave_the_float_range(tmp_path, capsys):
+    # this printed inf blocks and z_odd=inf with exit 0
+    assert run(["decompose", "--n", "8", "--p", "2", "--model", _refused_models(tmp_path)("unbounded")]) == 2
+    assert capsys.readouterr() == ("", UNBOUNDED)
 
 
 def test_cov_refuses_a_cumulative_sum_model_before_it_builds_cases(tmp_path, capsys, monkeypatch):
