@@ -7,13 +7,17 @@ and their JSON schema.  The i.i.d. model is the order-one moving average
 X_t = 1 xi_t: one filter draws both, and one formula gives their
 coefficients and bounds.  Every generated variable is centered; paths
 are arrays, deterministic functions of (model, n, seed) and
-prefix-consistent in n.  replicate_paths is the one producer of
-replicate paths: it draws them in chunks of
-max(1, REPLICATE_BLOCK_VALUES // n) paths, time-major, from one
-generator per chunk keyed by SeedSequence(seed, spawn_key=(chunk,)), on
-a fixed min(2, os.cpu_count()) threads with rows bit-identical to a
-serial draw; its reduce must therefore be thread-safe.  _on_row_blocks
-splits rows over those threads and gives each thread its own buffers.
+prefix-consistent in n.  One chunk runner, _run_chunks, draws every
+replicate: chunks of max(1, REPLICATE_BLOCK_VALUES // n) paths,
+time-major, from one generator per chunk keyed by
+SeedSequence(seed, spawn_key=(chunk,)), on a fixed min(2, os.cpu_count())
+threads with rows bit-identical to a serial draw.  It serves two
+producers of the same replicates: replicate_paths, the paths through the
+filter _paths, reduced row by row by a reduce that must therefore be
+thread-safe, and _replicate_sums, the partial sums of a moving average at
+chosen ends, which _path_sums reads off running sums of the innovations
+without forming a path.  _on_row_blocks splits rows over those threads
+and gives each thread its own buffers.
 
 scipy is imported inside the functions that call it (the quadrature and
 the truncated-Gaussian law), not at the top: importing scipy.integrate and
@@ -38,7 +42,7 @@ SCHEMA_VERSION = 1
 
 QUAD_REL_TOL = 1e-10
 
-# largest number of path values replicate_paths builds at once
+# largest number of path values in one chunk of replicates (paths times their length)
 REPLICATE_BLOCK_VALUES = 2**16
 
 # threads that share the rows of one _on_row_blocks call, the caller
@@ -107,6 +111,8 @@ class UniformOnInterval:
     b: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"uniform interval needs finite ends, got [{self.a}, {self.b}]")
         if not self.b > self.a:
             raise ValueError(f"uniform interval needs b > a, got [{self.a}, {self.b}]")
 
@@ -116,7 +122,8 @@ class UniformOnInterval:
 
     @property
     def variance(self) -> float:
-        return (self.b - self.a) ** 2 / 12.0
+        # a product, not ** 2: a float power that overflows raises OverflowError, a product gives inf
+        return (self.b - self.a) * (self.b - self.a) / 12.0
 
     @property
     def support(self) -> tuple[float, float]:
@@ -467,6 +474,57 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     return paths
 
 
+@lru_cache(maxsize=16)
+def _sum_plan(p: int, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index plan of _path_sums for a moving average of order p, built once per (p, ends).
+
+    The running sum C of the innovations is read at the sorted indices K =
+    {e + p - 1 - j} and {p - 2 - j} for the ends e and j < p; starts are the
+    np.add.reduceat starts of the segments [0, K_0], (K_0, K_1], ..., so
+    row i of the running sum of the segment sums is C[K_i].  hi[j] holds
+    the rows of C[e + p - 1 - j], one per end, and lo[j] the row of
+    C[p - 2 - j] (p - 1 entries: C[-1] = 0 is not read).  All read-only.
+    """
+    tops = [np.asarray(ends) + (p - 1 - j) for j in range(p)]
+    keys = np.unique(np.concatenate([*tops, np.arange(p - 1)]))
+    starts = np.concatenate(([0], keys[:-1] + 1))
+    hi = np.searchsorted(keys, tops)
+    lo = np.searchsorted(keys, np.arange(p - 2, -1, -1))
+    for array in (starts, hi, lo):
+        array.flags.writeable = False
+    return starts, hi, lo
+
+
+def _path_sums(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scratch: dict,
+               ends: tuple[int, ...]) -> np.ndarray:
+    """The partial sums S_e = X_0 + ... + X_e at the sorted ends of width
+    moving-average paths of length n from one generator, as a (width,
+    len(ends)) array.
+
+    The innovations come from the same law.sample call into the same "eps"
+    scratch buffer as in _paths, so the generator gives the same draws and
+    is left in the same state.  No path is formed: with C[k] the running
+    sum of the innovations along time and C[-1] = 0, S_e = sum_j a_j
+    C[e + p - 1 - j] - sum_{j < p - 1} a_j C[p - 2 - j], each sum taken
+    a[p - 1] first as in _paths, and the second, the same for every end,
+    subtracted last.  C is read only at the indices of _sum_plan:
+    np.add.reduceat sums the innovations between them and np.cumsum runs
+    over those few rows, as a full-length running sum, whose every add
+    waits on the one before it, would cost more than the draw.
+    """
+    a, p = model.coeffs, len(model.coeffs)
+    starts, hi, lo = _sum_plan(p, ends)
+    eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
+    c = np.cumsum(np.add.reduceat(eps[: ends[-1] + p], starts, axis=0), axis=0)
+    sums = a[p - 1] * c[hi[p - 1]]
+    offset = 0.0
+    for j in range(p - 2, -1, -1):
+        sums += a[j] * c[hi[j]]
+        offset = offset + a[j] * c[lo[j]]
+    sums -= offset
+    return sums.T
+
+
 def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     """Generate a length-n centered realization of the model as an array;
     identical (model, n, seed) reproduce it bit for bit.
@@ -511,6 +569,37 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
     True
     """
+    return _run_chunks(model, n, replicates, seed,
+                       lambda width, rng, scratch: _paths(model, n, width, rng, scratch), reduce)
+
+
+def _replicate_sums(model: ModelSpec, n: int, replicates: int, seed: int, ends) -> np.ndarray:
+    """The partial sums S_e of replicate paths at the ends, as a (replicates, len(ends)) array.
+
+    Row r is np.cumsum(replicate_paths(model, n, replicates, seed)[r])[ends]
+    up to rounding, from the same innovations of the same chunks, but
+    computed by _path_sums without forming the paths.  ends must be
+    strictly increasing indices in [0, n).  A cumulative-sum model raises
+    ValueError before any draw, as does an unbounded one.
+    """
+    ends = tuple(int(e) for e in ends)
+    if not ends or ends[0] < 0 or ends[-1] >= n or any(e2 <= e1 for e1, e2 in zip(ends, ends[1:])):
+        raise ValueError(f"partial-sum ends must be strictly increasing in [0, {n}), got {ends}")
+    _stationary(model)
+    return _run_chunks(model, n, replicates, seed,
+                       lambda width, rng, scratch: _path_sums(model, n, width, rng, scratch, ends))
+
+
+def _run_chunks(model: ModelSpec, n: int, replicates: int, seed: int, draw_chunk, reduce=None) -> np.ndarray:
+    """The chunk runner of replicate_paths and _replicate_sums: the rows of
+    draw_chunk(width, rng, scratch), one per path of each chunk, cut to
+    replicates rows and reduced row by row as replicate_paths says.
+
+    It checks n and replicates and refuses an unbounded model before any
+    draw, keys chunk c's generator by SeedSequence(seed, spawn_key=(c,)),
+    draws chunk 0 first on the calling thread and the rest over
+    _on_row_blocks, each thread reusing its own scratch dict.
+    """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if replicates < 1:
@@ -521,7 +610,7 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
 
     def draw(chunk: int, scratch: dict) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        block = _paths(model, n, width, rng, scratch)[: replicates - chunk * width]
+        block = draw_chunk(width, rng, scratch)[: replicates - chunk * width]
         part = block if reduce is None else np.asarray(reduce(block))
         if part.shape[:1] != block.shape[:1]:
             raise ValueError(f"reduce must return one row per path, got shape {part.shape}")

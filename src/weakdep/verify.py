@@ -1,10 +1,13 @@
 """Seeded Monte Carlo harness confronting the closed-form bounds and limit
 theorems with simulation.
 
-Every check is a pure function of (model, config, seed): it reads its
-replicates from models.replicate_paths, whose row r is replicate r of
-the keyed, chunked stream reduced by the check's row-wise reduction, so
-a row never depends on the number of replicates drawn; check_newman
+Every check is a pure function of (model, config, seed): row r of what
+it reads is replicate r of the keyed, chunked stream, so a row never
+depends on the number of replicates drawn.  newman, cov and emp read
+replicate paths from models.replicate_paths; tail, slln, clt and fclt
+read only partial sums S_e, at the block ends, the grid, n - 1 or the
+cut points, from models._replicate_sums, which computes them from
+running sums of the same innovations without forming a path.  check_newman
 forms the phases of every t in one reused complex buffer, from real cos
 and sin (_phases), over row blocks on the threads of the draw
 (models._on_row_blocks), and _lipschitz_cov_rows, the one cov runner that
@@ -40,7 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .blocks import BlockScheme, decompose
+from .blocks import BlockScheme
 from .bounds import tail_bound
 from .coefficients import gamma_sequence, long_run_variance, newman_discrepancy_bound
 from .models import (
@@ -48,6 +51,7 @@ from .models import (
     Rademacher,
     UniformOnInterval,
     _on_row_blocks,
+    _replicate_sums,
     _stationary,
     nonneg_shift_mgf,
     replicate_paths,
@@ -353,9 +357,13 @@ def check_tail_domination(
     alpha: float = 2.0,
 ) -> list[VerificationReport]:
     """Empirical P(Z_odd > x) versus the explicit tail bound on an x grid,
-    the bound and its validity as bounds.tail_bound builds them."""
+    the bound and its validity as bounds.tail_bound builds them.  Z_odd is
+    the sum of the odd blocks' differences of the partial sums at the block
+    ends j p_n - 1, j = 1..2 r_n."""
     xs, bounds, valids = (col.tolist() for col in tail_bound(model, scheme, x_grid, alpha))
-    z_odd = replicate_paths(model, scheme.n, cfg.replicates, cfg.seed, lambda x: decompose(x, scheme).z_odd)
+    ends = np.arange(1, 2 * scheme.r_n + 1) * scheme.p_n - 1
+    sums = _replicate_sums(model, scheme.n, cfg.replicates, cfg.seed, ends)
+    z_odd = np.diff(sums, axis=1, prepend=0.0)[:, 0::2].sum(axis=1)
     reports = []
     for x, bound, valid in zip(xs, bounds, valids):
         count = int(np.sum(z_odd > x))
@@ -511,15 +519,6 @@ def check_quasi_association_counterexample(
 # ---------------------------------------------------------------------------
 
 
-def _partial_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """np.cumsum(x, axis=1)[:, ends] up to rounding, for strictly increasing
-    ends: the row sums of each segment between consecutive ends, then a
-    running sum over those few columns, so no full-length running sum is
-    built."""
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    return np.cumsum(np.add.reduceat(x[:, : ends[-1] + 1], starts, axis=1), axis=1)
-
-
 def _slln_grid(n_grid: Sequence[int], name: str = "grid") -> list[int]:
     """The sorted grid of a rate fit; name is what its errors call it."""
     grid = sorted(int(n) for n in n_grid)
@@ -550,7 +549,7 @@ def slln_rate_fit(
     grid = _slln_grid(n_grid)
     n_max = grid[-1]
     idx = np.asarray(grid) - 1
-    sums = replicate_paths(model, n_max, cfg.replicates, cfg.seed, lambda x: _partial_sums(x, idx))
+    sums = _replicate_sums(model, n_max, cfg.replicates, cfg.seed, idx)
     vals = np.abs(sums) / np.asarray(grid)
     quantiles = np.quantile(vals, SLLN_QUANTILE, axis=0)
     x = np.log(np.asarray(grid, dtype=float))
@@ -662,7 +661,7 @@ def clt_ks_distance(model: ModelSpec, n: int, cfg: MCConfig) -> list[Verificatio
     allowance b(n).
     """
     sigma = math.sqrt(long_run_variance(model))
-    vals = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1)) / math.sqrt(n)
+    vals = _replicate_sums(model, n, cfg.replicates, cfg.seed, [n - 1])[:, 0] / math.sqrt(n)
     ks = _ks_distance(_ndtr(np.sort(vals) / sigma))
     threshold = 1.358 / math.sqrt(cfg.replicates) + clt_bias_allowance(n)
     return [make_report("clt", f"n={n}", ks, 0.0, threshold, ks <= threshold, cfg)]
@@ -701,7 +700,7 @@ def fclt_increment_check(
     if any(c2 == c1 for c1, c2 in zip(cuts, cuts[1:])):
         raise ValueError(f"times {u} give an empty increment at n={n}")
     ends = np.asarray(cuts[1:]) - 1  # S_cut is the running sum through index cut - 1
-    sums = replicate_paths(model, n, cfg.replicates, cfg.seed, lambda x: _partial_sums(x, ends))
+    sums = _replicate_sums(model, n, cfg.replicates, cfg.seed, ends)
     incs = np.diff(sums, axis=1, prepend=0.0) / math.sqrt(n)
     allowance = clt_bias_allowance(n) * sigma2
     valid = clt_bias_allowance(n) < min(t2 - t1 for t1, t2 in zip([0.0] + u, u))

@@ -27,6 +27,14 @@ def analytic_covariance(model: ModelSpec, lag: int) -> Optional[float]:
     return None
 
 
+def window_sum_variance(model: ModelSpec, m: int) -> float:
+    """Var S_m of the sum of m consecutive values of a moving average in closed form:
+    S_m = sum_k w_k xi_k with w = 1_m convolved with the coefficients, so Var S_m =
+    sigma_xi^2 sum_k w_k^2 (Newman & Wright 1981)."""
+    w = np.convolve(np.ones(m), model.coeffs)
+    return model.law.variance * float(np.sum(w * w))
+
+
 def geometric_sum(log_ratio: float, terms: int) -> float:
     """The scalar sum_{j<terms} exp(j log_ratio) that bounds.geometric_sum replaced, kept as
     the bit-for-bit reference of its elementwise form."""

@@ -496,6 +496,25 @@ def test_coeffs_exits_two_when_a_coefficient_is_not_finite(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {line}\n")
 
 
+def test_uniform_law_whose_variance_overflows_names_the_cause(tmp_path, capsys):
+    # U(-1.45e154, 1.45e154) has a finite width whose square overflows: every command that reads
+    # sigma_xi^2 printed "error: (34, 'Numerical result out of range')", and tail and bound blamed --alpha
+    model = _model_file(tmp_path, (1.0, 1.0), 1.45e154)
+    lrv = "long-run variance overflows: law variance inf times coefficient sum 2.0 squared exceeds the largest float"
+    cases = [(["coeffs", "--n-max", "2"], "coefficient table overflows at k=1: gamma_k = inf, v(k) = inf; model "
+                                          "scale too large"),
+             (["bound", "--n", "4096"], lrv),
+             (["verify", "--check", "newman", "--replicates", "100"],
+              "newman bound overflows at t=0.25: 4 t^2 sum (n - j) gamma_j exceeds the largest float"),
+             (["verify", "--check", "cov", "--replicates", "100"],
+              "cov estimate overflows at I=[6],J=[24] although its f and g values are finite: model scale too large")]
+    cases += [(["verify", "--check", check, "--replicates", "100"], lrv) for check in ("tail", "slln", "clt", "fclt")]
+    for argv, line in cases:
+        capsys.readouterr()
+        assert run([*argv, "--model", model]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {line}\n"), argv
+
+
 def test_verify_exit_one_when_check_fails(iid_model):
     # a quasi scan on a grid too narrow to contain the violation reports
     # VIOLATED, and the CLI surfaces that as exit code 1
@@ -661,6 +680,7 @@ def test_check_refuses_a_model_before_it_draws_a_path(tmp_path, capsys, monkeypa
         raise AssertionError("a path was drawn before the model was refused")
 
     monkeypatch.setattr("weakdep.models._paths", no_draw)
+    monkeypatch.setattr("weakdep.models._path_sums", no_draw)
     model = _refused_models(tmp_path)
     discrete = "error: marginal distribution function unavailable: discrete marginal law\n"
     zero_sum = "error: degenerate model: the coefficients sum to 0, so the long-run variance is 0\n"

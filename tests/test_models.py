@@ -30,10 +30,11 @@ from weakdep import (
     sample_path,
 )
 from weakdep.models import (
-    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, _on_row_blocks, _paths, nonneg_shift_mgf,
+    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, _on_row_blocks, _path_sums, _paths,
+    _replicate_sums, nonneg_shift_mgf,
 )
 
-from oracles import analytic_covariance
+from oracles import analytic_covariance, window_sum_variance
 
 U11 = UniformOnInterval(-1.0, 1.0)
 LAWS = (U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5))
@@ -46,6 +47,12 @@ def test_uniform_moments_and_support():
     law = UniformOnInterval(2.0, 6.0)
     assert law.variance == pytest.approx(16.0 / 12.0)
     assert law.support == (-2.0, 2.0)
+
+
+def test_uniform_variance_past_the_float_range_is_inf():
+    # a width whose square overflows gives inf, which the long-run variance names, not an OverflowError
+    assert UniformOnInterval(-1.45e154, 1.45e154).variance == math.inf
+    assert UniformOnInterval(-5e153, 5e153).variance == (1e154) ** 2 / 12.0
 
 
 def test_law_samples_are_centered_and_bounded():
@@ -138,6 +145,9 @@ def test_truncated_gaussian_cdf_matches_truncnorm(bound):
 def test_law_validation():
     with pytest.raises(ValueError):
         UniformOnInterval(1.0, 1.0)
+    for a, b in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="uniform interval needs finite ends"):
+            UniformOnInterval(a, b)
     with pytest.raises(ValueError):
         TruncatedGaussian(0.0)
     # 2 Phi(b) - 1 rounds to 0 below about 1.4e-16: no law to sample or transform
@@ -493,6 +503,84 @@ def test_largest_finite_bound_still_draws():
     model = MovingAverage(coeffs=(2.0**520, 2.0**520), law=U11)
     assert almost_sure_bound(model) == 2.0**521
     assert np.isfinite(replicate_paths(model, 8, 10, 0)).all() and np.isfinite(sample_path(model, 8, 0)).all()
+
+
+# --- partial sums at chosen ends --------------------------------------------
+
+
+@pytest.mark.parametrize("n, replicates", [(5, 30_000), (4096, 50), (REPLICATE_BLOCK_VALUES, 3)])
+def test_path_sums_equal_the_running_sums_of_the_paths(n, replicates):
+    # values in steps of 0.5 below 2^20: every partial sum is exact in float, whatever the order;
+    # 3 chunks of 13,107 paths, 4 of 16 and 3 of 1, each run ending in a cut or a one-path chunk
+    model = MovingAverage(coeffs=(2.0, -1.0, 0.5, 0.0), law=Rademacher())
+    ends = sorted({0, n // 2, n - 1})
+    expected = np.cumsum(replicate_paths(model, n, replicates, 9), axis=1)[:, ends]
+    assert np.array_equal(_replicate_sums(model, n, replicates, 9, ends), expected)
+
+
+@pytest.mark.parametrize("model", [IID(UniformOnInterval(0.0, 3.0)), MovingAverage(coeffs=(1.0, 1.0), law=U11),
+                                   MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11),
+                                   MovingAverage(coeffs=(0.3, -1.2, 2.0, 0.5, -0.9), law=U11)])
+@pytest.mark.parametrize("n, replicates", [(7, 40), (4096, 40), (REPLICATE_BLOCK_VALUES, 3)])
+def test_path_sums_on_uniform_models_within_rounding(model, n, replicates):
+    ends = sorted({0, 3, n // 2, n - 1})
+    x = replicate_paths(model, n, replicates, 4)
+    error = np.abs(_replicate_sums(model, n, replicates, 4, ends) - np.cumsum(x, axis=1)[:, ends])
+    assert (error <= 1e-12 * np.cumsum(np.abs(x), axis=1)[:, ends]).all()
+
+
+@pytest.mark.parametrize("n, chunks", [(24, 6), (4096, 9)])
+def test_replicate_sums_on_one_and_three_threads(n, chunks, monkeypatch):
+    # the rows of one thread over a cut last chunk; the pool threads meet after their first chunk,
+    # so a scratch they shared would hold one chunk for both
+    width = REPLICATE_BLOCK_VALUES // n
+    model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
+    ends = [0, n // 3, n - 2, n - 1]
+    rows = {}
+    for workers in (1, 3):
+        monkeypatch.setattr("weakdep.models._WORKERS", workers)
+        monkeypatch.setattr("weakdep.models._path_sums", _pool_threads_meet(_path_sums))
+        rows[workers] = _replicate_sums(model, n, chunks * width - 3, 12, ends)
+    assert np.array_equal(rows[1], rows[3])
+    assert np.array_equal(rows[1][:width + 1], _replicate_sums(model, n, width + 1, 12, ends))
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5, 1.0)])
+def test_path_sums_leave_the_generator_where_paths_do(law, coeffs):
+    # one law.sample call of the same shape: the same draws, and the next draw is the same too
+    model = MovingAverage(coeffs=coeffs, law=law)
+    after_paths, after_sums = np.random.default_rng(3), np.random.default_rng(3)
+    paths = _paths(model, 100, 7, after_paths, {}).copy()
+    sums = _path_sums(model, 100, 7, after_sums, {}, (0, 50, 99))
+    assert after_paths.bit_generator.state == after_sums.bit_generator.state
+    assert np.allclose(sums, np.cumsum(paths, axis=1)[:, [0, 50, 99]], rtol=1e-12, atol=1e-12)
+
+
+def test_replicate_sums_refuse_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a path was drawn before the model was refused")
+
+    monkeypatch.setattr("weakdep.models._path_sums", no_draw)
+    cumsum = CumSumTransform(coeffs=(1.0,) * 8, transform=Identity(), law=U11)
+    with pytest.raises(ValueError, match="cumulative-sum models are nonstationary"):
+        _replicate_sums(cumsum, 8, 10, 0, [7])
+    with pytest.raises(ValueError, match="model path can leave the float range"):
+        _replicate_sums(MovingAverage(coeffs=(1e308, 1e308), law=U11), 8, 10, 0, [7])
+    for ends in ([], [3, 3], [4, 2], [-1], [8]):
+        with pytest.raises(ValueError, match="partial-sum ends"):
+            _replicate_sums(MovingAverage(coeffs=(1.0, 1.0), law=U11), 8, 10, 0, ends)
+
+
+@pytest.mark.parametrize("model", [MovingAverage(coeffs=(1.0, 1.0), law=U11),
+                                   MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)], ids=["ma11", "ma3"])
+@pytest.mark.parametrize("m", [64, 1024])
+def test_window_sum_variance_meets_its_closed_form(model, m):
+    # the sample second moment of S_m (mean 0) within 3 SE of sigma_xi^2 sum_k ((1_m * a)_k)^2,
+    # on both sides: an estimate that falls short fails as one that overshoots does
+    squares = _replicate_sums(model, m, 20_000, 0, [m - 1])[:, 0] ** 2
+    se = squares.std(ddof=1) / math.sqrt(len(squares))
+    assert abs(squares.mean() - window_sum_variance(model, m)) <= 3.0 * se
 
 
 def test_ma_stationarity_pooled_covariance():

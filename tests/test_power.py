@@ -1,12 +1,15 @@
 """What the harness can catch: a planted-defect table.
 
-Each mutant wraps models._paths, the one filter behind every replicate path
-and sample path, and breaks what it returns; the library is not changed.
-_paths returns scratch buffers that its next call overwrites, so a mutant
-builds its output out of place.  The seven checks that draw paths (quasi
-draws none) run through cli.run at their defaults on the MA(1, 1) model
-with U(-1, 1) innovations at seed 0, the CLI default, and the table pins
-the set of checks that exit 1, that is, report a VIOLATED row.
+Each mutant wraps both producers of drawn values, models._paths (the filter
+behind every replicate path and sample path, read by cov, newman and emp)
+and models._path_sums (the partial sums read by tail, slln, clt and fclt),
+and breaks what they return; the library is not changed.  Both take the
+model first and return one row per path, so one mutant function serves
+both.  _paths returns scratch buffers that its next call overwrites, so a
+mutant builds its output out of place.  The seven checks that draw paths
+(quasi draws none) run through cli.run at their defaults on the MA(1, 1)
+model with U(-1, 1) innovations at seed 0, the CLI default, and the table
+pins the set of checks that exit 1, that is, report a VIOLATED row.
 
 A mutant that no check catches keeps its empty set, so the gap stays in
 view.  A change that makes a check catch a mutant adds it to the set; a
@@ -34,7 +37,8 @@ def _scaled(factor):
     return lambda paths, model, *args: factor * paths(model, *args)
 
 
-# name -> (wrapper of _paths(model, n, width, rng, scratch) given the original first, checks that exit 1)
+# name -> (wrapper of _paths(model, n, width, rng, scratch) or _path_sums(model, n, width, rng, scratch, ends)
+# given the original first, checks that exit 1)
 MUTANTS = {
     "none": (None, set()),
     "every value x 0.95": (_scaled(0.95), set()),
@@ -69,8 +73,9 @@ def fresh_marginal():
 def test_checks_that_catch_a_planted_defect(mutant, monkeypatch, tmp_path, fresh_marginal):
     wrap, caught = MUTANTS[mutant]
     if wrap is not None:
-        original = models._paths
-        monkeypatch.setattr(models, "_paths", lambda *args: wrap(original, *args))
+        for producer in ("_paths", "_path_sums"):
+            original = getattr(models, producer)
+            monkeypatch.setattr(models, producer, lambda *args, original=original: wrap(original, *args))
     model = tmp_path / "ma11.json"
     model.write_text(model_to_json(MA11))
     codes = {

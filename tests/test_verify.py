@@ -37,7 +37,7 @@ from weakdep import (
 )
 from weakdep.cli import CHECKS, random_cov_cases, run
 from weakdep.verify import (BOUND_INVALID, DOMINATED, VIOLATED, _binomial_lower, _cov_se, _index_set_sums,
-                            _ks_distance, _lipschitz_cov_rows, _ndtr, _partial_sums, _phases, marginal_transform)
+                            _ks_distance, _lipschitz_cov_rows, _ndtr, _phases, marginal_transform)
 
 import oracles
 
@@ -496,21 +496,6 @@ def test_quasi_rejects_nonuniform_law():
 
 
 # --- strong-law rate fit ------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "n, ends",
-    [
-        (1000, [999]),  # a single end
-        (1000, [0, 1, 500, 999]),  # a first end at 0
-        (4096, [255, 1023, 2047]),  # ends that stop before the last column
-    ],
-)
-def test_partial_sums_match_full_cumsum(n, ends):
-    x = np.random.default_rng(n).uniform(-1.0, 1.0, (25, n))
-    ends = np.asarray(ends)
-    expected = np.cumsum(x, axis=1)[:, ends]
-    assert _partial_sums(x, ends) == pytest.approx(expected, rel=1e-12)
 
 
 def test_slln_rate_fit_rejects_repeated_grid_point(tmp_path, capsys):
