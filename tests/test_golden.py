@@ -89,12 +89,12 @@ CASES = {
     ),
     "slln": (
         "ma11", "verify --check slln --n-grid 64,128,256,512,1024 --replicates 500", 0,
-        "3bb03bbcc7fd9be97b8d3b20e3b6127019dc5a61590df34259c3bb8f6f51d973",
+        "d614c26dfb59cc51ccb2fdd6a8fd8166429c48f233fe00ac93730d92109edfa1",
     ),
     # a fitted slope below the -0.55 end of the window: VIOLATED, exit 1
     "slln-miss": (
         "ma11", "verify --check slln --n-grid 64,128,256 --replicates 200", 1,
-        "e7a699cc7ac5c27e4f293ecd844fcdb381ed7dfde396a034b6a90b25e27056d1",
+        "b116935ee1ef166777c231af764457903801f1af5c96e1ad3c27ed64d0c21a45",
     ),
     "clt": (
         "ma11", "verify --check clt --n 1024 --replicates 1000", 0,
@@ -103,11 +103,11 @@ CASES = {
     # a KS distance above its threshold: VIOLATED, exit 1
     "clt-miss": (
         "ma-cancel", "verify --check clt --n 64 --replicates 200", 1,
-        "cd86b92acc9ff104240badc434bd9fa81a7fe2cfbb28d61ba7f7606ad66b3472",
+        "e37e11d910ca64dd146107f4495ae15ce4507a5f8988c94cf6865df2d1233821",
     ),
     "fclt": (
         "ma11", "verify --check fclt --n 1024 --times 0.25,0.5,1 --replicates 1000", 0,
-        "5501cc1764799368f7f20132f684a0d6ca04768d98bd204e814b8afe5b96f003",
+        "93d255b90b994f557bb21571c7a91d40c7acde26617d6ddecc0f93c3bbe9bdd6",
     ),
     # one nonzero coefficient: the exact marginal and the gamma(s,t) target min(s, t) - s t
     "emp": (
