@@ -19,10 +19,11 @@ chosen ends, which _path_sums reads off running sums of the innovations
 without forming a path.  _on_row_blocks splits rows over those threads
 and gives each thread its own buffers.
 
-scipy is imported inside the functions that call it (the quadrature and
-the truncated-Gaussian law), not at the top: importing scipy.integrate and
-scipy.special costs about half a second, which a command on a uniform or
-Rademacher model would otherwise pay without using them.
+scipy.special is imported inside the truncated-Gaussian law's methods,
+not at the top, so a command on a uniform or Rademacher model loads no
+scipy.  No code here imports scipy.integrate, which brings scipy.linalg
+and scipy.sparse with it: the gauss_bump_plus_x centering means come from
+a numpy trapezoidal rule, _bump_integral.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -80,22 +80,50 @@ def _on_row_blocks(fn, rows: int, buffers: dict) -> None:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge to the requested tolerance."""
+    """The trapezoidal rule of a gauss_bump_plus_x mean did not converge within its node cap."""
 
 
-def _quad(fn, lo, hi):
-    from scipy import integrate
+# _bump_integral's cut, e^-45 on a node's term, and its cap on the nodes of one integral
+_BUMP_CUT = 45.0
+_BUMP_FLOOR = math.exp(-_BUMP_CUT)
+_BUMP_MAX_NODES = 2**14
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, abserr = integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=200)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature did not converge on [{lo}, {hi}]: {exc}") from exc
-    tol = QUAD_REL_TOL * max(1.0, abs(value))
-    if abserr > 10 * tol:
-        raise QuadratureError(f"quadrature error estimate {abserr:.3e} exceeds tolerance {tol:.3e}")
-    return value
+
+def _bump_integral(law, cs: tuple[float, ...], beta: float) -> float:
+    """The integral over the real line of exp(-beta t^2 / 4) prod_i law.chf(cs[i] t), by the trapezoidal rule.
+
+    The integrand is analytic and Gaussian-damped, so the rule converges
+    exponentially (Trefethen & Weideman 2014, SIAM Review 56).  chf is real
+    and even, so the rule runs on the half line, h (1 + 2 sum_{k >= 1} f(k
+    h)), up to t_cut, where the weight falls to e^-45.  A node is dropped as
+    soon as the weight times the chf factors taken so far is below e^-45: no
+    later factor can raise it, since |chf| <= 1, so both cuts are rigorous.
+    The step starts at the Gaussian envelope's scale 1 / sqrt(beta / 4 +
+    Var(S) / 2) and halves, each level adding the odd nodes, until two
+    successive sums agree within QUAD_REL_TOL * max(1, |I|).  The nodes and
+    their arithmetic depend on (law, cs, beta) only.  A rule that needs more
+    than _BUMP_MAX_NODES nodes raises QuadratureError.
+    """
+    t_cut = math.sqrt(4.0 * _BUMP_CUT / beta)
+    var = law.variance * math.fsum(c * c for c in cs)
+    nodes, total, value, stride = t_cut * math.sqrt(beta / 4.0 + 0.5 * var), 0.0, None, 1
+    while True:
+        if not nodes <= _BUMP_MAX_NODES:
+            raise QuadratureError(f"the trapezoidal rule needs more than {_BUMP_MAX_NODES} nodes at Var S = {var:g}")
+        h = t_cut / nodes
+        t = np.arange(1, int(nodes) + 1, stride) * h
+        f = np.exp(-0.25 * beta * t * t)
+        for c in cs:
+            live = np.abs(f) >= _BUMP_FLOOR
+            t, f = t[live], f[live]
+            if not t.size:
+                break
+            f *= law.chf(c * t)
+        total += math.fsum(f)
+        last, value = value, h * (1.0 + 2.0 * total)
+        if last is not None and abs(value - last) <= QUAD_REL_TOL * max(1.0, abs(value)):
+            return value
+        nodes, stride = 2.0 * nodes, 2
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +226,8 @@ class TruncatedGaussian:
     bound: float
 
     def __post_init__(self):
-        if not self.bound > 0:
-            raise ValueError(f"truncation bound must be positive, got {self.bound}")
+        if not 0 < self.bound < math.inf:
+            raise ValueError(f"truncation bound must be positive and finite, got {self.bound}")
         # the mass 2 ndtr(bound) - 1 rounds to 0 below about 1.4e-16: exactly where ndtr's own
         # 0.5 + erf(bound / sqrt 2) / 2 rounds to 0.5, which math.erf decides without scipy
         if not 0.5 + 0.5 * math.erf(self.bound * math.sqrt(0.5)) > 0.5:
@@ -408,18 +436,14 @@ def _cumsum_means(model: CumSumTransform, n: int) -> tuple[float, ...]:
         return tuple(means)
     # GaussBumpPlusX: E exp(-X^2/beta) via the Gaussian Fourier identity
     # exp(-x^2/beta) = sqrt(beta/4pi) * int exp(-beta t^2/4) exp(itx) dt,
-    # reducing the mean to one quadrature against the product of innovation
-    # characteristic functions (E X = 0 kills the linear part).
+    # reducing the mean to one integral against the product of innovation
+    # characteristic functions (E X = 0 kills the linear part); each m on its
+    # own nodes, so the means for n are a prefix of those for any larger n
     beta = model.transform.beta
     means = []
     for m in range(1, n + 1):
-        cs = np.asarray(coeffs[:m])
-
-        def integrand(t, cs=cs):
-            return math.exp(-beta * t * t / 4.0) * float(np.prod(model.law.chf(cs * t)))
-
         try:
-            val = _quad(integrand, -np.inf, np.inf)
+            val = _bump_integral(model.law, coeffs[:m], beta)
         except QuadratureError as exc:
             raise QuadratureError(f"gauss_bump_plus_x mean E g(S_{m}) with beta = {beta:g}: {exc}") from exc
         means.append(math.sqrt(beta / (4.0 * math.pi)) * val)
@@ -616,8 +640,7 @@ def _run_chunks(model: ModelSpec, n: int, replicates: int, seed: int, draw_chunk
             raise ValueError(f"reduce must return one row per path, got shape {part.shape}")
         return part
 
-    # chunk 0 first, on this thread: it gives the output's shape and dtype and
-    # fills _cumsum_means' cache, whose quadrature is not thread-safe
+    # chunk 0 first, on this thread: it gives the output's shape and dtype
     scratch = {}
     part = draw(0, scratch)
     out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)

@@ -64,9 +64,11 @@ def test_cli_import_and_numpy_only_checks_load_no_scipy(tmp_path):
 
 def test_deferred_scipy_imports_run_cold(tmp_path):
     # the golden clt case loads no scipy module, the golden decompose-bump case
-    # scipy.integrate and scipy.special; each runs in its own interpreter, and
-    # cold its bytes are the pinned ones; neither loads scipy.stats
-    for case, needs in (("clt", set()), ("decompose-bump", {"scipy.integrate", "scipy.special"})):
+    # scipy.special (its truncated-Gaussian law) but not scipy.integrate, whose
+    # scipy.linalg and scipy.sparse come with it: the bump means are a numpy
+    # trapezoidal rule; each runs in its own interpreter, and cold its bytes are
+    # the pinned ones; neither loads scipy.stats
+    for case, needs in (("clt", set()), ("decompose-bump", {"scipy.special"})):
         name, argv, code, digest = CASES[case]
         model, out = tmp_path / f"{case}.json", tmp_path / f"{case}.csv"
         model.write_text(model_to_json(MODELS[name]))
@@ -75,7 +77,8 @@ def test_deferred_scipy_imports_run_cold(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, case
         after_import, after_run = result["loaded"]
         assert not after_import and needs <= set(after_run), case
-        assert "scipy.stats" not in after_run, case
+        for forbidden in ("scipy.stats", "scipy.integrate", "scipy.linalg", "scipy.sparse"):
+            assert forbidden not in after_run, (case, forbidden)
         if not needs:
             assert after_run == [], case
 

@@ -30,8 +30,8 @@ from weakdep import (
     sample_path,
 )
 from weakdep.models import (
-    REPLICATE_BLOCK_VALUES, _cumsum_means, _gauss_legendre_200, _on_row_blocks, _path_sums, _paths,
-    _replicate_sums, nonneg_shift_mgf,
+    QUAD_REL_TOL, REPLICATE_BLOCK_VALUES, QuadratureError, _cumsum_means, _gauss_legendre_200, _on_row_blocks,
+    _path_sums, _paths, _replicate_sums, nonneg_shift_mgf,
 )
 
 from oracles import analytic_covariance, window_sum_variance
@@ -150,6 +150,10 @@ def test_law_validation():
             UniformOnInterval(a, b)
     with pytest.raises(ValueError):
         TruncatedGaussian(0.0)
+    # an infinite bound is not a compact support: its chf would put Gauss-Legendre nodes at inf
+    for bound in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="truncation bound must be positive and finite"):
+            TruncatedGaussian(bound)
     # 2 Phi(b) - 1 rounds to 0 below about 1.4e-16: no law to sample or transform
     with pytest.raises(ValueError, match="bound"):
         TruncatedGaussian(1e-17)
@@ -708,6 +712,71 @@ def test_cumsum_means_gauss_bump_exact(law, coeffs, beta, m):
             integrand = lambda y, x: g(c[0] * x + c[1] * y) * pdf(x) * pdf(y)
             oracle, _ = integrate.dblquad(integrand, lo, hi, lo, hi, **tol)
     assert _cumsum_means(model, m)[m - 1] == pytest.approx(oracle, rel=1e-10)
+
+
+# 40 coefficients in [0.2, 1.5), the first ones of a golden-ratio sequence
+BUMP_COEFFS = tuple(0.2 + 1.3 * ((0.6180339887498949 * k) % 1.0) for k in range(1, 41))
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 2.0, 30.0])
+def test_bump_means_meet_rademacher_enumeration(beta):
+    # E exp(-S_m^2 / beta) is the mean of 2^m exact terms for Rademacher signs, m <= 10
+    model = CumSumTransform(coeffs=BUMP_COEFFS[:10], transform=GaussBumpPlusX(beta), law=Rademacher())
+    means = _cumsum_means(model, 10)
+    for m in range(1, 11):
+        sums = np.array([np.dot(BUMP_COEFFS[:m], signs) for signs in itertools.product((-1.0, 1.0), repeat=m)])
+        exact = math.fsum(np.exp(-sums * sums / beta)) / 2**m
+        if beta == 0.05:
+            # the mean falls to 1e-14 here; the rule's error stays at the rounding of a mean of size 1
+            assert abs(means[m - 1] - exact) <= 1e-15, m
+        else:
+            assert means[m - 1] == pytest.approx(exact, rel=1e-13, abs=0.0), m
+
+
+@pytest.mark.parametrize("law", [U11, UniformOnInterval(0.0, 3.0), UniformOnInterval(-5.0, 5.0)])
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("beta", [0.05, 0.5, 2.0, 30.0])
+def test_bump_mean_meets_uniform_closed_form(law, c, beta):
+    # E exp(-(c xi)^2 / beta) for xi uniform on [-h, h] is sqrt(pi beta) / (2 c h) erf(c h / sqrt beta)
+    h = law.halfwidth
+    exact = math.sqrt(math.pi * beta) / (2.0 * c * h) * math.erf(c * h / math.sqrt(beta))
+    model = CumSumTransform(coeffs=(c,), transform=GaussBumpPlusX(beta), law=law)
+    assert _cumsum_means(model, 1)[0] == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("law", [U11, Rademacher(), TruncatedGaussian(1.5)])
+@pytest.mark.parametrize("beta", [0.05, 0.5, 2.0, 30.0])
+def test_bump_means_meet_adaptive_quadrature(law, beta):
+    # the integral I of the Fourier identity, taken by scipy's quad on [0, t] where
+    # exp(-beta t^2 / 4) = e^-60, agrees with the rule within QUAD_REL_TOL * max(1, |I|)
+    model = CumSumTransform(coeffs=BUMP_COEFFS, transform=GaussBumpPlusX(beta), law=law)
+    means = _cumsum_means(model, 40)
+    for m in (1, 2, 10, 40):
+        cs = np.asarray(BUMP_COEFFS[:m])
+        integrand = lambda t: math.exp(-beta * t * t / 4.0) * float(np.prod(law.chf(cs * t)))
+        half, _ = integrate.quad(integrand, 0.0, math.sqrt(240.0 / beta), epsabs=1e-13, epsrel=1e-13, limit=2000)
+        oracle = 2.0 * half
+        rule = means[m - 1] * math.sqrt(4.0 * math.pi / beta)
+        assert abs(rule - oracle) <= QUAD_REL_TOL * max(1.0, abs(oracle)), m
+
+
+def test_bump_means_and_paths_are_prefix_consistent():
+    # each m's rule reads (law, beta, coeffs[:m]) only, so a shorter n gives the same bits
+    model = CumSumTransform(coeffs=BUMP_COEFFS[:12], transform=GaussBumpPlusX(0.5), law=TruncatedGaussian(1.5))
+    _cumsum_means.cache_clear()
+    means = _cumsum_means(model, 12)
+    for k in (1, 5, 11):
+        _cumsum_means.cache_clear()
+        assert _cumsum_means(model, k) == means[:k], k
+        assert np.array_equal(sample_path(model, k, 3), sample_path(model, 12, 3)[:k]), k
+
+
+@pytest.mark.parametrize("coeffs, beta", [((1.0,), 1e-9), ((1e200,), 1.0), ((1.0, 1.0), 5e-324)])
+def test_bump_rule_refuses_past_its_node_cap(coeffs, beta):
+    # beta far below Var S, or Var S past the float range, needs more nodes than the cap
+    model = CumSumTransform(coeffs=coeffs, transform=GaussBumpPlusX(beta), law=U11)
+    with pytest.raises(QuadratureError, match=r"E g\(S_1\) with beta = .*: the trapezoidal rule needs more than"):
+        _cumsum_means(model, len(coeffs))
 
 
 # --- JSON schema -----------------------------------------------------------
