@@ -42,7 +42,7 @@ CASES = {
     ),
     "decompose-bump": (
         "bump", "decompose --n 2 --p 1 --seed 0", 0,
-        "2dc0cc13f03c8d9a604428d0c548a46cb27269604ed2fb35048b6b570019b71c",
+        "fc4d4b2a8021ecc0fb9db5644f0ae05867a77e0db5a2b97764fd6aadb72cb458",
     ),
     "bound": (
         "ma11", "bound --n 4096 --x-grid 0:4000:250", 0,
