@@ -89,7 +89,7 @@ _BUMP_FLOOR = math.exp(-_BUMP_CUT)
 _BUMP_MAX_NODES = 2**14
 
 
-def _bump_integral(law, cs: tuple[float, ...], beta: float) -> float:
+def _bump_integral(law: InnovationLaw, cs: tuple[float, ...], beta: float) -> float:
     """The integral over the real line of exp(-beta t^2 / 4) prod_i law.chf(cs[i] t), by the trapezoidal rule.
 
     The integrand is analytic and Gaussian-damped, so the rule converges
@@ -579,10 +579,11 @@ def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce
     path matrix.  A stationary model whose almost-sure bound is not finite
     raises ValueError before any chunk is drawn.
 
-    Chunk 0 is drawn first, on the calling thread; the other chunks are
-    split by _on_row_blocks into contiguous runs on W = min(2,
-    os.cpu_count()) threads, a number no input sets, the caller taking the
-    first run with chunk 0's scratch and each pool thread a copy of it.
+    Chunk 0 is drawn first, on the calling thread, as it gives the output's
+    shape and dtype; the other chunks are split by _on_row_blocks into
+    contiguous runs on W = min(2, os.cpu_count()) threads, a number no
+    input sets, the caller taking the first run with chunk 0's scratch and
+    each pool thread a copy of it.
     Each chunk fills only its own rows from its own generator, so every
     row is bit for bit the same as in a serial draw.  reduce may run on
     either thread and must therefore be thread-safe (pure numpy on its

@@ -727,7 +727,7 @@ def test_bump_means_meet_rademacher_enumeration(beta):
         sums = np.array([np.dot(BUMP_COEFFS[:m], signs) for signs in itertools.product((-1.0, 1.0), repeat=m)])
         exact = math.fsum(np.exp(-sums * sums / beta)) / 2**m
         if beta == 0.05:
-            # the mean falls to 1e-14 here; the rule's error stays at the rounding of a mean of size 1
+            # the mean falls to 1.8e-9 at m = 1; the rule's error stays at the rounding of a mean of size 1
             assert abs(means[m - 1] - exact) <= 1e-15, m
         else:
             assert means[m - 1] == pytest.approx(exact, rel=1e-13, abs=0.0), m
