@@ -13,11 +13,13 @@ time-major, from one generator per chunk keyed by
 SeedSequence(seed, spawn_key=(chunk,)), on a fixed min(2, os.cpu_count())
 threads with rows bit-identical to a serial draw.  It serves two
 producers of the same replicates: replicate_paths, the paths through the
-filter _paths, reduced row by row by a reduce that must therefore be
-thread-safe, and _replicate_sums, the partial sums of a moving average at
-chosen ends, which _path_sums reads off running sums of the innovations
-without forming a path.  _on_row_blocks splits rows over those threads
-and gives each thread its own buffers.
+filter _paths, and _replicate_sums, the partial sums of a moving average
+at chosen ends, which _path_sums reads off running sums of the
+innovations without forming a path.  Each value is copied once, from its
+chunk's buffer into the output: the filter keeps the innovations, its
+time-major output and an optional term in scratch and returns a
+transposed view.  _on_row_blocks splits rows over those threads and gives
+each thread its own buffers.
 
 scipy.special is imported inside the truncated-Gaussian law's methods,
 not at the top, so a command on a uniform or Rademacher model loads no
@@ -469,9 +471,11 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
     first, so width 1 gives the full convolution cut to its n complete
     terms bit for bit; each term is formed in one scratch array, but a
     slice whose coefficient is exactly 1.0 is not multiplied (the same
-    bits).  The innovations, the filter output and the transposed copy
-    live in scratch and are overwritten by the next call with the same
-    scratch, which must not happen while the result is still read.
+    bits).  The result is the transpose of the time-major filter output,
+    a view.  The innovations, the filter output and the term, allocated
+    only when a coefficient other than 1.0 needs it, live in scratch and
+    are overwritten by the next call with the same scratch, which must not
+    happen while the result is still read.
     """
     if isinstance(model, CumSumTransform):
         if n > len(model.coeffs):
@@ -486,16 +490,10 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
         a, p = model.coeffs, len(model.coeffs)
         eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
         values = eps[:n] if a == (1.0,) else np.multiply(a[p - 1], eps[:n], out=_buffer(scratch, "values", (n, width)))
-        # the term borrows the memory of the transposed copy, written only after the filter
-        term = _buffer(scratch, "paths", (width, n)).reshape(n, width)
         for j in range(p - 2, -1, -1):
             shifted = eps[p - 1 - j : p - 1 - j + n]
-            values += shifted if a[j] == 1.0 else np.multiply(a[j], shifted, out=term)
-    if width == 1:
-        return values.T  # one path is contiguous already
-    paths = _buffer(scratch, "paths", (width, n))
-    paths[...] = values.T
-    return paths
+            values += shifted if a[j] == 1.0 else np.multiply(a[j], shifted, out=_buffer(scratch, "term", (n, width)))
+    return values.T
 
 
 @lru_cache(maxsize=16)
@@ -565,37 +563,35 @@ def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
     return _paths(model, n, 1, np.random.default_rng(seed), {})[0]
 
 
-def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int, reduce=None) -> np.ndarray:
-    """Replicate paths of the model, reduced row by row.
+def replicate_paths(model: ModelSpec, n: int, replicates: int, seed: int) -> np.ndarray:
+    """Replicate paths of the model, as a (replicates, n) array.
 
     Replicates come in chunks of B = max(1, REPLICATE_BLOCK_VALUES // n)
     paths.  Chunk c draws its B paths time-major from one generator keyed
     by SeedSequence(seed, spawn_key=(c,)), a stream that no plain seed
     and no seed list of up to four words, such as [seed, 202], reaches.
     The last chunk is drawn at full width and cut, so row r depends on
-    (model, n, seed, r) only, never on the number of replicates.  reduce
-    maps each (rows, n) block to an array with one row per path, written
-    into one preallocated output; reduce None returns the (replicates, n)
-    path matrix.  A stationary model whose almost-sure bound is not finite
-    raises ValueError before any chunk is drawn.
+    (model, n, seed, r) only, never on the number of replicates.  Each
+    value is copied once, from its chunk's filter output into the result.
+    A stationary model whose almost-sure bound is not finite raises
+    ValueError before any chunk is drawn.
 
     Chunk 0 is drawn first, on the calling thread, as it gives the output's
-    shape and dtype; the other chunks are split by _on_row_blocks into
-    contiguous runs on W = min(2, os.cpu_count()) threads, a number no
-    input sets, the caller taking the first run with chunk 0's scratch and
-    each pool thread a copy of it.
-    Each chunk fills only its own rows from its own generator, so every
-    row is bit for bit the same as in a serial draw.  reduce may run on
-    either thread and must therefore be thread-safe (pure numpy on its
-    block is).  An exception from reduce or the filter is raised here once
-    every thread has stopped.
+    shape and dtype and fills the scratch buffers that _on_row_blocks
+    copies on the calling thread: drawn in the pool from an empty scratch,
+    a pool thread would allocate its buffers in its own malloc arena.  The
+    other chunks are split by _on_row_blocks into contiguous runs on W =
+    min(2, os.cpu_count()) threads, a number no input sets, the caller
+    taking the first run with chunk 0's scratch and each pool thread a copy
+    of it.  Each chunk fills only its own rows from its own generator, so
+    every row is bit for bit the same as in a serial draw.  An exception
+    from the filter is raised here once every thread has stopped.
 
     >>> m = IID(Rademacher())
     >>> bool((replicate_paths(m, 8, 5, 0)[:3] == replicate_paths(m, 8, 3, 0)).all())
     True
     """
-    return _run_chunks(model, n, replicates, seed,
-                       lambda width, rng, scratch: _paths(model, n, width, rng, scratch), reduce)
+    return _run_chunks(model, n, replicates, seed, lambda width, rng, scratch: _paths(model, n, width, rng, scratch))
 
 
 def _replicate_sums(model: ModelSpec, n: int, replicates: int, seed: int, ends) -> np.ndarray:
@@ -615,10 +611,10 @@ def _replicate_sums(model: ModelSpec, n: int, replicates: int, seed: int, ends) 
                        lambda width, rng, scratch: _path_sums(model, n, width, rng, scratch, ends))
 
 
-def _run_chunks(model: ModelSpec, n: int, replicates: int, seed: int, draw_chunk, reduce=None) -> np.ndarray:
+def _run_chunks(model: ModelSpec, n: int, replicates: int, seed: int, draw_chunk) -> np.ndarray:
     """The chunk runner of replicate_paths and _replicate_sums: the rows of
     draw_chunk(width, rng, scratch), one per path of each chunk, cut to
-    replicates rows and reduced row by row as replicate_paths says.
+    replicates rows and copied into one preallocated output.
 
     It checks n and replicates and refuses an unbounded model before any
     draw, keys chunk c's generator by SeedSequence(seed, spawn_key=(c,)),
@@ -635,13 +631,10 @@ def _run_chunks(model: ModelSpec, n: int, replicates: int, seed: int, draw_chunk
 
     def draw(chunk: int, scratch: dict) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
-        block = draw_chunk(width, rng, scratch)[: replicates - chunk * width]
-        part = block if reduce is None else np.asarray(reduce(block))
-        if part.shape[:1] != block.shape[:1]:
-            raise ValueError(f"reduce must return one row per path, got shape {part.shape}")
-        return part
+        return draw_chunk(width, rng, scratch)[: replicates - chunk * width]
 
-    # chunk 0 first, on this thread: it gives the output's shape and dtype
+    # chunk 0 first, on this thread: it gives the output's shape and dtype, and
+    # it fills the scratch that _on_row_blocks copies for the pool on this thread
     scratch = {}
     part = draw(0, scratch)
     out = np.empty((replicates, *part.shape[1:]), dtype=part.dtype)

@@ -780,8 +780,7 @@ def estimate_gamma_operator(model: ModelSpec, s: float, t: float, cfg: MCConfig)
     """
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError("arguments must lie in [0, 1]")
-    transform = marginal_transform(model)
-    u = replicate_paths(model, len(model.coeffs) + 4, cfg.replicates, cfg.seed, transform)
+    u = marginal_transform(model)(replicate_paths(model, len(model.coeffs) + 4, cfg.replicates, cfg.seed))
     a, b = (u[:, 0] <= s).astype(float), (u <= t).astype(float)
     am = a.mean()
     bm = b.mean(axis=0)

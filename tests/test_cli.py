@@ -794,7 +794,7 @@ def test_csv_text_is_what_the_csv_module_writes(table):
 def test_report_peak_memory_is_a_few_times_its_columns(argv, float_values, tmp_path, ma_model, iid_model):
     # the report streams in batches, so its rows add no transient of their own size: the traced
     # peak is at most 3 times the bytes of the float columns (the decompose draw of an i.i.d.
-    # model allocates 2 of them: the innovations and the filter's scratch term)
+    # model allocates 1 of them: the innovations, which the path is a view of)
     argv = [*argv, "--model", ma_model if argv[0] == "coeffs" else iid_model, "--out", str(tmp_path / "r.csv")]
     assert run(argv) == 0  # imports and caches are not the report's
     tracemalloc.start()

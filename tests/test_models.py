@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from weakdep import (
     sample_path,
 )
 from weakdep.models import (
-    QUAD_REL_TOL, REPLICATE_BLOCK_VALUES, QuadratureError, _cumsum_means, _gauss_legendre_200, _on_row_blocks,
-    _path_sums, _paths, _replicate_sums, nonneg_shift_mgf,
+    QUAD_REL_TOL, REPLICATE_BLOCK_VALUES, QuadratureError, _buffer, _cumsum_means, _gauss_legendre_200,
+    _on_row_blocks, _path_sums, _paths, _replicate_sums, nonneg_shift_mgf,
 )
 
 from oracles import analytic_covariance, window_sum_variance
@@ -271,15 +272,12 @@ def chunk_reference(model, n, replicates, seed):
 )
 def test_replicate_paths_matches_per_replicate_streams(model, n, replicates):
     reference = chunk_reference(model, n, replicates, 31)
-    assert np.array_equal(replicate_paths(model, n, replicates, 31), reference)
-
-    def reduce(x):
-        return np.stack((x.sum(axis=1), np.cumsum(x, axis=1)[:, n // 2]), axis=1)
-
+    x = replicate_paths(model, n, replicates, 31)
+    assert np.array_equal(x, reference)
+    # row reductions give each path's own bits: the matrix is row-major, not the filter's
+    # transposed view, whose row sums run in another order
     expected = np.array([[row.sum(), np.cumsum(row)[n // 2]] for row in reference])
-    assert np.array_equal(replicate_paths(model, n, replicates, 31, reduce), expected)
-    # a view of the block: a reused chunk buffer must not show through
-    assert np.array_equal(replicate_paths(model, n, replicates, 31, lambda x: x[:, ::2]), reference[:, ::2])
+    assert np.array_equal(np.stack((x.sum(axis=1), np.cumsum(x, axis=1)[:, n // 2]), axis=1), expected)
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -300,19 +298,20 @@ def test_iid_is_the_order_one_moving_average(law, n, replicates, monkeypatch):
 
 
 def test_replicate_paths_error_on_pool_thread(monkeypatch):
-    # a reduce that fails only on the pool thread's chunks: the error reaches
+    # a filter that fails only on the pool thread's chunks: the error reaches
     # the caller and the pool's thread is gone
     monkeypatch.setattr("weakdep.models._WORKERS", 2)
     caller = threading.current_thread()
 
-    def reduce(x):
+    def filter_on_caller(*args):
         if threading.current_thread() is not caller:
             raise ValueError("pool chunk")
-        return x.sum(axis=1)
+        return _paths(*args)
 
+    monkeypatch.setattr("weakdep.models._paths", filter_on_caller)
     before = threading.active_count()
     with pytest.raises(ValueError, match="pool chunk"):
-        replicate_paths(IID(U11), 1000, 300, 0, reduce)
+        replicate_paths(IID(U11), 1000, 300, 0)
     assert threading.active_count() == before
 
 
@@ -332,19 +331,59 @@ def _pool_threads_meet(fn):
 
 @pytest.mark.parametrize("n, chunks", [(24, 6), (4096, 9)])
 def test_replicate_paths_on_three_threads(n, chunks, monkeypatch):
-    # two pool threads, each with its own scratch: the path matrix and a row-sum reduce over a
-    # partial last chunk are the rows of one thread; the pool threads meet after their first
-    # chunk's filter, so a scratch they shared would hold one chunk for both
+    # two pool threads, each with its own scratch: the path matrix over a partial last chunk is
+    # the rows of one thread; the pool threads meet after their first chunk's filter, so a
+    # scratch they shared would hold one chunk for both
     width = REPLICATE_BLOCK_VALUES // n
     model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
     rows = {}
     for workers in (1, 3):
         monkeypatch.setattr("weakdep.models._WORKERS", workers)
-        rows[workers] = []
-        for reduce in (None, lambda x: x.sum(axis=1)):
-            monkeypatch.setattr("weakdep.models._paths", _pool_threads_meet(_paths))
-            rows[workers].append(replicate_paths(model, n, chunks * width - 3, 12, reduce))
-    assert all(np.array_equal(one, three) for one, three in zip(rows[1], rows[3]))
+        monkeypatch.setattr("weakdep.models._paths", _pool_threads_meet(_paths))
+        rows[workers] = replicate_paths(model, n, chunks * width - 3, 12)
+    assert np.array_equal(rows[1], rows[3])
+
+
+@pytest.mark.parametrize("model", [IID(U11), MovingAverage(coeffs=(1.0, 1.0), law=U11),
+                                   MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)], ids=["iid", "ma11", "ma3"])
+@pytest.mark.parametrize("n", [24, 4096])
+def test_every_scratch_buffer_is_allocated_on_the_calling_thread(model, n, monkeypatch):
+    # chunk 0, drawn first on the caller, fills the scratch that _on_row_blocks copies there for
+    # the pool: a buffer a pool thread allocated would stay resident in its own malloc arena
+    monkeypatch.setattr("weakdep.models._WORKERS", 3)
+    caller = threading.current_thread()
+    replicates = 7 * (REPLICATE_BLOCK_VALUES // n) - 3  # 7 chunks, the last one cut
+    for draw in (lambda: replicate_paths(model, n, replicates, 5),
+                 lambda: _replicate_sums(model, n, replicates, 5, [0, n // 2, n - 1])):
+        callers, first = set(), []
+
+        def buffer(scratch, name, shape):
+            callers.add(threading.current_thread())
+            if name not in scratch:
+                first.append((name, threading.current_thread() is caller))
+            return _buffer(scratch, name, shape)
+
+        monkeypatch.setattr("weakdep.models._buffer", buffer)
+        draw()
+        # the pool drew (an idle pool thread may take both runs), but allocated nothing
+        assert callers - {caller} and first and all(on_caller for _, on_caller in first)
+
+
+@pytest.mark.parametrize("model, columns", [
+    (IID(U11), 1), (MovingAverage(coeffs=(1.0, 1.0), law=U11), 2), (MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11), 3),
+], ids=["iid", "ma11", "ma3"])
+def test_sample_path_peak_memory_in_float_columns(model, columns):
+    # the innovations, the filter output where it is not the innovations themselves, and a term
+    # where a coefficient other than 1.0 multiplies a slice; the path is a view of the output
+    n = 2**20
+    sample_path(model, 8, 0)
+    tracemalloc.start()
+    try:
+        sample_path(model, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns <= peak / (8 * n) < columns + 0.1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -460,9 +499,9 @@ def test_replicate_paths_row_independent_of_replicates(n):
     full = replicate_paths(model, n, 3 * width, 8)
     assert np.array_equal(full, chunk_reference(model, n, 3 * width, 8))
     for replicates in (1, width - 1, width, width + 1, 2 * width + 7):
-        assert np.array_equal(replicate_paths(model, n, replicates, 8), full[:replicates])
-        sums = replicate_paths(model, n, replicates, 8, lambda x: x.sum(axis=1))
-        assert np.array_equal(sums, np.array([row.sum() for row in full[:replicates]]))
+        x = replicate_paths(model, n, replicates, 8)
+        assert np.array_equal(x, full[:replicates])
+        assert np.array_equal(x.sum(axis=1), np.array([row.sum() for row in full[:replicates]]))
 
 
 def test_replicate_chunk_stream_does_not_alias_plain_seeds():
@@ -483,9 +522,6 @@ def test_replicate_paths_rejects_bad_arguments():
     for n, replicates in ((0, 10), (-1, 10), (8, 0)):
         with pytest.raises(ValueError):
             replicate_paths(IID(U11), n, replicates, 0)
-    # a reduction over the whole block instead of one value per row
-    with pytest.raises(ValueError):
-        replicate_paths(IID(U11), 8, 10, 0, lambda x: x.sum())
 
 
 @pytest.mark.parametrize("coeffs", [(1e308, 1e308), (1e308, -1e308, 1e308), (1.0, 2.0**1023, 2.0**1023)])
@@ -591,8 +627,9 @@ def test_ma_stationarity_pooled_covariance():
     # pooled empirical lag covariance vs closed form, 1e5 replicates
     model = MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)
     n, reps = 16, 100_000
+    x = replicate_paths(model, n, reps, 909)
     for lag in (1, 2):
-        per_rep = replicate_paths(model, n, reps, 909, lambda x: np.mean(x[:, :-lag] * x[:, lag:], axis=1))
+        per_rep = np.mean(x[:, :-lag] * x[:, lag:], axis=1)
         se = per_rep.std(ddof=1) / math.sqrt(reps)
         assert abs(per_rep.mean() - analytic_covariance(model, lag)) <= 4 * se
 

@@ -531,7 +531,7 @@ def test_clt_ks_distance_iid_rademacher():
     [rep] = clt_ks_distance(IID(Rademacher()), 1024, cfg)
     assert rep.verdict == DOMINATED
     assert rep.estimate <= rep.bound
-    sums = replicate_paths(IID(Rademacher()), 1024, cfg.replicates, cfg.seed, lambda x: x.sum(axis=1))
+    sums = replicate_paths(IID(Rademacher()), 1024, cfg.replicates, cfg.seed).sum(axis=1)
     assert abs(float(np.mean(sums <= 0.0)) - 0.5) <= 3 * math.sqrt(0.25 / cfg.replicates)
 
 
