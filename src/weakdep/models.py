@@ -130,12 +130,20 @@ def _bump_integral(law: InnovationLaw, cs: tuple[float, ...], beta: float) -> fl
 
 # ---------------------------------------------------------------------------
 # innovation laws (all centered, compact support, finite closed-form variance)
+#
+# Each law has a private unit draw, _unit_draw(rng, size, out) -> (unit,
+# scale, center): the generator calls of sample, leaving the generator in the
+# same state, with sample's values scale * (unit - center) up to rounding.
+# _path_sums sums the unit draws and maps only those sums.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class UniformOnInterval:
-    """Uniform law on [a, b], centered to [-h, h] with h = (b - a)/2."""
+    """Uniform law on [a, b], centered to [-h, h] with h = (b - a)/2.
+
+    Its unit draw is rng.random, with scale b - a and center 1/2; sample is
+    that map bit for bit when b - a is 2."""
 
     a: float
     b: float
@@ -183,10 +191,16 @@ class UniformOnInterval:
         u += -h
         return u
 
+    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> tuple[np.ndarray, float, float]:
+        return rng.random(size, out=out), self.b - self.a, 0.5
+
 
 @dataclass(frozen=True)
 class Rademacher:
-    """Fair +/-1 law."""
+    """Fair +/-1 law.
+
+    Its unit draw is rng.integers(0, 2) as floats, with scale 2 and center
+    1/2, which sample is bit for bit."""
 
     @property
     def variance(self) -> float:
@@ -207,6 +221,9 @@ class Rademacher:
         signs -= 1.0
         return signs
 
+    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> tuple[np.ndarray, float, float]:
+        return np.multiply(rng.integers(0, 2, size), 1.0, out=out), 2.0, 0.5
+
 
 @lru_cache(maxsize=1)
 def _gauss_legendre_200() -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +240,9 @@ def _gauss_legendre_200() -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TruncatedGaussian:
-    """Standard normal conditioned on |Z| <= bound, renormalized (mean zero)."""
+    """Standard normal conditioned on |Z| <= bound, renormalized (mean zero).
+
+    Its unit draw is its sample, with scale 1 and center 0."""
 
     bound: float
 
@@ -286,6 +305,9 @@ class TruncatedGaussian:
         u *= self._mass
         u += ndtr(-self.bound)
         return ndtri(u, out=u)
+
+    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> tuple[np.ndarray, float, float]:
+        return self.sample(rng, size, out=out), 1.0, 0.0
 
 
 InnovationLaw = Union[UniformOnInterval, Rademacher, TruncatedGaussian]
@@ -497,24 +519,26 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
 
 
 @lru_cache(maxsize=16)
-def _sum_plan(p: int, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sum_plan(p: int, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The index plan of _path_sums for a moving average of order p, built once per (p, ends).
 
     The running sum C of the innovations is read at the sorted indices K =
     {e + p - 1 - j} and {p - 2 - j} for the ends e and j < p; starts are the
-    np.add.reduceat starts of the segments [0, K_0], (K_0, K_1], ..., so
-    row i of the running sum of the segment sums is C[K_i].  hi[j] holds
-    the rows of C[e + p - 1 - j], one per end, and lo[j] the row of
-    C[p - 2 - j] (p - 1 entries: C[-1] = 0 is not read).  All read-only.
+    np.add.reduceat starts of the segments [0, K_0], (K_0, K_1], ..., and
+    lengths their lengths as a float column, so row i of the running sum of
+    the segment sums is C[K_i].  hi[j] holds the rows of C[e + p - 1 - j],
+    one per end, and lo[j] the row of C[p - 2 - j] (p - 1 entries: C[-1] = 0
+    is not read).  All read-only.
     """
     tops = [np.asarray(ends) + (p - 1 - j) for j in range(p)]
     keys = np.unique(np.concatenate([*tops, np.arange(p - 1)]))
     starts = np.concatenate(([0], keys[:-1] + 1))
+    lengths = (keys + 1.0 - starts)[:, np.newaxis]
     hi = np.searchsorted(keys, tops)
     lo = np.searchsorted(keys, np.arange(p - 2, -1, -1))
-    for array in (starts, hi, lo):
+    for array in (starts, lengths, hi, lo):
         array.flags.writeable = False
-    return starts, hi, lo
+    return starts, lengths, hi, lo
 
 
 def _path_sums(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scratch: dict,
@@ -523,21 +547,31 @@ def _path_sums(model: ModelSpec, n: int, width: int, rng: np.random.Generator, s
     moving-average paths of length n from one generator, as a (width,
     len(ends)) array.
 
-    The innovations come from the same law.sample call into the same "eps"
-    scratch buffer as in _paths, so the generator gives the same draws and
-    is left in the same state.  No path is formed: with C[k] the running
-    sum of the innovations along time and C[-1] = 0, S_e = sum_j a_j
-    C[e + p - 1 - j] - sum_{j < p - 1} a_j C[p - 2 - j], each sum taken
-    a[p - 1] first as in _paths, and the second, the same for every end,
-    subtracted last.  C is read only at the indices of _sum_plan:
-    np.add.reduceat sums the innovations between them and np.cumsum runs
-    over those few rows, as a full-length running sum, whose every add
-    waits on the one before it, would cost more than the draw.
+    The innovations are the law's unit draws, drawn by the generator calls
+    of law.sample in _paths into the same "eps" scratch buffer, so the
+    generator gives the same draws and is left in the same state.  No path
+    is formed: with C[k] the running sum of the innovations along time and
+    C[-1] = 0, S_e = sum_j a_j C[e + p - 1 - j] - sum_{j < p - 1} a_j C[p -
+    2 - j], each sum taken a[p - 1] first as in _paths, and the second, the
+    same for every end, subtracted last.  C is read only at the indices of
+    _sum_plan: np.add.reduceat sums the unit draws between them, the law's
+    map scale * (sum - center * length) turns each segment sum into the
+    innovations' (the center first, so that no intermediate is larger than
+    the innovations' own sums), and np.cumsum runs over those few rows.  A
+    full-length running sum, whose every add waits on the one before it,
+    would cost more than the draw, and the map costs a pass over the draw
+    where it is applied to every value.  With scale 1 and center 0 this is
+    the arithmetic of summing law.sample's innovations; otherwise the sums
+    are theirs up to rounding, and bit for bit when every sum and map here
+    is exact in float, as for a Rademacher law.
     """
     a, p = model.coeffs, len(model.coeffs)
-    starts, hi, lo = _sum_plan(p, ends)
-    eps = model.law.sample(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
-    c = np.cumsum(np.add.reduceat(eps[: ends[-1] + p], starts, axis=0), axis=0)
+    starts, lengths, hi, lo = _sum_plan(p, ends)
+    unit, scale, center = model.law._unit_draw(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
+    c = np.add.reduceat(unit[: ends[-1] + p], starts, axis=0)
+    c -= center * lengths
+    np.cumsum(c, axis=0, out=c)
+    c *= scale
     sums = a[p - 1] * c[hi[p - 1]]
     offset = 0.0
     for j in range(p - 2, -1, -1):

@@ -75,6 +75,25 @@ def test_uniform_sample_matches_generator_uniform(a, b, size):
     assert np.array_equal(x, np.random.default_rng(41).uniform(-h, h, size))
 
 
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("shape", [(1000, 1), (1000, 16)])
+def test_unit_draw_is_the_sample_before_its_map(law, shape):
+    # the generator calls of sample, and sample = scale * (unit - center): bit for bit for Rademacher
+    # and U(-1, 1), within two roundings of the largest value otherwise
+    by_sample, by_unit = np.random.default_rng(8), np.random.default_rng(8)
+    x = law.sample(by_sample, shape)
+    out = np.empty(shape)
+    unit, scale, center = law._unit_draw(by_unit, shape, out=out)
+    assert unit is out
+    assert by_sample.bit_generator.state == by_unit.bit_generator.state
+    mapped = scale * (unit - center)
+    if law in (U11, Rademacher()):
+        assert np.array_equal(mapped, x)
+    assert np.abs(mapped - x).max() <= 2.0 * np.spacing(law.support[1])
+    if isinstance(law, TruncatedGaussian):
+        assert (scale, center) == (1.0, 0.0) and np.array_equal(unit, x)
+
+
 def density(law):
     """The density of a continuous law on its support, for the quadrature oracles."""
     if isinstance(law, UniformOnInterval):
@@ -567,6 +586,46 @@ def test_path_sums_on_uniform_models_within_rounding(model, n, replicates):
     x = replicate_paths(model, n, replicates, 4)
     error = np.abs(_replicate_sums(model, n, replicates, 4, ends) - np.cumsum(x, axis=1)[:, ends])
     assert (error <= 1e-12 * np.cumsum(np.abs(x), axis=1)[:, ends]).all()
+
+
+def test_path_sums_keep_the_float_range():
+    # innovations of 2^1008: the unit draws' running sum times the scale 2^1009 overflows near 2^15 draws,
+    # while every centered sum, like the paths' own running sums, stays far inside the float range
+    model = MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-2.0**1008, 2.0**1008))
+    n, ends = REPLICATE_BLOCK_VALUES, [0, 3, REPLICATE_BLOCK_VALUES // 2, REPLICATE_BLOCK_VALUES - 1]
+    x = replicate_paths(model, n, 3, 4)
+    sums, scale = _replicate_sums(model, n, 3, 4, ends), np.cumsum(np.abs(x), axis=1)[:, ends]
+    assert np.isfinite(sums).all() and np.isfinite(scale).all()
+    assert (np.abs(sums - np.cumsum(x, axis=1)[:, ends]) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("model", [MovingAverage(coeffs=(1.0, 1.0), law=U11),
+                                   MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)], ids=["ma11", "ma3"])
+def test_path_sums_within_their_rounding_bound_of_exact_sums(model):
+    # U(-1, 1) draws 2u - 1 exactly and the coefficients are 1 and -0.5, so fsum of a_j xi_t is the exact S_e.
+    # The kernel evaluates sum_t a_j (s u_t - s c) over a tree of adds: numpy sums a segment of L unit
+    # draws pairwise, in blocks of at most 128 (8 accumulators of at most 16 values, 3 levels, 7 left
+    # over) below ceil(log2(L / 128)) halvings and an add of the first value, then centers it, runs over
+    # the plan's rows, scales, multiplies by a_j and adds at most p terms, each one rounding.  So
+    # |error| <= gamma_d sum |terms| (Higham, Accuracy and Stability, 2nd ed., sec. 4.2), with d the
+    # depth and the terms' magnitudes a_j (s u_t + s c) = a_j (xi_t + 2h).
+    n, a, p = REPLICATE_BLOCK_VALUES, model.coeffs, len(model.coeffs)
+    ends = (0, 1, 7, 127, 1000, 4095, n // 2, n - 2, n - 1)
+    rows = len(np.unique(np.concatenate([np.add(ends, p - 1 - j) for j in range(p)] + [np.arange(p - 1)])))
+    depth = 26 + math.ceil(math.log2(n / 128)) + 1 + rows + p + 3
+    u = 2.0**-53
+    gamma = depth * u / (1.0 - depth * u)
+    sums = _replicate_sums(model, n, 4, 6, ends)
+    for r in range(4):
+        # n = 2^16 is one path per chunk: replicate r is chunk r's whole draw
+        rng = np.random.default_rng(np.random.SeedSequence(6, spawn_key=(r,)))
+        xi = model.law.sample(rng, (n + p - 1, 1))[:, 0]
+        weight = np.concatenate(([0.0], np.cumsum(xi + 2.0 * model.law.halfwidth)))
+        for i, e in enumerate(ends):
+            exact = math.fsum(itertools.chain.from_iterable(
+                (a[j] * xi[p - 1 - j: e + p - j]).tolist() for j in range(p)))
+            terms = sum(abs(a[j]) * (weight[e + p - j] + weight[p - 1 - j]) for j in range(p))
+            assert abs(sums[r, i] - exact) <= gamma * terms
 
 
 @pytest.mark.parametrize("n, chunks", [(24, 6), (4096, 9)])
