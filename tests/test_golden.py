@@ -89,16 +89,16 @@ CASES = {
     ),
     "slln": (
         "ma11", "verify --check slln --n-grid 64,128,256,512,1024 --replicates 500", 0,
-        "d614c26dfb59cc51ccb2fdd6a8fd8166429c48f233fe00ac93730d92109edfa1",
+        "92563a763715930c128b310184e10b9405f14e93261ba3fd0704f08a4d70dca6",
     ),
     # a fitted slope below the -0.55 end of the window: VIOLATED, exit 1
     "slln-miss": (
         "ma11", "verify --check slln --n-grid 64,128,256 --replicates 200", 1,
-        "b116935ee1ef166777c231af764457903801f1af5c96e1ad3c27ed64d0c21a45",
+        "4660bef29f423e7b2954f42b273240f122a1dfb1b30eae5f4d98be86c33a21be",
     ),
     "clt": (
         "ma11", "verify --check clt --n 1024 --replicates 1000", 0,
-        "4462d8f9ce0a345e43d1e01aecd0bddf810e4c1a20e817f90362473356b803f0",
+        "b576fc3c7ddf44ccb94cc22bb516bf1bf898b54a77afdad18594e59e67ce83a7",
     ),
     # a KS distance above its threshold: VIOLATED, exit 1
     "clt-miss": (
@@ -107,7 +107,7 @@ CASES = {
     ),
     "fclt": (
         "ma11", "verify --check fclt --n 1024 --times 0.25,0.5,1 --replicates 1000", 0,
-        "93d255b90b994f557bb21571c7a91d40c7acde26617d6ddecc0f93c3bbe9bdd6",
+        "f8fdc7a98f31faf600c4d79931b0999bc6ef689c48e2926f3611c93ee05a9665",
     ),
     # one nonzero coefficient: the exact marginal and the gamma(s,t) target min(s, t) - s t
     "emp": (
