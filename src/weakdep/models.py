@@ -283,12 +283,15 @@ class TruncatedGaussian:
         # 1-D quadrature of cos(t x) against the truncated density; fixed
         # Gauss-Legendre rule, exact to ~1e-14 for the t values used here,
         # built once per process: one cumsum mean makes hundreds of calls.
+        # A product and a row sum, not a BLAS matrix-vector product, whose
+        # bits depend on where t sits in the array: each value is a function
+        # of its own t alone.
         t = np.atleast_1d(np.asarray(t, dtype=float))
         nodes, weights = _gauss_legendre_200()
         x = nodes * self.bound
         w = weights * self.bound
         dens = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / self._mass
-        vals = np.cos(np.outer(t, x)) @ (w * dens)
+        vals = (np.cos(np.outer(t, x)) * (w * dens)).sum(axis=1)
         return vals if vals.size > 1 else float(vals[0])
 
     def cdf(self, x):

@@ -124,6 +124,16 @@ def test_truncated_gaussian_chf_closed_form(bound):
     assert law.chf(t[200]) == pytest.approx(oracle[200], abs=1e-13)
 
 
+def test_truncated_gaussian_chf_is_a_function_of_t_alone():
+    # the same bits whether t comes alone, in the whole array or in a subarray at another offset
+    law = TruncatedGaussian(1.5)
+    t = np.linspace(0.0, 50.0, 1001)
+    whole = law.chf(t)
+    assert np.array_equal(whole, [law.chf(value) for value in t])
+    for offset in (1, 3, 500):
+        assert np.array_equal(law.chf(t[offset:]), whole[offset:])
+
+
 def test_truncated_gaussian_rule_built_once(monkeypatch):
     # one cumsum mean calls chf hundreds of times; they share one read-only rule
     leggauss = np.polynomial.legendre.leggauss
