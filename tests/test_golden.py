@@ -42,7 +42,7 @@ CASES = {
     ),
     "decompose-bump": (
         "bump", "decompose --n 2 --p 1 --seed 0", 0,
-        "fc4d4b2a8021ecc0fb9db5644f0ae05867a77e0db5a2b97764fd6aadb72cb458",
+        "43ab6d7ab5e9faf444b762a9f5d13d1aade13fe5b9cbea171fa3825fe98d5997",
     ),
     "bound": (
         "ma11", "bound --n 4096 --x-grid 0:4000:250", 0,
