@@ -14,8 +14,9 @@ SeedSequence(seed, spawn_key=(chunk,)), on a fixed min(2, os.cpu_count())
 threads with rows bit-identical to a serial draw.  It serves two
 producers of the same replicates: replicate_paths, the paths through the
 filter _paths, and _replicate_sums, the partial sums of a moving average
-at chosen ends, which _path_sums reads off running sums of the
-innovations without forming a path.  Each value is copied once, from its
+at chosen ends, which _path_sums reads off running sums of the laws'
+unit draws, mapped to the innovations' only at the few indices it reads,
+without forming a path.  Each value is copied once, from its
 chunk's buffer into the output: the filter keeps the innovations, its
 time-major output and an optional term in scratch and returns a
 transposed view.  _on_row_blocks splits rows over those threads and gives
@@ -550,23 +551,21 @@ def _path_sums(model: ModelSpec, n: int, width: int, rng: np.random.Generator, s
     moving-average paths of length n from one generator, as a (width,
     len(ends)) array.
 
-    The innovations are the law's unit draws, drawn by the generator calls
-    of law.sample in _paths into the same "eps" scratch buffer, so the
-    generator gives the same draws and is left in the same state.  No path
-    is formed: with C[k] the running sum of the innovations along time and
-    C[-1] = 0, S_e = sum_j a_j C[e + p - 1 - j] - sum_{j < p - 1} a_j C[p -
-    2 - j], each sum taken a[p - 1] first as in _paths, and the second, the
-    same for every end, subtracted last.  C is read only at the indices of
-    _sum_plan: np.add.reduceat sums the unit draws between them, the law's
-    map scale * (sum - center * length) turns each segment sum into the
-    innovations' (the center first, so that no intermediate is larger than
-    the innovations' own sums), and np.cumsum runs over those few rows.  A
-    full-length running sum, whose every add waits on the one before it,
-    would cost more than the draw, and the map costs a pass over the draw
-    where it is applied to every value.  With scale 1 and center 0 this is
-    the arithmetic of summing law.sample's innovations; otherwise the sums
-    are theirs up to rounding, and bit for bit when every sum and map here
-    is exact in float, as for a Rademacher law.
+    The innovations are the law's unit draws, made by law.sample's generator
+    calls into the same "eps" scratch buffer as in _paths, so the generator
+    is left in the same state.  No path is formed: with C[k] the running sum
+    of the innovations along time and C[-1] = 0, S_e = sum_j a_j C[e + p - 1
+    - j] - sum_{j < p - 1} a_j C[p - 2 - j], each sum taken a[p - 1] first
+    as in _paths, and the second, the same for every end, subtracted last.
+    C is read only at the indices of _sum_plan: np.add.reduceat sums the unit
+    draws between them, the law's map scale * (sum - center * length) turns
+    each segment sum into the innovations' (centered first, so that no
+    intermediate outgrows the innovations' own sums), and np.cumsum runs
+    over those few rows.  A full-length running sum, whose every add waits
+    on the one before it, would cost more than the draw, and the map applied
+    to every drawn value a pass over it.  The sums are those of law.sample's
+    innovations up to rounding, and bit for bit when scale is 1 and center 0,
+    or when every sum and map here is exact in float, as for a Rademacher law.
     """
     a, p = model.coeffs, len(model.coeffs)
     starts, lengths, hi, lo = _sum_plan(p, ends)
