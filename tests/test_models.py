@@ -599,8 +599,8 @@ def test_path_sums_on_uniform_models_within_rounding(model, n, replicates):
 
 
 def test_path_sums_keep_the_float_range():
-    # innovations of 2^1008: the unit draws' running sum times the scale 2^1009 overflows near 2^15 draws,
-    # while every centered sum, like the paths' own running sums, stays far inside the float range
+    # innovations of 2^1008: the uncentered map scale C[K] - h (K + 1) overflows in h (K + 1) at 2^16
+    # draws, while every centered sum, like the paths' own running sums, stays far inside the float range
     model = MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-2.0**1008, 2.0**1008))
     n, ends = REPLICATE_BLOCK_VALUES, [0, 3, REPLICATE_BLOCK_VALUES // 2, REPLICATE_BLOCK_VALUES - 1]
     x = replicate_paths(model, n, 3, 4)
@@ -613,16 +613,17 @@ def test_path_sums_keep_the_float_range():
                                    MovingAverage(coeffs=(1.0, -0.5, 1.0), law=U11)], ids=["ma11", "ma3"])
 def test_path_sums_within_their_rounding_bound_of_exact_sums(model):
     # U(-1, 1) draws 2u - 1 exactly and the coefficients are 1 and -0.5, so fsum of a_j xi_t is the exact S_e.
-    # The kernel evaluates sum_t a_j (s u_t - s c) over a tree of adds: numpy sums a segment of L unit
-    # draws pairwise, in blocks of at most 128 (8 accumulators of at most 16 values, 3 levels, 7 left
-    # over) below ceil(log2(L / 128)) halvings and an add of the first value, then centers it, runs over
-    # the plan's rows, scales, multiplies by a_j and adds at most p terms, each one rounding.  So
-    # |error| <= gamma_d sum |terms| (Higham, Accuracy and Stability, 2nd ed., sec. 4.2), with d the
-    # depth and the terms' magnitudes a_j (s u_t + s c) = a_j (xi_t + 2h).
+    # The kernel computes S_e as a tree of roundings over the terms a_j s u_t and -a_j s c: numpy adds a
+    # segment of at most n unit draws pairwise, a value passing at most 15 + 3 + 7 adds in a block of 128
+    # (8 accumulators of 16, 3 levels, 7 left over), one per halving above it and one for the first value;
+    # then 1 centering, at most `rows` running-sum adds, 1 scaling, 1 product by a_j, p - 1 adds of the
+    # terms and 1 subtraction of the offset.  So |error| <= gamma_depth sum |terms| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., sec. 4.2), the terms' magnitudes summing to
+    # |a_j| (xi_t + 2h) per draw read.
     n, a, p = REPLICATE_BLOCK_VALUES, model.coeffs, len(model.coeffs)
     ends = (0, 1, 7, 127, 1000, 4095, n // 2, n - 2, n - 1)
     rows = len(np.unique(np.concatenate([np.add(ends, p - 1 - j) for j in range(p)] + [np.arange(p - 1)])))
-    depth = 26 + math.ceil(math.log2(n / 128)) + 1 + rows + p + 3
+    depth = 25 + math.ceil(math.log2(n / 128)) + 1 + rows + p + 3
     u = 2.0**-53
     gamma = depth * u / (1.0 - depth * u)
     sums = _replicate_sums(model, n, 4, 6, ends)
@@ -633,7 +634,7 @@ def test_path_sums_within_their_rounding_bound_of_exact_sums(model):
         weight = np.concatenate(([0.0], np.cumsum(xi + 2.0 * model.law.halfwidth)))
         for i, e in enumerate(ends):
             exact = math.fsum(itertools.chain.from_iterable(
-                (a[j] * xi[p - 1 - j: e + p - j]).tolist() for j in range(p)))
+                (a[j] * xi[p - 1 - j : e + p - j]).tolist() for j in range(p)))
             terms = sum(abs(a[j]) * (weight[e + p - j] + weight[p - 1 - j]) for j in range(p))
             assert abs(sums[r, i] - exact) <= gamma * terms
 
