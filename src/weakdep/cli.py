@@ -189,14 +189,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _cells(col):
     """The printf spec and the cells of one column: a float64 array as Python
     floats for %.17g, a range of ints for %d, a bool array as true/false and a
-    list value by value through _fmt and _quote, both for %s."""
+    list value by value through _fmt and _quote, both for %s.  A nonempty float64
+    or bool array of one bit pattern (0.0 and -0.0, or two NaNs of other bits, are
+    two) is a constant column: its spec is its one cell's text, each % doubled, and
+    its cells are None, so a batch formats it once."""
     if isinstance(col, range):
         return "%d", col
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return "%.17g", col.tolist()
-    if isinstance(col, np.ndarray) and col.dtype == np.bool_:
-        return "%s", map(("false", "true").__getitem__, col.tolist())
-    return "%s", map(_quote, map(_fmt, col))
+    if not (isinstance(col, np.ndarray) and col.dtype in (np.float64, np.bool_)):
+        return "%s", map(_quote, map(_fmt, col))
+    spec, names = ("%.17g", None) if col.dtype == np.float64 else ("%s", ("false", "true"))
+    bits = col.view(np.uint64 if names is None else np.uint8)
+    if bits.size and (bits == bits[0]).all():
+        cell = col[0].item()
+        return (spec % (cell if names is None else names[cell])).replace("%", "%%"), None
+    return spec, col.tolist() if names is None else map(names.__getitem__, col.tolist())
 
 
 def _quote(cell: str) -> str:
@@ -213,15 +219,18 @@ def _csv_text(header: Sequence[str], columns: Sequence, footer: Optional[str] = 
     one piece per _BATCH_ROWS rows and the footer.  A batch is one printf
     template, the columns' specs repeated once per row, filled by one % over the
     cells of the columns' slices in row order, so no piece holds more than
-    _BATCH_ROWS rows however long the columns are.  (csv writes an empty cell as
-    "" when it is the only field of its row; no report has a single column.)
+    _BATCH_ROWS rows however long the columns are.  A slice that is a constant
+    column has its text in the template in place of its spec and adds no cells,
+    so it is formatted once a batch, to the same bytes.  (csv writes an empty
+    cell as "" when it is the only field of its row; no report has a single
+    column.)
     """
     yield ",".join(map(_quote, header)) + "\n"
     rows = len(columns[0])
     for start in range(0, rows, _BATCH_ROWS):
         specs, cells = zip(*(_cells(col[start : start + _BATCH_ROWS]) for col in columns))
         template = (",".join(specs) + "\n") * min(_BATCH_ROWS, rows - start)
-        yield template % tuple(chain.from_iterable(zip(*cells)))
+        yield template % tuple(chain.from_iterable(zip(*(c for c in cells if c is not None))))
     if footer is not None:
         yield footer + "\n"
 
@@ -418,6 +427,20 @@ def _check_sizes(args) -> None:
             raise ConfigError(f"{_flag(name)} must lie in [1, {limit}]")
 
 
+def _check_out(args) -> None:
+    """A given --out names a path that is not a directory, in a directory that exists,
+    so a report is not computed only for its write to fail."""
+    out = getattr(args, "out", None)
+    if out is None:
+        return
+    if not out:
+        raise ConfigError("--out must name a file, got ''")
+    if os.path.isdir(out):
+        raise ConfigError(f"--out {out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"--out {out!r} lies in a directory that does not exist")
+
+
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
@@ -434,6 +457,7 @@ def run(argv: Sequence[str]) -> int:
         return 2
     try:
         _check_sizes(args)
+        _check_out(args)
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
