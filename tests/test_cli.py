@@ -750,6 +750,19 @@ def _csv_module_text(header, columns, footer):
 # text made of the characters csv quoting turns on, and of some it does not
 _TEXT = st.text(alphabet=',"\n\r x1', max_size=6)
 _EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225e-308, 1e308, -1.7976931348623157e308])
+# pairs of bit patterns whose floats compare equal (0.0 and -0.0) or are NaNs of other bits
+_QNAN = 0x7FF8000000000000
+_TWIN_BITS = st.sampled_from([(0, 1 << 63), (1 << 63, 0), (_QNAN, _QNAN | 1), (_QNAN | 1 << 63, _QNAN)])
+
+
+def _twin_column(rows):
+    """rows copies of one bit pattern with one cell, if any, changed to its twin."""
+    def column(twins, at):
+        bits = np.full(rows, twins[0], dtype=np.uint64)
+        bits[at : at + 1] = twins[1]
+        return bits.view(np.float64)
+
+    return st.builds(column, _TWIN_BITS, st.integers(0, max(rows - 1, 0)))
 
 
 @st.composite
@@ -762,6 +775,10 @@ def _tables(draw):
     column = st.one_of(
         sized(st.floats() | _EDGE_FLOATS).map(lambda v: np.array(v, dtype=np.float64)),
         sized(st.booleans()).map(lambda v: np.array(v, dtype=np.bool_)),
+        # constant columns, which a batch formats once, and columns one cell away from constant
+        (st.floats() | _EDGE_FLOATS).map(lambda v: np.full(rows, v, dtype=np.float64)),
+        st.booleans().map(lambda v: np.full(rows, v, dtype=np.bool_)),
+        _twin_column(rows),
         st.integers(-5, 5).map(lambda start: range(start, start + rows)),
         sized(st.one_of(st.floats() | _EDGE_FLOATS, st.integers(), st.booleans(), _TEXT)),
     )
@@ -785,6 +802,35 @@ def test_csv_text_is_what_the_csv_module_writes(table):
                for lo in range(0, len(columns[0]), 3)]
     # the header, then each batch of 3 rows, then the footer after the last row
     assert pieces == [head, *batches, *([] if footer is None else [footer + "\n"])]
+
+
+@pytest.mark.parametrize("column", [
+    np.array([0.0, -0.0, 0.0, 0.0]),
+    np.full(4, math.nan),
+    np.full(4, math.inf),
+    np.full(4, 5e-324),
+    np.zeros(4, dtype=np.bool_),
+], ids=["signed-zeros", "nan", "inf", "subnormal", "false"])
+def test_constant_batches_are_what_the_csv_module_writes(column, monkeypatch):
+    # at 2 rows a batch, [0.0, -0.0 | 0.0, 0.0] is a batch of two bit patterns, which compare
+    # equal but print 0 and -0, then a constant batch; reversed, the constant batch comes first
+    monkeypatch.setattr("weakdep.cli._BATCH_ROWS", 2)
+    table = (("k", "x", "reversed"), (range(1, 5), column, column[::-1]), None)
+    assert "".join(_csv_text(*table)) == _csv_module_text(*table)
+
+
+def test_coeffs_past_the_last_coefficient_is_what_the_csv_module_writes(tmp_path):
+    # ma11's gamma_k and v(k) are 0 past k = 1: one batch with both cells, then constant ones
+    # and a last batch of one row
+    model = tmp_path / "ma11.json"
+    model.write_text(MA11_JSON)
+    out = tmp_path / "coeffs.csv"
+    n_max = 3 * _BATCH_ROWS + 1
+    assert run(["coeffs", "--model", str(model), "--n-max", str(n_max), "--out", str(out)]) == 0
+    gamma = gamma_sequence(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
+    ks = range(1, n_max + 1)
+    columns = (ks, [gamma.gamma(k) for k in ks], [gamma.tail_sum(k) for k in ks])
+    assert out.read_text() == _csv_module_text(("k", "gamma", "v"), columns, None)
 
 
 @pytest.mark.parametrize("argv, float_values", [
@@ -837,6 +883,31 @@ def test_failed_batch_write_keeps_the_old_report(tmp_path, ma_model, capsys, mon
     assert len(written) == 2 and written[1].count("\n") == _BATCH_ROWS
     assert out.read_bytes() == b"old report\n"
     assert list(tmp_path.glob(".weakdep-*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n-max", "3000000"],
+    ["bound"],
+    ["decompose", "--n", "8", "--p", "2"],
+    ["verify", "--check", "slln"],
+], ids=["coeffs", "bound", "decompose", "verify"])
+@pytest.mark.parametrize("out, message", [
+    ("", "--out must name a file, got ''"),
+    ("d", "--out 'd' is a directory"),
+    ("missing/x.csv", "--out 'missing/x.csv' lies in a directory that does not exist"),
+], ids=["empty", "directory", "missing-directory"])
+def test_bad_out_exits_two_before_any_work(argv, out, message, tmp_path, capsys, monkeypatch):
+    # these ran the whole command and then failed in the rename, naming a temp path
+    def no_model(path):
+        raise AssertionError("the model was loaded before --out was checked")
+
+    work = tmp_path / "work"
+    (work / "d").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    monkeypatch.setattr("weakdep.cli._load_model", no_model)
+    assert run([*argv, "--model", "m.json", "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.rglob(".weakdep-*.tmp")) == []
 
 
 @pytest.mark.parametrize("argv", [
