@@ -197,12 +197,12 @@ def _cells(col):
         return "%d", col
     if not (isinstance(col, np.ndarray) and col.dtype in (np.float64, np.bool_)):
         return "%s", map(_quote, map(_fmt, col))
-    spec, names = ("%.17g", None) if col.dtype == np.float64 else ("%s", ("false", "true"))
-    bits = col.view(np.uint64 if names is None else np.uint8)
+    floats = col.dtype == np.float64
+    spec, bits = ("%.17g", col.view(np.uint64)) if floats else ("%s", col.view(np.uint8))
     if bits.size and (bits == bits[0]).all():
         cell = col[0].item()
-        return (spec % (cell if names is None else names[cell])).replace("%", "%%"), None
-    return spec, col.tolist() if names is None else map(names.__getitem__, col.tolist())
+        return (spec % (cell if floats else _fmt(cell))).replace("%", "%%"), None
+    return spec, col.tolist() if floats else map(("false", "true").__getitem__, col.tolist())
 
 
 def _quote(cell: str) -> str:
