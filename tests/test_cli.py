@@ -897,7 +897,7 @@ def test_failed_batch_write_keeps_the_old_report(tmp_path, ma_model, capsys, mon
     ("missing/x.csv", "--out 'missing/x.csv' lies in a directory that does not exist"),
 ], ids=["empty", "directory", "missing-directory"])
 def test_bad_out_exits_two_before_any_work(argv, out, message, tmp_path, capsys, monkeypatch):
-    # these ran the whole command and then failed in the rename, naming a temp path
+    # these ran the whole command before its write failed, naming a temp path
     def no_model(path):
         raise AssertionError("the model was loaded before --out was checked")
 
