@@ -13,6 +13,7 @@ so one formula serves both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .models import ModelSpec, _stationary
@@ -81,11 +82,13 @@ def long_run_variance(model: ModelSpec) -> float:
     """Long-run variance sigma^2 = lim E S_n^2 / n of a stationary model,
     sigma_xi^2 (sum_j a_j)^2 for a moving average, so sigma_xi^2 for i.i.d.
 
-    A value that is not finite and positive is an error, not a value, and
-    the error says why: coefficients whose exact sum (fsum, so in any order)
-    is 0, a partial sum of the coefficients or a positive sigma^2 that
-    overflows, or a sigma^2 that underflows to 0.  Every law has positive
-    variance, so a law variance of 0.0 has underflowed too.
+    A value that is not a finite positive normal float is an error, not a
+    value, and the error says why: coefficients whose exact sum (fsum, so in
+    any order) is 0, a partial sum of the coefficients or a positive sigma^2
+    that overflows, or a sigma^2 that underflows: to 0, or below the
+    smallest normal float, where a subnormal keeps too few significant bits
+    to scale a check.  Every law has positive variance, so a law variance of
+    0.0 has underflowed too.
     """
     try:
         total = math.fsum(_stationary(model).coeffs)
@@ -97,8 +100,9 @@ def long_run_variance(model: ModelSpec) -> float:
     variance = model.law.variance
     sigma2 = variance * total * total
     terms = f"law variance {variance} times coefficient sum {total} squared"
-    if sigma2 == 0:
-        raise ValueError(f"long-run variance underflows: {terms} rounds to 0")
+    if sigma2 < sys.float_info.min:
+        rounded = "rounds to 0" if sigma2 == 0 else f"is {sigma2:g}, below the smallest normal float"
+        raise ValueError(f"long-run variance underflows: {terms} {rounded}")
     if not math.isfinite(sigma2):
         raise ValueError(f"long-run variance overflows: {terms} exceeds the largest float")
     return sigma2

@@ -14,13 +14,14 @@ SeedSequence(seed, spawn_key=(chunk,)), on a fixed min(2, os.cpu_count())
 threads with rows bit-identical to a serial draw.  It serves two
 producers of the same replicates: replicate_paths, the paths through the
 filter _paths, and _replicate_sums, the partial sums of a moving average
-at chosen ends, which _path_sums reads off running sums of the laws'
-unit draws, mapped to the innovations' only at the few indices it reads,
-without forming a path.  Each value is copied once, from its
-chunk's buffer into the output: the filter keeps the innovations, its
-time-major output and an optional term in scratch and returns a
-transposed view.  _on_row_blocks splits rows over those threads and gives
-each thread its own buffers.
+at chosen ends, without forming a path.  Its kernel _path_sums only sums
+each chunk's unit draws of the law between the few indices the sums read;
+_replicate_sums then maps all those segment sums to running sums of the
+innovations, and combines them, once per matrix over row blocks.  Each
+value is copied once, from its chunk's buffer into the output: the
+filter keeps the innovations, its time-major output and an optional term
+in scratch and returns a transposed view.  _on_row_blocks splits rows
+over those threads and gives each thread its own buffers.
 
 scipy.special is imported inside the truncated-Gaussian law's methods,
 not at the top, so a command on a uniform or Rademacher model loads no
@@ -132,10 +133,11 @@ def _bump_integral(law: InnovationLaw, cs: tuple[float, ...], beta: float) -> fl
 # ---------------------------------------------------------------------------
 # innovation laws (all centered, compact support, finite closed-form variance)
 #
-# Each law has a private unit draw, _unit_draw(rng, size, out) -> (unit,
-# scale, center): the generator calls of sample, leaving the generator in the
-# same state, with sample's values scale * (unit - center) up to rounding.
-# _path_sums sums the unit draws and maps only those sums.
+# Each law has a private unit draw, _unit_draw(rng, size, out) -> unit: the
+# generator calls of sample, leaving the generator in the same state.  Its
+# private map _unit_map = (scale, center) gives sample's values as scale *
+# (unit - center) up to rounding, with no draw.  _path_sums sums the unit
+# draws, and _replicate_sums maps only those sums.
 # ---------------------------------------------------------------------------
 
 
@@ -143,8 +145,8 @@ def _bump_integral(law: InnovationLaw, cs: tuple[float, ...], beta: float) -> fl
 class UniformOnInterval:
     """Uniform law on [a, b], centered to [-h, h] with h = (b - a)/2.
 
-    Its unit draw is rng.random, with scale b - a and center 1/2; sample is
-    that map bit for bit when b - a is 2."""
+    Its unit draw is rng.random, and its map has scale b - a and center 1/2;
+    sample is that map bit for bit when b - a is 2."""
 
     a: float
     b: float
@@ -192,16 +194,22 @@ class UniformOnInterval:
         u += -h
         return u
 
-    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> tuple[np.ndarray, float, float]:
-        return rng.random(size, out=out), self.b - self.a, 0.5
+    @property
+    def _unit_map(self) -> tuple[float, float]:
+        return self.b - self.a, 0.5
+
+    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        return rng.random(size, out=out)
 
 
 @dataclass(frozen=True)
 class Rademacher:
     """Fair +/-1 law.
 
-    Its unit draw is rng.integers(0, 2) as floats, with scale 2 and center
-    1/2, which sample is bit for bit."""
+    Its unit draw is rng.integers(0, 2) as floats, and its map has scale 2
+    and center 1/2, which sample is bit for bit."""
+
+    _unit_map = (2.0, 0.5)
 
     @property
     def variance(self) -> float:
@@ -222,8 +230,8 @@ class Rademacher:
         signs -= 1.0
         return signs
 
-    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> tuple[np.ndarray, float, float]:
-        return np.multiply(rng.integers(0, 2, size), 1.0, out=out), 2.0, 0.5
+    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        return np.multiply(rng.integers(0, 2, size), 1.0, out=out)
 
 
 @lru_cache(maxsize=1)
@@ -243,9 +251,10 @@ def _gauss_legendre_200() -> tuple[np.ndarray, np.ndarray]:
 class TruncatedGaussian:
     """Standard normal conditioned on |Z| <= bound, renormalized (mean zero).
 
-    Its unit draw is its sample, with scale 1 and center 0."""
+    Its unit draw is its sample, and its map has scale 1 and center 0."""
 
     bound: float
+    _unit_map = (1.0, 0.0)
 
     def __post_init__(self):
         if not 0 < self.bound < math.inf:
@@ -310,8 +319,8 @@ class TruncatedGaussian:
         u += ndtr(-self.bound)
         return ndtri(u, out=u)
 
-    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> tuple[np.ndarray, float, float]:
-        return self.sample(rng, size, out=out), 1.0, 0.0
+    def _unit_draw(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        return self.sample(rng, size, out=out)
 
 
 InnovationLaw = Union[UniformOnInterval, Rademacher, TruncatedGaussian]
@@ -524,22 +533,22 @@ def _paths(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scrat
 
 @lru_cache(maxsize=16)
 def _sum_plan(p: int, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The index plan of _path_sums for a moving average of order p, built once per (p, ends).
+    """The index plan of the partial sums of a moving average of order p, built once per (p, ends).
 
-    The running sum C of the innovations is read at the sorted indices K =
+    The running sum C of the innovations is read at the sorted keys K =
     {e + p - 1 - j} and {p - 2 - j} for the ends e and j < p; starts are the
     np.add.reduceat starts of the segments [0, K_0], (K_0, K_1], ..., and
-    lengths their lengths as a float column, so row i of the running sum of
-    the segment sums is C[K_i].  hi[j] holds the rows of C[e + p - 1 - j],
-    one per end, and lo[j] the row of C[p - 2 - j] (p - 1 entries: C[-1] = 0
-    is not read).  All read-only.
+    lengths their lengths as a float row, so column i of the running sum of
+    the segment sums is C[K_i].  hi[j] holds the columns of C[e + p - 1 - j],
+    one per end, and lo[j] the column of C[p - 2 - j] as a one-entry array
+    (p - 1 of them: C[-1] = 0 is not read).  All read-only.
     """
     tops = [np.asarray(ends) + (p - 1 - j) for j in range(p)]
     keys = np.unique(np.concatenate([*tops, np.arange(p - 1)]))
     starts = np.concatenate(([0], keys[:-1] + 1))
-    lengths = (keys + 1.0 - starts)[:, np.newaxis]
+    lengths = keys + 1.0 - starts
     hi = np.searchsorted(keys, tops)
-    lo = np.searchsorted(keys, np.arange(p - 2, -1, -1))
+    lo = np.searchsorted(keys, np.arange(p - 2, -1, -1))[:, np.newaxis]
     for array in (starts, lengths, hi, lo):
         array.flags.writeable = False
     return starts, lengths, hi, lo
@@ -547,40 +556,19 @@ def _sum_plan(p: int, ends: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np
 
 def _path_sums(model: ModelSpec, n: int, width: int, rng: np.random.Generator, scratch: dict,
                ends: tuple[int, ...]) -> np.ndarray:
-    """The partial sums S_e = X_0 + ... + X_e at the sorted ends of width
-    moving-average paths of length n from one generator, as a (width,
-    len(ends)) array.
+    """The segment sums of the law's unit draws of width moving-average paths
+    of length n from one generator, at the keys of _sum_plan(p, ends), as a
+    (width, K) array.
 
-    The innovations are the law's unit draws, made by law.sample's generator
-    calls into the same "eps" scratch buffer as in _paths, so the generator
-    is left in the same state.  No path is formed: with C[k] the running sum
-    of the innovations along time and C[-1] = 0, S_e = sum_j a_j C[e + p - 1
-    - j] - sum_{j < p - 1} a_j C[p - 2 - j], each sum taken a[p - 1] first
-    as in _paths, and the second, the same for every end, subtracted last.
-    C is read only at the indices of _sum_plan: np.add.reduceat sums the unit
-    draws between them, the law's map scale * (sum - center * length) turns
-    each segment sum into the innovations' (centered first, so that no
-    intermediate outgrows the innovations' own sums), and np.cumsum runs
-    over those few rows.  A full-length running sum, whose every add waits
-    on the one before it, would cost more than the draw, and the map applied
-    to every drawn value a pass over it.  The sums are those of law.sample's
-    innovations up to rounding, and bit for bit when scale is 1 and center 0,
-    or when every sum and map here is exact in float, as for a Rademacher law.
+    The unit draws are made by law.sample's generator calls into the same
+    "eps" scratch buffer as in _paths, so the generator is left in the same
+    state, and np.add.reduceat sums them between the keys; the result is a
+    transposed view.  Nothing else is done per chunk: _replicate_sums maps
+    the sums of all chunks at once.
     """
-    a, p = model.coeffs, len(model.coeffs)
-    starts, lengths, hi, lo = _sum_plan(p, ends)
-    unit, scale, center = model.law._unit_draw(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
-    c = np.add.reduceat(unit[: ends[-1] + p], starts, axis=0)
-    c -= center * lengths
-    np.cumsum(c, axis=0, out=c)
-    c *= scale
-    sums = a[p - 1] * c[hi[p - 1]]
-    offset = 0.0
-    for j in range(p - 2, -1, -1):
-        sums += a[j] * c[hi[j]]
-        offset = offset + a[j] * c[lo[j]]
-    sums -= offset
-    return sums.T
+    p = len(model.coeffs)
+    unit = model.law._unit_draw(rng, (n + p - 1, width), out=_buffer(scratch, "eps", (n + p - 1, width)))
+    return np.add.reduceat(unit[: ends[-1] + p], _sum_plan(p, ends)[0], axis=0).T
 
 
 def sample_path(model: ModelSpec, n: int, seed) -> np.ndarray:
@@ -635,16 +623,52 @@ def _replicate_sums(model: ModelSpec, n: int, replicates: int, seed: int, ends) 
 
     Row r is np.cumsum(replicate_paths(model, n, replicates, seed)[r])[ends]
     up to rounding, from the same innovations of the same chunks, but
-    computed by _path_sums without forming the paths.  ends must be
-    strictly increasing indices in [0, n).  A cumulative-sum model raises
-    ValueError before any draw, as does an unbounded one.
+    without forming the paths.  ends must be strictly increasing indices in
+    [0, n).  A cumulative-sum model raises ValueError before any draw, as
+    does an unbounded one.
+
+    Per chunk, _path_sums writes the segment sums of the unit draws at
+    _sum_plan's keys through _run_chunks, into a (replicates, K) matrix.
+    Then, once, over blocks of max(1, REPLICATE_BLOCK_VALUES // K) rows of
+    it: the law's map scale * (sum - center * length) turns each segment sum
+    into the innovations' (centered first, so that no intermediate outgrows
+    the innovations' own sums), np.cumsum along the keys gives C, the
+    running sum of the innovations along time, at the keys, and with C[-1]
+    = 0, S_e = sum_j a_j C[e + p - 1 - j] - sum_{j < p - 1} a_j C[p - 2 -
+    j], each sum taken a[p - 1] first as in _paths, and the second, the same
+    for every end, subtracted last.  A full-length running sum, whose every
+    add waits on the one before it, would cost more than the draw, and the
+    map applied to every drawn value a pass over it.  The row blocks bound
+    the temporaries of the map, which writes into one preallocated output.
+    Every value is computed as a per-chunk map would, so the bits do not
+    depend on the chunks, the blocks or the threads.  The sums are those of
+    law.sample's innovations up to rounding, and bit for bit when scale is
+    1 and center 0, or when every sum and map here is exact in float, as
+    for a Rademacher law.
     """
     ends = tuple(int(e) for e in ends)
     if not ends or ends[0] < 0 or ends[-1] >= n or any(e2 <= e1 for e1, e2 in zip(ends, ends[1:])):
         raise ValueError(f"partial-sum ends must be strictly increasing in [0, {n}), got {ends}")
     _stationary(model)
-    return _run_chunks(model, n, replicates, seed,
-                       lambda width, rng, scratch: _path_sums(model, n, width, rng, scratch, ends))
+    c = _run_chunks(model, n, replicates, seed,
+                    lambda width, rng, scratch: _path_sums(model, n, width, rng, scratch, ends))
+    a, p = model.coeffs, len(model.coeffs)
+    _, lengths, hi, lo = _sum_plan(p, ends)
+    scale, center = model.law._unit_map
+    sums = np.empty((replicates, len(ends)))
+    rows = max(1, REPLICATE_BLOCK_VALUES // len(lengths))
+    for top in range(0, replicates, rows):
+        block, out = c[top : top + rows], sums[top : top + rows]
+        block -= center * lengths
+        np.cumsum(block, axis=1, out=block)
+        block *= scale
+        np.multiply(a[p - 1], block[:, hi[p - 1]], out=out)
+        offset = 0.0
+        for j in range(p - 2, -1, -1):
+            out += a[j] * block[:, hi[j]]
+            offset = offset + a[j] * block[:, lo[j]]
+        out -= offset
+    return sums
 
 
 def _run_chunks(model: ModelSpec, n: int, replicates: int, seed: int, draw_chunk) -> np.ndarray:

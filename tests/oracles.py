@@ -4,7 +4,7 @@ from typing import Optional
 
 import numpy as np
 
-from weakdep.models import IID, ModelSpec, MovingAverage
+from weakdep.models import IID, ModelSpec, MovingAverage, _run_chunks
 
 
 def analytic_covariance(model: ModelSpec, lag: int) -> Optional[float]:
@@ -95,3 +95,35 @@ def piecewise_linear(f, x):
     seg = np.searchsorted(bp, x, side="right")
     anchor = np.clip(seg - 1, 0, bp.size - 1)
     return f._knots[anchor] + sl[seg] * (x - bp[anchor])
+
+
+def replicate_sums_mapped_per_chunk(model: ModelSpec, n: int, replicates: int, seed: int, ends) -> np.ndarray:
+    """models._replicate_sums as it was when its kernel mapped each chunk on its own, kept as the
+    bit-for-bit reference of the map applied once to the whole matrix: per chunk, the segment sums
+    of the unit draws between the keys, centred, summed along time and scaled, then the a_j
+    combination of the running sums C, a[p - 1] first, less the offset of the pre-sample keys."""
+    ends = tuple(int(e) for e in ends)
+    a, p = model.coeffs, len(model.coeffs)
+    tops = [np.asarray(ends) + (p - 1 - j) for j in range(p)]
+    keys = np.unique(np.concatenate([*tops, np.arange(p - 1)]))
+    starts = np.concatenate(([0], keys[:-1] + 1))
+    lengths = (keys + 1.0 - starts)[:, np.newaxis]
+    hi = np.searchsorted(keys, tops)
+    lo = np.searchsorted(keys, np.arange(p - 2, -1, -1))
+    scale, center = model.law._unit_map
+
+    def chunk(width, rng, scratch):
+        unit = model.law._unit_draw(rng, (n + p - 1, width))
+        c = np.add.reduceat(unit[: ends[-1] + p], starts, axis=0)
+        c -= center * lengths
+        np.cumsum(c, axis=0, out=c)
+        c *= scale
+        sums = a[p - 1] * c[hi[p - 1]]
+        offset = 0.0
+        for j in range(p - 2, -1, -1):
+            sums += a[j] * c[hi[j]]
+            offset = offset + a[j] * c[lo[j]]
+        sums -= offset
+        return sums.T
+
+    return _run_chunks(model, n, replicates, seed, chunk)

@@ -18,6 +18,7 @@ from weakdep import (IID, CumSumTransform, GaussBumpPlusX, MCConfig, MovingAvera
                      long_run_variance, model_to_json)
 from weakdep.cli import (CHECKS, MAX_GRID_POINTS, _BATCH_ROWS, ConfigError, _csv_text, _fmt, _options, emit_report,
                          parse_grid, run)
+from weakdep.models import REPLICATE_BLOCK_VALUES, _replicate_sums
 
 MA_JSON = model_to_json(MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(-1, 1)))
 MA11_JSON = model_to_json(MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)))
@@ -310,12 +311,15 @@ def test_usage_errors(iid_model, tmp_path, capsys):
         capsys.readouterr()
         assert run([*argv, "--model", iid_model]) == 2
         assert capsys.readouterr() == ("", f"error: {line}\n")
-    # a long-run variance that is not a positive float names its case: a zero coefficient sum,
-    # or a sigma^2 that underflows or overflows; it printed "degenerate model" for all three
+    # a long-run variance that is not a positive normal float names its case: a zero coefficient sum,
+    # or a sigma^2 that underflows or overflows; it printed "degenerate model" for all three.  The
+    # subnormal sigma^2 of (1e-160, 1e-160) keeps about 12 significant bits: clt printed DOMINATED
     u11 = "law variance 0.3333333333333333 times coefficient sum"
     for coeffs, line in (
         ((1.0, -1.0), "degenerate model: the coefficients sum to 0, so the long-run variance is 0"),
         ((1e-300,), f"long-run variance underflows: {u11} 1e-300 squared rounds to 0"),
+        ((1e-160, 1e-160), f"long-run variance underflows: {u11} 2e-160 squared is 1.33348e-320, below the "
+                           "smallest normal float"),
         ((1e155, 1e155), f"long-run variance overflows: {u11} 2e+155 squared exceeds the largest float"),
     ):
         model = tmp_path / "sigma2.json"
@@ -850,6 +854,28 @@ def test_report_peak_memory_is_a_few_times_its_columns(argv, float_values, tmp_p
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * float_values
+
+
+def test_partial_sums_peak_memory_is_their_columns_and_two_chunks(monkeypatch):
+    # the tail check's partial sums at its defaults: R = 2500 replicates of ma11 at n = 4096, E = 42
+    # block ends and K = 85 keys.  The traced peak is at most the K segment-sum and E partial-sum
+    # float columns of R rows and the innovations of one chunk for each of two threads (3.59 MB): the
+    # map runs over row blocks into one output, so it adds no (R, E) temporary
+    monkeypatch.setattr("weakdep.models._WORKERS", 2)
+    model, n, replicates = MovingAverage(coeffs=(1.0, 1.0), law=UniformOnInterval(-1, 1)), 4096, 2500
+    scheme = block_scheme(n, 97)  # p_n = floor(4096^0.55)
+    ends = np.arange(1, 2 * scheme.r_n + 1) * scheme.p_n - 1
+    keys = np.unique(np.concatenate([[0], ends, ends + 1]))  # C[0] is the pre-sample key
+    width = REPLICATE_BLOCK_VALUES // n
+    assert (len(ends), len(keys)) == (42, 85)
+    _replicate_sums(model, n, replicates, 0, ends)  # the sum plan's cache is not the sums'
+    tracemalloc.start()
+    try:
+        _replicate_sums(model, n, replicates, 0, ends)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (replicates * (len(keys) + len(ends)) + 2 * (n + 1) * width)
 
 
 class _FailingHandle:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -138,8 +139,16 @@ def test_long_run_variance_degenerate_rejected():
         with pytest.raises(ValueError) as caught:
             long_run_variance(MovingAverage(coeffs=coeffs, law=law))
         assert str(caught.value) == line
-    # a small scale whose sigma^2 is still a positive float is a value, not an error
-    assert long_run_variance(MovingAverage(coeffs=(1e-160,), law=U11)) > 0.0
+    # a sigma^2 that is a positive float below the smallest normal one keeps too few significant bits
+    # (3.3e-321, about 10) to scale a check, so it is refused as an underflow; the smallest normal
+    # float, 2^-1022, is a value, and 2^-1024 is refused
+    with pytest.raises(ValueError) as caught:
+        long_run_variance(MovingAverage(coeffs=(1e-160,), law=U11))
+    assert str(caught.value) == ("long-run variance underflows: law variance 0.3333333333333333 times coefficient "
+                                 "sum 1e-160 squared is 3.33494e-321, below the smallest normal float")
+    assert long_run_variance(MovingAverage(coeffs=(2.0**-511,), law=Rademacher())) == sys.float_info.min
+    with pytest.raises(ValueError, match="long-run variance underflows: .* is 5.56268e-309, below the smallest normal"):
+        long_run_variance(MovingAverage(coeffs=(2.0**-512,), law=Rademacher()))
     # the coefficient sum is exact, so no order of the same coefficients cancels to a degenerate model
     for coeffs in ((1.0, 1e-17, -1.0), (1e-17, 1.0, -1.0), (1.0, -1.0, 1e-17)):
         assert long_run_variance(MovingAverage(coeffs=coeffs, law=U11)) == 3.333333333333334e-35

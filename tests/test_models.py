@@ -35,7 +35,7 @@ from weakdep.models import (
     _on_row_blocks, _path_sums, _paths, _replicate_sums, nonneg_shift_mgf,
 )
 
-from oracles import analytic_covariance, window_sum_variance
+from oracles import analytic_covariance, replicate_sums_mapped_per_chunk, window_sum_variance
 
 U11 = UniformOnInterval(-1.0, 1.0)
 LAWS = (U11, UniformOnInterval(0.0, 3.0), Rademacher(), TruncatedGaussian(1.5))
@@ -78,13 +78,15 @@ def test_uniform_sample_matches_generator_uniform(a, b, size):
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("shape", [(1000, 1), (1000, 16)])
 def test_unit_draw_is_the_sample_before_its_map(law, shape):
-    # the generator calls of sample, and sample = scale * (unit - center): bit for bit for Rademacher
-    # and U(-1, 1), within two roundings of the largest value otherwise
+    # the generator calls of sample, and sample = scale * (unit - center) with the law's map, which
+    # draws nothing: bit for bit for Rademacher and U(-1, 1), within two roundings of the largest
+    # value otherwise
     by_sample, by_unit = np.random.default_rng(8), np.random.default_rng(8)
     x = law.sample(by_sample, shape)
     out = np.empty(shape)
-    unit, scale, center = law._unit_draw(by_unit, shape, out=out)
+    unit = law._unit_draw(by_unit, shape, out=out)
     assert unit is out
+    scale, center = law._unit_map
     assert by_sample.bit_generator.state == by_unit.bit_generator.state
     mapped = scale * (unit - center)
     if law in (U11, Rademacher()):
@@ -655,16 +657,44 @@ def test_replicate_sums_on_one_and_three_threads(n, chunks, monkeypatch):
     assert np.array_equal(rows[1][:width + 1], _replicate_sums(model, n, width + 1, 12, ends))
 
 
+# the five models of BENCH_38.json's path_sums_map_hoisting, and three shapes: one path per chunk
+# (n = 2^16) at the slln ends, the tail check's 42 block ends at n = 4096 over more rows than one block
+# of the map, and a cut last chunk
+HOISTING_MODELS = (MovingAverage(coeffs=(1.0, 1.0), law=U11),
+                   MovingAverage(coeffs=(1.0, -0.5, 1.0), law=UniformOnInterval(0.0, 3.0)),
+                   IID(Rademacher()), MovingAverage(coeffs=(2.0, 1.0), law=TruncatedGaussian(1.5)),
+                   MovingAverage(coeffs=(0.5,), law=UniformOnInterval(-2.0, 1.0)))
+
+
+@pytest.mark.parametrize("model", HOISTING_MODELS, ids=["ma11", "ma3-u03", "iid-rademacher", "ma21-tg", "ma05"])
+@pytest.mark.parametrize("n, replicates, ends", [
+    (2**16, 3, [2**k - 1 for k in range(8, 17)]),
+    (4096, 1997, [97 * k - 1 for k in range(1, 43)]),
+    (24, 3 * (REPLICATE_BLOCK_VALUES // 24) - 5, [0, 11, 22, 23]),
+], ids=["width-1", "tail-ends", "cut-chunk"])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_replicate_sums_are_the_per_chunk_map_bit_for_bit(model, n, replicates, ends, workers, monkeypatch):
+    # the map and the a_j combination, applied once to the whole matrix over row blocks, keep every
+    # bit of the same arithmetic applied chunk by chunk
+    monkeypatch.setattr("weakdep.models._WORKERS", workers)
+    expected = replicate_sums_mapped_per_chunk(model, n, replicates, 5, ends)
+    assert np.array_equal(_replicate_sums(model, n, replicates, 5, ends), expected)
+
+
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -0.5, 1.0)])
 def test_path_sums_leave_the_generator_where_paths_do(law, coeffs):
-    # one law.sample call of the same shape: the same draws, and the next draw is the same too
-    model = MovingAverage(coeffs=coeffs, law=law)
-    after_paths, after_sums = np.random.default_rng(3), np.random.default_rng(3)
-    paths = _paths(model, 100, 7, after_paths, {}).copy()
-    sums = _path_sums(model, 100, 7, after_sums, {}, (0, 50, 99))
+    # one law.sample call of the same shape: the same draws, and the next draw is the same too;
+    # the kernel's values are the unit draws summed between the keys {e + p - 1 - j} and {0..p-2}
+    model, p, ends = MovingAverage(coeffs=coeffs, law=law), len(coeffs), (0, 50, 99)
+    after_paths, after_sums, by_unit = (np.random.default_rng(3) for _ in range(3))
+    _paths(model, 100, 7, after_paths, {})
+    sums = _path_sums(model, 100, 7, after_sums, {}, ends)
     assert after_paths.bit_generator.state == after_sums.bit_generator.state
-    assert np.allclose(sums, np.cumsum(paths, axis=1)[:, [0, 50, 99]], rtol=1e-12, atol=1e-12)
+    keys = sorted({e + p - 1 - j for e in ends for j in range(p)} | set(range(p - 1)))
+    unit = law._unit_draw(by_unit, (100 + p - 1, 7))
+    assert sums.shape == (7, len(keys))
+    assert np.array_equal(sums, np.add.reduceat(unit[: keys[-1] + 1], [0, *(k + 1 for k in keys[:-1])], axis=0).T)
 
 
 def test_replicate_sums_refuse_before_any_draw(monkeypatch):

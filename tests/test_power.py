@@ -2,11 +2,14 @@
 
 Each mutant wraps both producers of drawn values, models._paths (the filter
 behind every replicate path and sample path, read by cov, newman and emp)
-and models._path_sums (the partial sums read by tail, slln, clt and fclt),
-and breaks what they return; the library is not changed.  Both take the
-model first and return one row per path, so one mutant function serves
-both.  _paths returns scratch buffers that its next call overwrites, so a
-mutant builds its output out of place.  The seven checks that draw paths
+and _replicate_sums (the partial sums read by tail, slln, clt and fclt,
+patched where verify binds it, since verify imports it by name), and breaks
+what they return; the library is not changed.  Both take the model first
+and return one row per path, so one mutant function serves both.  A mutant
+must wrap a producer of the values themselves: models._path_sums returns
+the unit draws' segment sums, which _replicate_sums maps afterwards.
+_paths returns scratch buffers that its next call overwrites, so a mutant
+builds its output out of place.  The seven checks that draw paths
 (quasi draws none) run through cli.run at their defaults on the MA(1, 1)
 model with U(-1, 1) innovations at seed 0, the CLI default, and the table
 pins the set of checks that exit 1, that is, report a VIOLATED row.
@@ -25,7 +28,7 @@ import math
 
 import pytest
 
-from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, model_to_json, models
+from weakdep import IID, MovingAverage, Rademacher, UniformOnInterval, model_to_json, models, verify
 from weakdep.cli import run
 from weakdep.verify import marginal_transform
 
@@ -37,7 +40,7 @@ def _scaled(factor):
     return lambda paths, model, *args: factor * paths(model, *args)
 
 
-# name -> (wrapper of _paths(model, n, width, rng, scratch) or _path_sums(model, n, width, rng, scratch, ends)
+# name -> (wrapper of _paths(model, n, width, rng, scratch) or _replicate_sums(model, n, replicates, seed, ends)
 # given the original first, checks that exit 1)
 MUTANTS = {
     "none": (None, set()),
@@ -73,9 +76,9 @@ def fresh_marginal():
 def test_checks_that_catch_a_planted_defect(mutant, monkeypatch, tmp_path, fresh_marginal):
     wrap, caught = MUTANTS[mutant]
     if wrap is not None:
-        for producer in ("_paths", "_path_sums"):
-            original = getattr(models, producer)
-            monkeypatch.setattr(models, producer, lambda *args, original=original: wrap(original, *args))
+        for owner, producer in ((models, "_paths"), (verify, "_replicate_sums")):
+            original = getattr(owner, producer)
+            monkeypatch.setattr(owner, producer, lambda *args, original=original: wrap(original, *args))
     model = tmp_path / "ma11.json"
     model.write_text(model_to_json(MA11))
     codes = {
